@@ -1,13 +1,14 @@
-//! Micro-benchmarks of the order-space search engine (this PR's additions):
-//! O(m·k) pair counting vs the naive O(m²·k) oracle, serial vs parallel
-//! order ranking, and serial vs parallel grid sweeps.
+//! Micro-benchmarks of the order-space search engine: O(m·k) pair
+//! counting vs the naive O(m²·k) oracle, serial vs parallel order
+//! ranking, and serial vs parallel grid sweeps.
 //!
-//! The serial sweep numbers are obtained by forcing `MRE_PAR_THREADS=1`
-//! around the measurement, so both paths execute the same code.
+//! The serial ranking and sweep numbers are obtained by forcing
+//! `MRE_PAR_THREADS=1` around the measurement, so both paths execute the
+//! same code.
 
 use mre_bench::tinybench::{black_box, Bench};
 use mre_core::metrics::{pair_counts_per_level, pair_counts_per_level_naive};
-use mre_core::order_search::{rank_orders_by, rank_orders_by_par, sweep, SweepSpec};
+use mre_core::order_search::{rank_orders_by_par, sweep, SweepSpec};
 use mre_core::par::THREADS_ENV;
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
@@ -64,9 +65,11 @@ fn bench_ranking(b: &mut Bench) {
     let machine = Hierarchy::new(vec![4, 2, 2, 8]).unwrap();
     let net = hydra_network(4, 1);
     let cost = |sigma: &Permutation| contended_duration(&machine, &net, sigma, 16, 1 << 20);
+    std::env::set_var(THREADS_ENV, "1");
     b.bench("rank_orders/serial/24", || {
-        rank_orders_by(black_box(&machine), 16, cost).unwrap()
+        rank_orders_by_par(black_box(&machine), 16, cost).unwrap()
     });
+    std::env::remove_var(THREADS_ENV);
     b.bench(
         &format!("rank_orders/parallel{}/24", mre_core::par::threads()),
         || rank_orders_by_par(black_box(&machine), 16, cost).unwrap(),

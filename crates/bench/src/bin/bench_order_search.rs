@@ -6,8 +6,8 @@
 //!
 //! * `pair_counts` — the O(m·k) prefix-group counting vs the retained
 //!   naive O(m²·k) oracle, m ∈ {64, 512, 2048} on LUMI-scale layouts;
-//! * `rank_orders` — serial [`rank_orders_by`] vs parallel
-//!   [`rank_orders_by_par`] over Hydra's 24 orders under the contention
+//! * `rank_orders` — [`rank_orders_by_par`] with `MRE_PAR_THREADS=1` vs
+//!   the full worker pool over Hydra's 24 orders under the contention
 //!   simulator, plus a bitwise identity check of the two rankings;
 //! * `sweep` — the (order × subcommunicator × payload) grid engine with
 //!   `MRE_PAR_THREADS=1` vs the full worker pool;
@@ -18,7 +18,7 @@
 
 use mre_bench::tinybench::{black_box, Bench};
 use mre_core::metrics::{pair_counts_per_level, pair_counts_per_level_naive};
-use mre_core::order_search::{rank_orders_by, rank_orders_by_par, sweep, SweepSpec};
+use mre_core::order_search::{rank_orders_by_par, sweep, SweepSpec};
 use mre_core::par::THREADS_ENV;
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
@@ -134,7 +134,9 @@ fn main() {
     let machine = Hierarchy::new(vec![4, 2, 2, 8]).unwrap();
     let net = hydra_network(4, 1);
     let rank_cost = |sigma: &Permutation| contended_duration(&machine, &net, sigma, 16, 1 << 20);
-    let serial_ranked = rank_orders_by(&machine, 16, rank_cost).unwrap();
+    std::env::set_var(THREADS_ENV, "1");
+    let serial_ranked = rank_orders_by_par(&machine, 16, rank_cost).unwrap();
+    std::env::remove_var(THREADS_ENV);
     let parallel_ranked = rank_orders_by_par(&machine, 16, rank_cost).unwrap();
     let identical = serial_ranked.len() == parallel_ranked.len()
         && serial_ranked
@@ -145,11 +147,13 @@ fn main() {
         identical,
         "parallel ranking must be byte-identical to serial"
     );
+    std::env::set_var(THREADS_ENV, "1");
     let rank_serial = median(&mut b, "rank_orders/serial/24", || {
-        rank_orders_by(black_box(&machine), 16, rank_cost)
+        rank_orders_by_par(black_box(&machine), 16, rank_cost)
             .unwrap()
             .len() as f64
     });
+    std::env::remove_var(THREADS_ENV);
     let rank_parallel = median(&mut b, &format!("rank_orders/parallel{threads}/24"), || {
         rank_orders_by_par(black_box(&machine), 16, rank_cost)
             .unwrap()

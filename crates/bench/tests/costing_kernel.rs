@@ -15,6 +15,9 @@
 //! 3. **Pooled ≡ fresh**: costing through a dirty, much-reused
 //!    thread-local workspace is bit-identical to costing on a brand-new
 //!    thread whose workspace has never been touched.
+//! 4. **Pruned ≡ exhaustive**: on the 8-node Hydra rail grid, the bound
+//!    ladder over memoized costs and the symbolic payload axis pick every
+//!    cell's winner, cost bits included, exactly as the exhaustive sweep.
 //!
 //! A counting global allocator (gated to the measuring thread, so the
 //! parallel test harness cannot pollute the count) then asserts the
@@ -26,13 +29,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mre_core::order_search::{rank_orders_pruned_ladder, sweep, sweep_pruned_axis, SweepSpec};
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
 use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{
-    thread_workspace_rounds, ContentionMode, NetworkModel, RailPolicy, Schedule, SharedCostCache,
-    SymbolicScheduleCost,
+    schedule_lower_bound, schedule_lower_bound_aggregate, thread_workspace_rounds, ContentionMode,
+    NetworkModel, RailPolicy, Schedule, SharedCostCache, SymbolicScheduleCost,
 };
 use mre_workloads::microbench::{Collective, Microbench};
 
@@ -126,20 +130,29 @@ fn policies() -> [RailPolicy; 3] {
 
 /// The candidate's merged lockstep schedule on the identity order.
 fn merged(machine: &Hierarchy, collective: Collective, bytes: u64, nics: usize) -> Schedule {
+    let identity = Permutation::identity(machine.depth());
+    merged_on(machine, &identity, SUBCOMM, collective, bytes, nics)
+}
+
+/// The merged lockstep schedule of every `s`-process subcommunicator of
+/// `order`'s layout.
+fn merged_on(
+    machine: &Hierarchy,
+    order: &Permutation,
+    s: usize,
+    collective: Collective,
+    bytes: u64,
+    nics: usize,
+) -> Schedule {
     let b = Microbench {
         machine: machine.clone(),
-        order: Permutation::identity(machine.depth()),
-        subcomm_size: SUBCOMM,
+        order: order.clone(),
+        subcomm_size: s,
         collective,
         total_bytes: bytes,
     };
-    let layout = subcommunicators(
-        machine,
-        &Permutation::identity(machine.depth()),
-        SUBCOMM,
-        ColorScheme::Quotient,
-    )
-    .expect("valid configuration");
+    let layout =
+        subcommunicators(machine, order, s, ColorScheme::Quotient).expect("valid configuration");
     let jobs: Vec<Schedule> = (0..layout.count())
         .map(|c| b.schedule_for_rails(layout.members(c), nics))
         .collect();
@@ -253,6 +266,95 @@ fn round_memo_is_bit_identical_to_memo_free() {
                 "re-costing shared rounds across payloads must hit the round tier \
                  ({mode:?}, {nics} rails): {stats:?}"
             );
+        }
+    }
+    // A ring allreduce whose payload s² does not divide: its rounds repeat
+    // the same endpoints with rotating block sizes, so a time tier keyed
+    // on endpoints alone replays the first round's time for the others.
+    let net = fabric(1, RailPolicy::RoundRobin, ContentionMode::MaxMinFair);
+    let machine = net.hierarchy().clone();
+    let order = Permutation::parse("1-2-3-0").expect("valid order");
+    let payload = 100_001;
+    let m = merged_on(
+        &machine,
+        &order,
+        64,
+        Collective::Allreduce(AllreduceAlg::Ring),
+        payload,
+        1,
+    );
+    let cache = SharedCostCache::new();
+    assert_eq!(
+        cache.schedule_time_rounds(&net, &m, payload).to_bits(),
+        net.schedule_time(&m).to_bits(),
+        "rounds with equal endpoints but different bytes must not share a time"
+    );
+}
+
+/// The pruned searches on the 1/2/4-rail, 8-node Hydra grid with pairwise
+/// alltoall pick the exhaustive sweep's winner in every cell, cost bits
+/// included: the per-cell bound ladder (aggregate rung, per-rail rung,
+/// round-memoized cost) and the symbolic payload axis. (The autotune grid
+/// — ring allgather on 4 nodes, where the bound must also prune — is
+/// `pruned_sweep_matches_exhaustive_on_hydra_microbench` in the root
+/// package's proptests.)
+#[test]
+fn pruned_winners_match_exhaustive_on_the_rail_grid() {
+    let alltoall = Collective::Alltoall(AlltoallAlg::Pairwise);
+    let spec = SweepSpec {
+        subcomm_sizes: vec![16, 64],
+        payload_sizes: vec![64 << 10, 256 << 10, 1 << 20, 4 << 20],
+    };
+    let reference = spec.payload_sizes[0];
+    for nics in [1usize, 2, 4] {
+        let net = hydra_network_rails(8, nics, RailPolicy::RoundRobin);
+        let machine = net.hierarchy().clone();
+        let schedule = |sigma: &Permutation, s: usize, bytes: u64| {
+            merged_on(&machine, sigma, s, alltoall, bytes, nics)
+        };
+        let exhaustive = sweep(&machine, &spec, |sigma, s, bytes| {
+            net.schedule_time(&schedule(sigma, s, bytes))
+        })
+        .expect("valid spec");
+        let cache = SharedCostCache::new();
+        let symbolic = sweep_pruned_axis(
+            &machine,
+            &spec,
+            |sigma, s| {
+                SymbolicScheduleCost::build(&net, &cache, &schedule(sigma, s, reference), reference)
+                    .expect("non-zero reference payload")
+            },
+            |_, _, bytes, sym| sym.bound_at(bytes),
+            |_, _, _, _| f64::NEG_INFINITY,
+            |sigma, s, bytes, sym| {
+                let m = schedule(sigma, s, bytes);
+                if sym.matches(&m, bytes) {
+                    sym.time_at_payload(bytes).expect("integral scaling")
+                } else {
+                    cache.schedule_time_rounds(&net, &m, bytes)
+                }
+            },
+        )
+        .expect("valid spec");
+        for (e, sym) in exhaustive.iter().zip(&symbolic) {
+            let (s, bytes) = (e.subcomm_size, e.payload);
+            let ladder = rank_orders_pruned_ladder(
+                &machine,
+                s,
+                |sigma| schedule(sigma, s, bytes),
+                |_, m| schedule_lower_bound_aggregate(&net, m),
+                |_, m| schedule_lower_bound(&net, m),
+                |_, m| cache.schedule_time_rounds(&net, m, bytes),
+            )
+            .expect("valid configuration");
+            for (name, best) in [("ladder", &ladder.best), ("symbolic axis", &sym.best)] {
+                assert_eq!(
+                    (best.0.order.clone(), best.1.to_bits()),
+                    (e.best.0.order.clone(), e.best.1.to_bits()),
+                    "{name} winner, {nics} rails, cell ({s}, {bytes})"
+                );
+            }
+            assert_eq!(ladder.stats.candidates(), e.ranked.len() as u64);
         }
     }
 }

@@ -9,39 +9,45 @@
 //!   single `[0, 1]` score (0 = fully packed, 1 = fully spread);
 //! * [`representatives`] prunes the order space to one order per
 //!   mapping-equivalence class, preferring the lowest ring cost in each
-//!   class (the cheapest rank assignment on the same resources);
-//! * [`rank_orders_by`] evaluates a caller-supplied cost (e.g. a simulated
-//!   collective duration) over the pruned space and returns the orders
-//!   sorted best-first; [`rank_orders_by_par`] fans the evaluations out on
-//!   the [`crate::par`] worker pool with byte-identical results;
-//! * [`sweep`] evaluates a whole (order × subcommunicator size × payload
-//!   size) grid in one parallel pass — the engine behind the figure
-//!   binaries' size sweeps;
-//! * [`rank_orders_pruned`] / [`sweep_pruned`] are the branch-and-bound
-//!   variants: candidates are visited in ascending order of a
-//!   caller-supplied **admissible lower bound** (e.g. `mre-simnet`'s
-//!   `schedule_lower_bound`), and any candidate whose bound exceeds the
-//!   incumbent best cost is skipped without paying the full evaluation —
-//!   provably returning the same best order per cell (DESIGN.md §7e).
-//!   The frontier is evaluated **best-first in parallel** on the
-//!   [`crate::par`] worker pool against a shared atomic incumbent; the
-//!   winner stays byte-identical to the exhaustive sweep in every
-//!   interleaving (see [`rank_orders_pruned`] for the argument), while
-//!   [`rank_orders_pruned_serial`] / [`sweep_pruned_serial`] keep the
-//!   fully deterministic single-thread loop as the differential oracle;
-//! * [`rank_orders_pruned_ladder`] / [`sweep_pruned_ladder`] add the
-//!   two-stage **bound ladder** (DESIGN.md §7g): a per-candidate
-//!   `prepare` artifact built exactly once (typically the collective
-//!   schedules — the dominant per-candidate cost), a cheap bound
-//!   computed for every candidate to order the frontier, and a tighter
-//!   still-admissible bound evaluated lazily only for candidates the
-//!   cheap rung fails to prune.
+//!   class (the cheapest rank assignment on the same resources).
+//!
+//! Every search then performs the paper's single operation (§3.3): cost
+//! one representative per class and return the best. One private engine
+//! runs it over a (subcommunicator size × payload size) grid, and four
+//! entry points spell the grid shapes callers need:
+//!
+//! | entry point | grid | pruning |
+//! |---|---|---|
+//! | [`rank_orders_by_par`] | 1 × 1 | none: every representative is costed |
+//! | [`rank_orders_pruned_ladder`] | 1 × 1 | cheap and tight bound rungs |
+//! | [`sweep`] | sizes × payloads | none |
+//! | [`sweep_pruned_axis`] | sizes × payloads | cheap and tight bound rungs |
+//!
+//! Per distinct subcommunicator size the engine computes the
+//! representatives once and runs **one** fan-out on the [`crate::par`]
+//! pool that builds each candidate's `prepare` artifact together with its
+//! cheap bound at every payload. Each grid cell then drains its frontier —
+//! the candidates in ascending `(cheap bound, enumeration index)` order —
+//! with one claim loop against a shared CAS-min incumbent: a candidate
+//! whose cheap bound exceeds the incumbent ends the cell, one whose lazily
+//! evaluated tight bound does is skipped, and only the rest pay the full
+//! cost (DESIGN.md §7e, §7g). The loop runs inline on one worker and on
+//! the pool otherwise. An exhaustive search is the same engine with both
+//! rungs at `f64::NEG_INFINITY`, which never prune.
+//!
+//! With admissible bounds (`bound ≤ cost` pointwise) every cell's winner
+//! and its cost bits equal the exhaustive search's in every thread
+//! interleaving. [`PruneStats`]'s evaluated/pruned split is exact and
+//! repeatable on one worker (`MRE_PAR_THREADS=1` or
+//! [`crate::par::set_threads`]`(1)`); on more it may vary, its total never
+//! does.
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
 use crate::metrics::{characterize_order, characterized_classes, OrderCharacterization};
 use crate::par;
 use crate::permutation::Permutation;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Spreadness score of an order for a given subcommunicator size: the
 /// mean crossing level of a communicator's process pairs, normalized to
@@ -98,52 +104,6 @@ pub fn representatives(
         .collect())
 }
 
-/// Evaluates `cost` on the representative orders and returns
-/// `(characterization, cost)` pairs sorted best (lowest cost) first.
-///
-/// `cost` is typically a simulated duration — e.g. closing over an
-/// `mre-simnet` network model and a collective schedule generator.
-pub fn rank_orders_by<F>(
-    h: &Hierarchy,
-    subcomm_size: usize,
-    mut cost: F,
-) -> Result<Vec<(OrderCharacterization, f64)>, Error>
-where
-    F: FnMut(&Permutation) -> f64,
-{
-    let mut scored: Vec<(OrderCharacterization, f64)> = representatives(h, subcomm_size)?
-        .into_iter()
-        .map(|c| {
-            let value = cost(&c.order);
-            (c, value)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Ok(scored)
-}
-
-/// [`rank_orders_by`] with the cost evaluations fanned out on the
-/// [`crate::par`] worker pool.
-///
-/// The ranking is **byte-identical** to the serial path: representatives
-/// are enumerated in the same deterministic order, `par::map` returns
-/// costs in input order, and the final sort is stable — so equal costs tie
-/// in the same positions regardless of thread count.
-pub fn rank_orders_by_par<F>(
-    h: &Hierarchy,
-    subcomm_size: usize,
-    cost: F,
-) -> Result<Vec<(OrderCharacterization, f64)>, Error>
-where
-    F: Fn(&Permutation) -> f64 + Sync,
-{
-    let reps = representatives(h, subcomm_size)?;
-    let costs = par::map(&reps, |_, c| cost(&c.order));
-    let mut scored: Vec<(OrderCharacterization, f64)> = reps.into_iter().zip(costs).collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Ok(scored)
-}
-
 /// Outcome counters of a branch-and-bound search: how many candidates
 /// paid the full cost evaluation vs. were skipped on their lower bound
 /// alone.
@@ -156,7 +116,7 @@ pub struct PruneStats {
     pub pruned: u64,
     /// The subset of `pruned` skipped by the **tight** ladder rung — the
     /// candidates the cheap bound let through but the lazily-evaluated
-    /// tighter bound rejected. Zero for single-bound searches.
+    /// tighter bound rejected.
     pub tight_pruned: u64,
 }
 
@@ -168,52 +128,14 @@ impl PruneStats {
     pub fn candidates(&self) -> u64 {
         self.evaluated + self.pruned
     }
-
-    fn merge(self, other: PruneStats) -> PruneStats {
-        PruneStats {
-            evaluated: self.evaluated + other.evaluated,
-            pruned: self.pruned + other.pruned,
-            tight_pruned: self.tight_pruned + other.tight_pruned,
-        }
-    }
 }
 
-/// Wall-time accumulators of one search, split by ladder stage: `bound`
-/// covers prepare + cheap + tight rungs, `cost` the full evaluations.
-/// Summed across workers, so the two are comparable CPU-time shares even
-/// when the frontier runs in parallel.
-#[derive(Debug, Default)]
-struct SearchTiming {
-    bound_ns: std::sync::atomic::AtomicU64,
-    cost_ns: std::sync::atomic::AtomicU64,
-}
-
-impl SearchTiming {
-    fn timed<R>(ns: &std::sync::atomic::AtomicU64, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
-        let r = f();
-        ns.fetch_add(
-            start.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        r
-    }
-
-    fn bound<R>(&self, f: impl FnOnce() -> R) -> R {
-        Self::timed(&self.bound_ns, f)
-    }
-
-    fn cost<R>(&self, f: impl FnOnce() -> R) -> R {
-        Self::timed(&self.cost_ns, f)
-    }
-}
-
-/// Result of [`rank_orders_pruned`]: the provably-best order plus the
-/// subset of candidates that were actually evaluated.
+/// Result of [`rank_orders_pruned_ladder`]: the provably-best order plus
+/// the subset of candidates that were actually evaluated.
 #[derive(Debug, Clone)]
 pub struct PrunedRanking {
     /// The best `(characterization, cost)` — byte-identical to
-    /// `rank_orders_by(...)[0]` when the bound is admissible.
+    /// `rank_orders_by_par(...)[0]` when both bounds are admissible.
     pub best: (OrderCharacterization, f64),
     /// The evaluated candidates, lowest cost first (pruned candidates are
     /// absent — their exact costs were never computed).
@@ -222,276 +144,74 @@ pub struct PrunedRanking {
     pub stats: PruneStats,
 }
 
-/// The visit order of the frontier: candidate indices sorted by
-/// `(cheap bound, enumeration index)` ascending.
-fn visit_order(bounds: &[f64]) -> Vec<usize> {
-    let mut visit: Vec<usize> = (0..bounds.len()).collect();
-    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-    visit
-}
-
-/// Serial branch-and-bound core — the deterministic oracle behind
-/// [`rank_orders_pruned_serial`] / [`sweep_pruned_serial`], and the
-/// fallback of the parallel engine on one worker: visit candidates in
-/// ascending `(bound, enumeration index)` order, keep a `(cost,
-/// enumeration index)` incumbent, and stop at the first candidate whose
-/// cheap bound *strictly* exceeds the incumbent cost (cheap bounds are
-/// sorted, so every later candidate is prunable too). A candidate the
-/// cheap rung admits is optionally re-checked against a lazily-evaluated
-/// `tight` bound; a tight rejection skips only that candidate (tight
-/// bounds are not sorted).
+/// The grid a [`sweep`] or [`sweep_pruned_axis`] evaluates: every
+/// representative order of each subcommunicator size, at every payload
+/// size.
 ///
-/// Strict inequality and the index tie-breaks are what make the result
-/// byte-identical to the exhaustive search: a candidate whose bound
-/// *equals* the incumbent cost could still tie it with a smaller
-/// enumeration index, so it must be evaluated; and any candidate whose
-/// true cost equals the final best has (by admissibility of **both**
-/// rungs) bounds ≤ that cost ≤ every incumbent, hence is never skipped.
+/// **Invariant:** duplicate values within an axis denote the *same* grid
+/// cell — the sweep evaluates each distinct `(subcomm_size, payload)`
+/// pair exactly once and clones the resulting cell into every spec
+/// position that names it, so the output shape always matches
+/// `subcomm_sizes.len() × payload_sizes.len()` but the work done matches
+/// the deduplicated grid.
+#[derive(Debug, Clone)]
+pub struct SweepSpec {
+    /// Subcommunicator sizes (each must divide the machine size).
+    pub subcomm_sizes: Vec<usize>,
+    /// Total payload sizes in bytes (the figure sweeps' x-axis).
+    pub payload_sizes: Vec<u64>,
+}
+
+/// One (subcommunicator size, payload size) cell of a sweep: the best
+/// order plus the evaluated candidates ranked best-first.
+#[derive(Debug, Clone)]
+pub struct SweepCell {
+    /// Processes per subcommunicator for this cell.
+    pub subcomm_size: usize,
+    /// Payload size (bytes) for this cell.
+    pub payload: u64,
+    /// The best `(characterization, cost)`, equal to `ranked[0]` — and,
+    /// when the bounds are admissible, byte-identical to the exhaustive
+    /// [`sweep`]'s.
+    pub best: (OrderCharacterization, f64),
+    /// The evaluated `(characterization, cost)` pairs, lowest cost first;
+    /// ties keep the representatives' deterministic enumeration order. An
+    /// exhaustive sweep evaluates every representative; a pruned one
+    /// leaves the pruned candidates out.
+    pub ranked: Vec<(OrderCharacterization, f64)>,
+    /// Evaluated/pruned counters for this cell.
+    pub stats: PruneStats,
+}
+
+/// Ranks the representative orders by `cost` and returns `(characterization,
+/// cost)` pairs sorted best (lowest cost) first, ties in enumeration order.
 ///
-/// Returns evaluated `(enumeration index, cost)` pairs sorted by
-/// `(cost, enumeration index)` — position 0 is the provable optimum —
-/// plus the prune counters.
-fn branch_and_bound_serial(
-    bounds: &[f64],
-    tight: Option<&dyn Fn(usize) -> f64>,
-    cost: &mut dyn FnMut(usize) -> f64,
-) -> (Vec<(usize, f64)>, PruneStats) {
-    let visit = visit_order(bounds);
-    let mut evaluated: Vec<(usize, f64)> = Vec::new();
-    let mut incumbent: Option<(f64, usize)> = None;
-    let mut pruned = 0u64;
-    let mut tight_pruned = 0u64;
-    for (pos, &i) in visit.iter().enumerate() {
-        if let Some((best_cost, _)) = incumbent {
-            if bounds[i].total_cmp(&best_cost) == std::cmp::Ordering::Greater {
-                pruned += (visit.len() - pos) as u64;
-                break;
-            }
-            if let Some(tight) = tight {
-                if tight(i).total_cmp(&best_cost) == std::cmp::Ordering::Greater {
-                    pruned += 1;
-                    tight_pruned += 1;
-                    continue;
-                }
-            }
-        }
-        let c = cost(i);
-        evaluated.push((i, c));
-        incumbent = Some(match incumbent {
-            None => (c, i),
-            Some((bc, bi)) => match c.total_cmp(&bc) {
-                std::cmp::Ordering::Less => (c, i),
-                std::cmp::Ordering::Equal if i < bi => (c, i),
-                _ => (bc, bi),
-            },
-        });
-    }
-    evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let stats = PruneStats {
-        evaluated: evaluated.len() as u64,
-        pruned,
-        tight_pruned,
-    };
-    (evaluated, stats)
-}
-
-/// Lowers `current` to `candidate` if smaller (by `total_cmp`), CAS-ing
-/// on the f64's bit pattern — the shared incumbent of the parallel
-/// frontier.
-fn cas_min_f64(current: &std::sync::atomic::AtomicU64, candidate: f64) {
-    use std::sync::atomic::Ordering;
-    let mut cur = current.load(Ordering::Acquire);
-    while candidate.total_cmp(&f64::from_bits(cur)) == std::cmp::Ordering::Less {
-        match current.compare_exchange_weak(
-            cur,
-            candidate.to_bits(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Parallel best-first branch-and-bound: the bound-ordered frontier is
-/// drained by the [`crate::par`] worker pool against a shared atomic
-/// incumbent (CAS on the cost's f64 bits).
-///
-/// The bound-minimal candidate is costed **serially first** to seed the
-/// incumbent — without it, `threads ≥ candidates` would cost the whole
-/// frontier speculatively before any pruning could act. Workers then
-/// claim positions from a shared cursor in bound order; a claim whose
-/// cheap bound strictly exceeds the current incumbent proves every later
-/// position prunable too (bounds ascend along the visit order and the
-/// incumbent only decreases), so the worker forwards the cursor past the
-/// end and retires.
-///
-/// **Determinism.** The set of candidates that pay the full cost may vary
-/// with scheduling (a worker can claim a candidate an instant before a
-/// better incumbent lands), but the *winner* cannot: any candidate whose
-/// true cost equals the global minimum has (by admissibility) every bound
-/// ≤ that cost ≤ every intermediate incumbent, so no interleaving ever
-/// prunes it, and the final `(cost, enumeration index)` sort breaks ties
-/// exactly like the serial and exhaustive paths. `PruneStats::candidates`
-/// is likewise interleaving-invariant.
-fn branch_and_bound_par(
-    bounds: &[f64],
-    tight: Option<&(dyn Fn(usize) -> f64 + Sync)>,
-    cost: &(dyn Fn(usize) -> f64 + Sync),
-) -> (Vec<(usize, f64)>, PruneStats) {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    let n = bounds.len();
-    let workers = par::threads().min(n.saturating_sub(1));
-    if workers <= 1 {
-        let serial_tight: Option<&dyn Fn(usize) -> f64> = tight.map(|t| t as _);
-        return branch_and_bound_serial(bounds, serial_tight, &mut |i| cost(i));
-    }
-    let visit = visit_order(bounds);
-    let seed_index = visit[0];
-    let seed_cost = cost(seed_index);
-    let incumbent = AtomicU64::new(seed_cost.to_bits());
-    let evaluated = std::sync::Mutex::new(vec![(seed_index, seed_cost)]);
-    let tight_pruned = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(1);
-    par::broadcast(workers, |_| loop {
-        let pos = cursor.fetch_add(1, Ordering::SeqCst);
-        if pos >= visit.len() {
-            break;
-        }
-        let i = visit[pos];
-        let best = f64::from_bits(incumbent.load(Ordering::Acquire));
-        if bounds[i].total_cmp(&best) == std::cmp::Ordering::Greater {
-            // Every later position is prunable too: its cheap bound is at
-            // least this one's, and the incumbent only decreases. Forward
-            // the cursor so idle workers retire immediately. (A worker
-            // that claimed a position just before this store still prunes
-            // it on its own check — same monotonicity.)
-            cursor.store(visit.len(), Ordering::SeqCst);
-            break;
-        }
-        if let Some(tight) = tight {
-            let best = f64::from_bits(incumbent.load(Ordering::Acquire));
-            if tight(i).total_cmp(&best) == std::cmp::Ordering::Greater {
-                tight_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        }
-        let c = cost(i);
-        cas_min_f64(&incumbent, c);
-        evaluated.lock().unwrap().push((i, c));
-    });
-    let mut evaluated = evaluated.into_inner().unwrap();
-    evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let stats = PruneStats {
-        evaluated: evaluated.len() as u64,
-        pruned: n as u64 - evaluated.len() as u64,
-        tight_pruned: tight_pruned.load(Ordering::Relaxed),
-    };
-    (evaluated, stats)
-}
-
-fn emit_prune_telemetry(stats: PruneStats, timing: &SearchTiming) {
-    use std::sync::atomic::Ordering;
-    if crate::telemetry::enabled() {
-        crate::telemetry::counter_add("core.order_search.bound.evaluated", stats.evaluated);
-        crate::telemetry::counter_add("core.order_search.bound.pruned", stats.pruned);
-        crate::telemetry::counter_add("core.order_search.bound.tight_pruned", stats.tight_pruned);
-        crate::telemetry::counter_add(
-            "core.order_search.bound.bound_ns",
-            timing.bound_ns.load(Ordering::Relaxed),
-        );
-        crate::telemetry::counter_add(
-            "core.order_search.bound.cost_ns",
-            timing.cost_ns.load(Ordering::Relaxed),
-        );
-    }
-}
-
-/// Builds a [`PrunedRanking`] from the engine's evaluated set.
-fn assemble_ranking(
-    reps: &[OrderCharacterization],
-    evaluated: Vec<(usize, f64)>,
-    stats: PruneStats,
-) -> PrunedRanking {
-    let ranked: Vec<(OrderCharacterization, f64)> = evaluated
-        .into_iter()
-        .map(|(i, c)| (reps[i].clone(), c))
-        .collect();
-    let best = ranked
-        .first()
-        .cloned()
-        .expect("a valid subcommunicator size has at least one representative order");
-    PrunedRanking {
-        best,
-        ranked,
-        stats,
-    }
-}
-
-/// Branch-and-bound variant of [`rank_orders_by`]: candidates are ordered
-/// by `bound` ascending and drained best-first by the [`crate::par`]
-/// worker pool against a shared atomic incumbent; any candidate whose
-/// bound exceeds the incumbent best cost is skipped without paying the
-/// full evaluation.
-///
-/// `bound` **must be admissible** — `bound(σ) ≤ cost(σ)` for every
-/// candidate (e.g. `mre-simnet::schedule_lower_bound` of the schedule
-/// that `cost` ends up costing). Under that contract the returned
-/// [`PrunedRanking::best`] is byte-identical to the exhaustive
-/// `rank_orders_by(...)[0]` **in every thread interleaving**: the
-/// bound-minimal candidate is costed serially first to seed the
-/// incumbent, a cost-minimal candidate's bound never exceeds any
-/// incumbent (admissibility), so it is never skipped, and the final
-/// `(cost, enumeration index)` sort breaks ties exactly like the
-/// exhaustive path. A non-admissible bound can prune the true optimum.
-/// The evaluated/pruned *split* can vary with scheduling (never the
-/// total); [`rank_orders_pruned_serial`] pins it when exact counters
-/// matter (`MRE_PAR_THREADS=1` forces the same).
-pub fn rank_orders_pruned<B, F>(
+/// `cost` is typically a simulated duration — e.g. closing over an
+/// `mre-simnet` network model and a collective schedule generator. The
+/// evaluations fan out on the [`crate::par`] worker pool; the ranking is
+/// byte-identical for every thread count, because costs are pure and the
+/// final `(cost, enumeration index)` sort does not depend on which worker
+/// produced them.
+pub fn rank_orders_by_par<F>(
     h: &Hierarchy,
     subcomm_size: usize,
-    bound: B,
     cost: F,
-) -> Result<PrunedRanking, Error>
+) -> Result<Vec<(OrderCharacterization, f64)>, Error>
 where
-    B: Fn(&Permutation) -> f64 + Sync,
     F: Fn(&Permutation) -> f64 + Sync,
 {
-    let reps = representatives(h, subcomm_size)?;
-    let timing = SearchTiming::default();
-    let bounds = par::map(&reps, |_, c| timing.bound(|| bound(&c.order)));
-    let (evaluated, stats) =
-        branch_and_bound_par(&bounds, None, &|i| timing.cost(|| cost(&reps[i].order)));
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
+    let cell = search_one(
+        h,
+        subcomm_size,
+        |_| (),
+        never_prunes,
+        never_prunes,
+        |sigma, _| cost(sigma),
+    )?;
+    Ok(cell.ranked)
 }
 
-/// The single-threaded spelling of [`rank_orders_pruned`] — the
-/// differential oracle for the parallel frontier (property-tested to
-/// return the same winner, cost, and candidate total), and the variant
-/// whose evaluated/pruned split is fully deterministic. Also accepts a
-/// stateful `FnMut` cost.
-pub fn rank_orders_pruned_serial<B, F>(
-    h: &Hierarchy,
-    subcomm_size: usize,
-    bound: B,
-    mut cost: F,
-) -> Result<PrunedRanking, Error>
-where
-    B: Fn(&Permutation) -> f64 + Sync,
-    F: FnMut(&Permutation) -> f64,
-{
-    let reps = representatives(h, subcomm_size)?;
-    let timing = SearchTiming::default();
-    let bounds = par::map(&reps, |_, c| timing.bound(|| bound(&c.order)));
-    let (evaluated, stats) =
-        branch_and_bound_serial(&bounds, None, &mut |i| timing.cost(|| cost(&reps[i].order)));
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
-}
-
-/// [`rank_orders_pruned`] with the two-stage **bound ladder** and
+/// Branch-and-bound ranking with a two-stage **bound ladder** and
 /// per-candidate preparation (DESIGN.md §7g).
 ///
 /// Per candidate σ, `prepare(σ)` builds an artifact `P` exactly once —
@@ -507,12 +227,17 @@ where
 /// 3. `cost(σ, &P)` runs only for candidates both rungs admit.
 ///
 /// **Both bounds must be admissible** (`cheap(σ) ≤ cost(σ)` and
-/// `tight(σ) ≤ cost(σ)` pointwise); then the winner is byte-identical to
-/// the exhaustive search by the same argument as [`rank_orders_pruned`].
-/// `tight` need not dominate `cheap` for correctness — only for the
-/// second rung to ever pay off. [`PruneStats::tight_pruned`] counts its
-/// wins; the `core.order_search.bound.{bound_ns,cost_ns}` telemetry
-/// counters expose the ladder-vs-cost time split.
+/// `tight(σ) ≤ cost(σ)` pointwise). Then [`PrunedRanking::best`] is
+/// byte-identical to `rank_orders_by_par(...)[0]` in every thread
+/// interleaving: any candidate whose cost equals the minimum has both
+/// bounds ≤ that cost ≤ every incumbent, so no interleaving skips it, and
+/// the final `(cost, enumeration index)` sort breaks ties like the
+/// exhaustive path. A non-admissible bound can prune the true optimum.
+/// `tight` need not dominate `cheap` for correctness — only for the second
+/// rung to ever pay off; `|_, _| f64::NEG_INFINITY` disables it.
+/// [`PruneStats::tight_pruned`] counts its wins; the
+/// `core.order_search.bound.{bound_ns,cost_ns}` telemetry counters expose
+/// the ladder-vs-cost time split.
 pub fn rank_orders_pruned_ladder<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     subcomm_size: usize,
@@ -528,40 +253,202 @@ where
     B2: Fn(&Permutation, &P) -> f64 + Sync,
     F: Fn(&Permutation, &P) -> f64 + Sync,
 {
-    let reps = representatives(h, subcomm_size)?;
-    let timing = SearchTiming::default();
-    let (prepared, bounds): (Vec<P>, Vec<f64>) = par::map(&reps, |_, c| {
-        timing.bound(|| {
-            let p = prepare(&c.order);
-            let b = cheap(&c.order, &p);
-            (p, b)
-        })
+    let cell = search_one(h, subcomm_size, prepare, cheap, tight, cost)?;
+    Ok(PrunedRanking {
+        best: cell.best,
+        ranked: cell.ranked,
+        stats: cell.stats,
     })
-    .into_iter()
-    .unzip();
-    let tight_rung = |i: usize| timing.bound(|| tight(&reps[i].order, &prepared[i]));
-    let (evaluated, stats) = branch_and_bound_par(&bounds, Some(&tight_rung), &|i| {
-        timing.cost(|| cost(&reps[i].order, &prepared[i]))
-    });
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
 }
 
-/// The grid a [`sweep`] evaluates: every representative order of each
-/// subcommunicator size, at every payload size.
+/// Evaluates `cost(order, subcomm_size, payload)` over the whole
+/// (order × subcommunicator size × payload size) grid on the worker pool
+/// and returns one ranked [`SweepCell`] per grid cell, in `spec` order
+/// (subcommunicator sizes outer, payloads inner). Every cell ranks all
+/// representatives of its size.
 ///
-/// **Invariant:** duplicate values within an axis denote the *same* grid
-/// cell — the sweep evaluates each distinct `(subcomm_size, payload)`
-/// pair exactly once and clones the resulting cell into every spec
-/// position that names it, so the output shape always matches
-/// `subcomm_sizes.len() × payload_sizes.len()` but the work done matches
-/// the deduplicated grid.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Subcommunicator sizes (each must divide the machine size).
-    pub subcomm_sizes: Vec<usize>,
-    /// Total payload sizes in bytes (the figure sweeps' x-axis).
-    pub payload_sizes: Vec<u64>,
+/// Representatives are computed once per *distinct* subcommunicator size
+/// and duplicate grid cells are evaluated once (see [`SweepSpec`]).
+/// Results are deterministic for the same reasons as
+/// [`rank_orders_by_par`].
+///
+/// ```
+/// use mre_core::{Hierarchy, order_search::{sweep, SweepSpec}};
+/// let h = Hierarchy::new(vec![4, 2, 8]).unwrap();
+/// let spec = SweepSpec { subcomm_sizes: vec![8, 16], payload_sizes: vec![1 << 14, 1 << 20] };
+/// // A toy cost: spread orders pay per byte, packed ones less.
+/// let cells = sweep(&h, &spec, |sigma, s, bytes| {
+///     (sigma.apply(0) as f64 + 1.0) * s as f64 * bytes as f64
+/// }).unwrap();
+/// assert_eq!(cells.len(), 4);
+/// assert!(cells.iter().all(|c| c.ranked.windows(2).all(|w| w[0].1 <= w[1].1)));
+/// ```
+pub fn sweep<F>(h: &Hierarchy, spec: &SweepSpec, cost: F) -> Result<Vec<SweepCell>, Error>
+where
+    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
+{
+    search(
+        h,
+        spec,
+        |_, _| (),
+        |_, _, _, _| f64::NEG_INFINITY,
+        |_, _, _, _| f64::NEG_INFINITY,
+        |sigma, s, payload, _| cost(sigma, s, payload),
+    )
+}
+
+/// Branch-and-bound [`sweep`] with the bound ladder of
+/// [`rank_orders_pruned_ladder`] and the per-candidate preparation hoisted
+/// out of the payload axis: `prepare(σ, subcomm_size)` runs exactly **once
+/// per (subcommunicator size, candidate)** — not once per (candidate,
+/// payload) — and every payload cell of that size receives the same `&P`.
+///
+/// This is the engine behind symbolic payload sweeps (DESIGN.md §7h): the
+/// artifact `P` captures everything payload-independent about a candidate
+/// — typically its schedule structure and solved contention profiles as a
+/// piecewise-linear function of payload bytes — so an axis of `m` payload
+/// points pays the expensive preparation once instead of `m` times, and
+/// each cell's bound/cost evaluations are cheap per-payload lookups or
+/// replays against `&P`. A `prepare` that returns `()` leaves the closures
+/// to do all the work per cell.
+///
+/// Both rungs must be admissible pointwise, now also in `payload`; then
+/// every cell's [`SweepCell::best`] is byte-identical to the exhaustive
+/// [`sweep`]'s, in every thread interleaving. Emits
+/// `core.order_search.bound.{evaluated, pruned, tight_pruned, bound_ns,
+/// cost_ns}` telemetry counters aggregated over all distinct cells.
+pub fn sweep_pruned_axis<P, Prep, B1, B2, F>(
+    h: &Hierarchy,
+    spec: &SweepSpec,
+    prepare: Prep,
+    cheap: B1,
+    tight: B2,
+    cost: F,
+) -> Result<Vec<SweepCell>, Error>
+where
+    P: Send + Sync,
+    Prep: Fn(&Permutation, usize) -> P + Sync,
+    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+    B2: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+{
+    search(h, spec, prepare, cheap, tight, cost)
+}
+
+/// The rung of an exhaustive ranking: a lower bound that never prunes.
+fn never_prunes<P>(_: &Permutation, _: &P) -> f64 {
+    f64::NEG_INFINITY
+}
+
+/// A ranking as the engine's 1 × 1 grid (the payload axis is unused).
+fn search_one<P, Prep, B1, B2, F>(
+    h: &Hierarchy,
+    subcomm_size: usize,
+    prepare: Prep,
+    cheap: B1,
+    tight: B2,
+    cost: F,
+) -> Result<SweepCell, Error>
+where
+    P: Send + Sync,
+    Prep: Fn(&Permutation) -> P + Sync,
+    B1: Fn(&Permutation, &P) -> f64 + Sync,
+    B2: Fn(&Permutation, &P) -> f64 + Sync,
+    F: Fn(&Permutation, &P) -> f64 + Sync,
+{
+    let spec = SweepSpec {
+        subcomm_sizes: vec![subcomm_size],
+        payload_sizes: vec![0],
+    };
+    let mut cells = search(
+        h,
+        &spec,
+        |sigma, _| prepare(sigma),
+        |sigma, _, _, p| cheap(sigma, p),
+        |sigma, _, _, p| tight(sigma, p),
+        |sigma, _, _, p| cost(sigma, p),
+    )?;
+    Ok(cells.pop().expect("a 1 x 1 grid has one cell"))
+}
+
+/// The search engine behind every entry point: deduplicates both axes,
+/// computes the representatives and one prepare-plus-cheap-bounds fan-out
+/// per distinct size, drains each distinct cell with [`drain`], and
+/// expands the cells back to `spec` order.
+fn search<P, Prep, B1, B2, F>(
+    h: &Hierarchy,
+    spec: &SweepSpec,
+    prepare: Prep,
+    cheap: B1,
+    tight: B2,
+    cost: F,
+) -> Result<Vec<SweepCell>, Error>
+where
+    P: Send + Sync,
+    Prep: Fn(&Permutation, usize) -> P + Sync,
+    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+    B2: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
+{
+    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
+    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
+    let timing = SearchTiming::default();
+    let mut total = PruneStats::default();
+    let mut unique_cells: Vec<SweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
+    for &s in &sizes {
+        let reps = representatives(h, s)?;
+        let (prepared, cheap_bounds): (Vec<P>, Vec<Vec<f64>>) = par::map(&reps, |_, c| {
+            timing.bound(|| {
+                let p = prepare(&c.order, s);
+                let bounds = payloads
+                    .iter()
+                    .map(|&x| cheap(&c.order, s, x, &p))
+                    .collect();
+                (p, bounds)
+            })
+        })
+        .into_iter()
+        .unzip();
+        // Cells run in sequence — the pool drains each cell's frontier,
+        // so a second fan-out across cells would only oversubscribe.
+        for (pi, &payload) in payloads.iter().enumerate() {
+            let bounds: Vec<f64> = cheap_bounds.iter().map(|b| b[pi]).collect();
+            let (evaluated, stats) = drain(
+                &bounds,
+                &|i| timing.bound(|| tight(&reps[i].order, s, payload, &prepared[i])),
+                &|i| timing.cost(|| cost(&reps[i].order, s, payload, &prepared[i])),
+            );
+            total.evaluated += stats.evaluated;
+            total.pruned += stats.pruned;
+            total.tight_pruned += stats.tight_pruned;
+            let ranked: Vec<(OrderCharacterization, f64)> = evaluated
+                .into_iter()
+                .map(|(i, c)| (reps[i].clone(), c))
+                .collect();
+            unique_cells.push(SweepCell {
+                subcomm_size: s,
+                payload,
+                best: ranked
+                    .first()
+                    .cloned()
+                    .expect("a valid subcommunicator size has at least one representative order"),
+                ranked,
+                stats,
+            });
+        }
+    }
+    timing.emit(total);
+    if unique_cells.len() == size_pos.len() * payload_pos.len() {
+        // No duplicates: the distinct cells already are the spec order.
+        return Ok(unique_cells);
+    }
+    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
+    for &si in &size_pos {
+        for &pi in &payload_pos {
+            cells.push(unique_cells[si * payloads.len() + pi].clone());
+        }
+    }
+    Ok(cells)
 }
 
 /// First-occurrence deduplication of a grid axis: the unique values in
@@ -581,407 +468,152 @@ fn dedup_axis<T: Copy + Eq + std::hash::Hash>(values: &[T]) -> (Vec<T>, Vec<usiz
     (unique, positions)
 }
 
-/// One (subcommunicator size, payload size) cell of a sweep: the
-/// representative orders ranked best-first by the evaluated cost.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Processes per subcommunicator for this cell.
-    pub subcomm_size: usize,
-    /// Payload size (bytes) for this cell.
-    pub payload: u64,
-    /// `(characterization, cost)` pairs, lowest cost first; ties keep the
-    /// representatives' deterministic enumeration order.
-    pub ranked: Vec<(OrderCharacterization, f64)>,
-}
-
-/// Evaluates `cost(order, subcomm_size, payload)` over the whole
-/// (order × subcommunicator size × payload size) grid on the worker pool
-/// and returns one ranked [`SweepCell`] per grid cell, in `spec` order
-/// (subcommunicator sizes outer, payloads inner).
+/// Drains one cell's bound-ordered frontier: the claim loop of every
+/// search.
 ///
-/// Representatives are computed once per *distinct* subcommunicator size
-/// and duplicate grid cells are evaluated once (see [`SweepSpec`]); all
-/// cost evaluations across all distinct cells form a single flat work
-/// list, so a few expensive cells (large payloads, spread orders) still
-/// load-balance across workers. Results are deterministic for the same
-/// reasons as [`rank_orders_by_par`].
+/// The bound-minimal candidate is costed first to seed the incumbent —
+/// without it, `threads ≥ candidates` would cost the whole frontier
+/// speculatively before any pruning could act. Workers then claim
+/// positions from a shared cursor in `(cheap bound, enumeration index)`
+/// order. A claim whose cheap bound *strictly* exceeds the incumbent
+/// proves every later position prunable too (cheap bounds ascend along
+/// the visit order and the incumbent only decreases), so the worker
+/// forwards the cursor past the end and retires. A claim the cheap rung
+/// admits is re-checked against its `tight` bound, whose rejection skips
+/// only that candidate (tight bounds are not sorted). Everything else is
+/// costed and lowers the incumbent by CAS on the cost's f64 bits. With
+/// one worker [`par::broadcast`] runs the loop inline, which makes it the
+/// serial incumbent loop with an exact, repeatable evaluated/pruned split.
 ///
-/// ```
-/// use mre_core::{Hierarchy, order_search::{sweep, SweepSpec}};
-/// let h = Hierarchy::new(vec![4, 2, 8]).unwrap();
-/// let spec = SweepSpec { subcomm_sizes: vec![8, 16], payload_sizes: vec![1 << 14, 1 << 20] };
-/// // A toy cost: spread orders pay per byte, packed ones less.
-/// let cells = sweep(&h, &spec, |sigma, s, bytes| {
-///     (sigma.apply(0) as f64 + 1.0) * s as f64 * bytes as f64
-/// }).unwrap();
-/// assert_eq!(cells.len(), 4);
-/// assert!(cells.iter().all(|c| c.ranked.windows(2).all(|w| w[0].1 <= w[1].1)));
-/// ```
-pub fn sweep<F>(h: &Hierarchy, spec: &SweepSpec, cost: F) -> Result<Vec<SweepCell>, Error>
-where
-    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    // Representatives once per distinct subcommunicator size (parallel
-    // inside).
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
-        .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    // One flat work list over the deduplicated grid, as
-    // (size, rep, payload) index triples.
-    let mut work: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, reps) in reps_per_size.iter().enumerate() {
-        for ri in 0..reps.len() {
-            for pi in 0..payloads.len() {
-                work.push((si, ri, pi));
-            }
+/// Strict inequality is what keeps the winner byte-identical to the
+/// exhaustive search: a candidate whose bound *equals* the incumbent could
+/// still tie it with a smaller enumeration index, so it must be costed;
+/// and a candidate whose true cost equals the final minimum has (by
+/// admissibility of both rungs) bounds ≤ that cost ≤ every incumbent, so
+/// no interleaving skips it.
+///
+/// Returns the evaluated `(enumeration index, cost)` pairs sorted by
+/// `(cost, enumeration index)` — position 0 is the provable optimum —
+/// plus the prune counters.
+fn drain(
+    bounds: &[f64],
+    tight: &(dyn Fn(usize) -> f64 + Sync),
+    cost: &(dyn Fn(usize) -> f64 + Sync),
+) -> (Vec<(usize, f64)>, PruneStats) {
+    let mut visit: Vec<usize> = (0..bounds.len()).collect();
+    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+    let Some(&seed) = visit.first() else {
+        return (Vec::new(), PruneStats::default());
+    };
+    let seed_cost = cost(seed);
+    let incumbent = AtomicU64::new(seed_cost.to_bits());
+    let evaluated = std::sync::Mutex::new(vec![(seed, seed_cost)]);
+    let tight_pruned = AtomicU64::new(0);
+    let cursor = AtomicUsize::new(1);
+    let exceeds_incumbent = |b: f64| {
+        b.total_cmp(&f64::from_bits(incumbent.load(Ordering::Acquire)))
+            .is_gt()
+    };
+    let workers = par::threads().min(visit.len() - 1);
+    par::broadcast(workers, |_| loop {
+        let pos = cursor.fetch_add(1, Ordering::SeqCst);
+        if pos >= visit.len() {
+            break;
         }
-    }
-    let costs = par::map(&work, |_, &(si, ri, pi)| {
-        cost(&reps_per_size[si][ri].order, sizes[si], payloads[pi])
+        let i = visit[pos];
+        if exceeds_incumbent(bounds[i]) {
+            // Every later position is prunable too. Forward the cursor so
+            // idle workers retire immediately. (A worker that claimed a
+            // position just before this store still prunes it on its own
+            // check — same monotonicity.)
+            cursor.store(visit.len(), Ordering::SeqCst);
+            break;
+        }
+        if exceeds_incumbent(tight(i)) {
+            tight_pruned.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        let c = cost(i);
+        cas_min_f64(&incumbent, c);
+        evaluated
+            .lock()
+            .expect("no search worker panics while holding the evaluated list")
+            .push((i, c));
     });
-    // Regroup the flat results into ranked cells of the deduplicated grid.
-    let mut unique_cells: Vec<SweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
-    for &subcomm_size in &sizes {
-        for &payload in &payloads {
-            unique_cells.push(SweepCell {
-                subcomm_size,
-                payload,
-                ranked: Vec::new(),
-            });
+    let mut evaluated = evaluated
+        .into_inner()
+        .expect("no search worker panics while holding the evaluated list");
+    evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    let stats = PruneStats {
+        evaluated: evaluated.len() as u64,
+        pruned: (visit.len() - evaluated.len()) as u64,
+        tight_pruned: tight_pruned.load(Ordering::Relaxed),
+    };
+    (evaluated, stats)
+}
+
+/// Lowers `current` to `candidate` if smaller (by `total_cmp`), CAS-ing
+/// on the f64's bit pattern — the shared incumbent of [`drain`].
+fn cas_min_f64(current: &AtomicU64, candidate: f64) {
+    let mut cur = current.load(Ordering::Acquire);
+    while candidate.total_cmp(&f64::from_bits(cur)).is_lt() {
+        match current.compare_exchange_weak(
+            cur,
+            candidate.to_bits(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
         }
     }
-    for (&(si, ri, pi), cost_value) in work.iter().zip(costs) {
-        unique_cells[si * payloads.len() + pi]
-            .ranked
-            .push((reps_per_size[si][ri].clone(), cost_value));
+}
+
+/// Wall-time accumulators of one search, split by ladder stage: `bound`
+/// covers prepare + cheap + tight rungs, `cost` the full evaluations.
+/// Summed across workers, so the two are comparable CPU-time shares even
+/// when the frontier runs in parallel.
+#[derive(Debug, Default)]
+struct SearchTiming {
+    bound_ns: AtomicU64,
+    cost_ns: AtomicU64,
+}
+
+impl SearchTiming {
+    fn timed<R>(ns: &AtomicU64, f: impl FnOnce() -> R) -> R {
+        let start = std::time::Instant::now();
+        let r = f();
+        ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        r
     }
-    for cell in &mut unique_cells {
-        cell.ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+
+    fn bound<R>(&self, f: impl FnOnce() -> R) -> R {
+        Self::timed(&self.bound_ns, f)
     }
-    // Expand back to spec order (duplicate positions clone their cell).
-    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
-    for &si in &size_pos {
-        for &pi in &payload_pos {
-            cells.push(unique_cells[si * payloads.len() + pi].clone());
+
+    fn cost<R>(&self, f: impl FnOnce() -> R) -> R {
+        Self::timed(&self.cost_ns, f)
+    }
+
+    /// Emits the search's `core.order_search.bound.*` telemetry counters.
+    fn emit(&self, stats: PruneStats) {
+        if crate::telemetry::enabled() {
+            crate::telemetry::counter_add("core.order_search.bound.evaluated", stats.evaluated);
+            crate::telemetry::counter_add("core.order_search.bound.pruned", stats.pruned);
+            crate::telemetry::counter_add(
+                "core.order_search.bound.tight_pruned",
+                stats.tight_pruned,
+            );
+            crate::telemetry::counter_add(
+                "core.order_search.bound.bound_ns",
+                self.bound_ns.load(Ordering::Relaxed),
+            );
+            crate::telemetry::counter_add(
+                "core.order_search.bound.cost_ns",
+                self.cost_ns.load(Ordering::Relaxed),
+            );
         }
     }
-    Ok(cells)
-}
-
-/// One cell of a [`sweep_pruned`]: the provably-best order plus the
-/// evaluated subset and prune counters.
-#[derive(Debug, Clone)]
-pub struct PrunedSweepCell {
-    /// Processes per subcommunicator for this cell.
-    pub subcomm_size: usize,
-    /// Payload size (bytes) for this cell.
-    pub payload: u64,
-    /// The best `(characterization, cost)` — byte-identical to the
-    /// corresponding exhaustive [`SweepCell`]'s `ranked[0]` when the
-    /// bound is admissible.
-    pub best: (OrderCharacterization, f64),
-    /// The evaluated candidates, lowest cost first (pruned candidates
-    /// are absent).
-    pub ranked: Vec<(OrderCharacterization, f64)>,
-    /// Evaluated/pruned counters for this cell.
-    pub stats: PruneStats,
-}
-
-/// Builds a [`PrunedSweepCell`] from one cell's engine output.
-fn assemble_cell(
-    reps: &[OrderCharacterization],
-    subcomm_size: usize,
-    payload: u64,
-    evaluated: Vec<(usize, f64)>,
-    stats: PruneStats,
-) -> PrunedSweepCell {
-    let ranked: Vec<(OrderCharacterization, f64)> = evaluated
-        .into_iter()
-        .map(|(i, c)| (reps[i].clone(), c))
-        .collect();
-    let best = ranked
-        .first()
-        .cloned()
-        .expect("a valid subcommunicator size has at least one representative order");
-    PrunedSweepCell {
-        subcomm_size,
-        payload,
-        best,
-        ranked,
-        stats,
-    }
-}
-
-/// Expands deduplicated cells back to spec order and emits the aggregate
-/// prune telemetry.
-fn expand_cells(
-    unique_cells: Vec<PrunedSweepCell>,
-    size_pos: &[usize],
-    payload_pos: &[usize],
-    payloads: usize,
-    timing: &SearchTiming,
-) -> Vec<PrunedSweepCell> {
-    let total = unique_cells
-        .iter()
-        .fold(PruneStats::default(), |acc, c| acc.merge(c.stats));
-    emit_prune_telemetry(total, timing);
-    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
-    for &si in size_pos {
-        for &pi in payload_pos {
-            cells.push(unique_cells[si * payloads + pi].clone());
-        }
-    }
-    cells
-}
-
-/// The lazily-evaluated second ladder rung as [`sweep_pruned_impl`] sees
-/// it: `None` for the single-bound [`sweep_pruned`].
-type TightRung<'a, P> = Option<&'a (dyn Fn(&Permutation, usize, u64, &P) -> f64 + Sync)>;
-
-/// Shared ladder sweep: distinct cells run in sequence, each draining its
-/// bound-ordered frontier on the worker pool ([`branch_and_bound_par`]).
-/// `tight` is `None` for the single-bound [`sweep_pruned`].
-fn sweep_pruned_impl<P, Prep, B1, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    prepare: &Prep,
-    cheap: &B1,
-    tight: TightRung<'_, P>,
-    cost: &F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    P: Send + Sync,
-    Prep: Fn(&Permutation, usize, u64) -> P + Sync,
-    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
-        .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    let timing = SearchTiming::default();
-    let mut unique_cells: Vec<PrunedSweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
-    // Cells run in sequence — the worker pool drains each cell's frontier,
-    // so nesting a second fan-out across cells would only oversubscribe.
-    for (si, reps) in reps_per_size.iter().enumerate() {
-        for &payload in &payloads {
-            let subcomm_size = sizes[si];
-            let (prepared, bounds): (Vec<P>, Vec<f64>) = par::map(reps, |_, c| {
-                timing.bound(|| {
-                    let p = prepare(&c.order, subcomm_size, payload);
-                    let b = cheap(&c.order, subcomm_size, payload, &p);
-                    (p, b)
-                })
-            })
-            .into_iter()
-            .unzip();
-            let tight_holder;
-            let tight_rung: Option<&(dyn Fn(usize) -> f64 + Sync)> = match tight {
-                Some(t) => {
-                    tight_holder = |i: usize| {
-                        timing.bound(|| t(&reps[i].order, subcomm_size, payload, &prepared[i]))
-                    };
-                    Some(&tight_holder)
-                }
-                None => None,
-            };
-            let (evaluated, stats) = branch_and_bound_par(&bounds, tight_rung, &|i| {
-                timing.cost(|| cost(&reps[i].order, subcomm_size, payload, &prepared[i]))
-            });
-            unique_cells.push(assemble_cell(reps, subcomm_size, payload, evaluated, stats));
-        }
-    }
-    Ok(expand_cells(
-        unique_cells,
-        &size_pos,
-        &payload_pos,
-        payloads.len(),
-        &timing,
-    ))
-}
-
-/// Branch-and-bound variant of [`sweep`]: one incumbent per grid cell,
-/// candidates visited in ascending lower-bound order, and every candidate
-/// whose bound exceeds the incumbent skipped without evaluating `cost`.
-///
-/// `bound(σ, subcomm_size, payload)` **must be admissible** —
-/// `bound ≤ cost` pointwise (see [`rank_orders_pruned`]); then each
-/// cell's [`PrunedSweepCell::best`] is byte-identical to the exhaustive
-/// [`sweep`]'s `ranked[0]` for that cell, in every thread interleaving.
-/// Distinct cells run in sequence; *within* each cell the bound-ordered
-/// frontier is drained best-first by the worker pool against a shared
-/// atomic incumbent ([`rank_orders_pruned`] describes the engine and its
-/// determinism guarantees; [`sweep_pruned_serial`] pins the
-/// evaluated/pruned split when exact counters matter).
-///
-/// Emits `core.order_search.bound.{evaluated, pruned, tight_pruned,
-/// bound_ns, cost_ns}` telemetry counters aggregated over all distinct
-/// cells.
-pub fn sweep_pruned<B, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    bound: B,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    B: Fn(&Permutation, usize, u64) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
-{
-    sweep_pruned_impl(
-        h,
-        spec,
-        &|_: &Permutation, _, _| (),
-        &|sigma: &Permutation, s, p, _: &()| bound(sigma, s, p),
-        None,
-        &|sigma: &Permutation, s, p, _: &()| cost(sigma, s, p),
-    )
-}
-
-/// [`sweep_pruned`] with the two-stage bound ladder and per-candidate
-/// preparation — the grid counterpart of [`rank_orders_pruned_ladder`]
-/// (same admissibility contract for **both** rungs, same winner
-/// guarantee, same telemetry).
-pub fn sweep_pruned_ladder<P, Prep, B1, B2, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    prepare: Prep,
-    cheap: B1,
-    tight: B2,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    P: Send + Sync,
-    Prep: Fn(&Permutation, usize, u64) -> P + Sync,
-    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    B2: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-{
-    let tight_dyn: &(dyn Fn(&Permutation, usize, u64, &P) -> f64 + Sync) = &tight;
-    sweep_pruned_impl(h, spec, &prepare, &cheap, Some(tight_dyn), &cost)
-}
-
-/// [`sweep_pruned_ladder`] with the per-candidate preparation hoisted out
-/// of the payload axis: `prepare(σ, subcomm_size)` runs exactly **once per
-/// (subcommunicator size, candidate)** — not once per (candidate, payload)
-/// — and every payload cell of that size receives the same `&P`.
-///
-/// This is the engine behind symbolic payload sweeps (DESIGN.md §7h): the
-/// artifact `P` captures everything payload-independent about a candidate
-/// — typically its schedule structure and solved contention profiles as a
-/// piecewise-linear function of payload bytes — so an axis of `m` payload
-/// points pays the expensive preparation once instead of `m` times, and
-/// each cell's bound/cost evaluations are cheap per-payload lookups or
-/// replays against `&P`.
-///
-/// The admissibility contract and winner guarantee are exactly
-/// [`sweep_pruned_ladder`]'s: both rungs admissible pointwise (now also in
-/// `payload`) ⇒ every cell's [`PrunedSweepCell::best`] is byte-identical
-/// to the exhaustive [`sweep`]'s, in every thread interleaving. Telemetry
-/// is likewise aggregated over all distinct cells.
-pub fn sweep_pruned_axis<P, Prep, B1, B2, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    prepare: Prep,
-    cheap: B1,
-    tight: B2,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    P: Send + Sync,
-    Prep: Fn(&Permutation, usize) -> P + Sync,
-    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    B2: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
-        .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    let timing = SearchTiming::default();
-    let mut unique_cells: Vec<PrunedSweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
-    for (si, reps) in reps_per_size.iter().enumerate() {
-        let subcomm_size = sizes[si];
-        // The payload-independent prepare — once per candidate, shared by
-        // every payload cell of this subcommunicator size.
-        let prepared: Vec<P> = par::map(reps, |_, c| {
-            timing.bound(|| prepare(&c.order, subcomm_size))
-        });
-        for &payload in &payloads {
-            let bounds: Vec<f64> = par::map(reps, |i, c| {
-                timing.bound(|| cheap(&c.order, subcomm_size, payload, &prepared[i]))
-            });
-            let tight_rung = |i: usize| {
-                timing.bound(|| tight(&reps[i].order, subcomm_size, payload, &prepared[i]))
-            };
-            let (evaluated, stats) = branch_and_bound_par(&bounds, Some(&tight_rung), &|i| {
-                timing.cost(|| cost(&reps[i].order, subcomm_size, payload, &prepared[i]))
-            });
-            unique_cells.push(assemble_cell(reps, subcomm_size, payload, evaluated, stats));
-        }
-    }
-    Ok(expand_cells(
-        unique_cells,
-        &size_pos,
-        &payload_pos,
-        payloads.len(),
-        &timing,
-    ))
-}
-
-/// The fully deterministic spelling of [`sweep_pruned`]: distinct cells
-/// fan out on the worker pool and each runs the **serial** incumbent loop
-/// — the pre-frontier engine, kept as the differential oracle and as the
-/// baseline the `prune` bench measures the ladder against. Prune counters
-/// are exact and thread-count-independent.
-pub fn sweep_pruned_serial<B, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    bound: B,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    B: Fn(&Permutation, usize, u64) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
-        .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    let timing = SearchTiming::default();
-    let mut grid: Vec<(usize, usize)> = Vec::with_capacity(sizes.len() * payloads.len());
-    for si in 0..sizes.len() {
-        for pi in 0..payloads.len() {
-            grid.push((si, pi));
-        }
-    }
-    let unique_cells: Vec<PrunedSweepCell> = par::map(&grid, |_, &(si, pi)| {
-        let reps = &reps_per_size[si];
-        let (subcomm_size, payload) = (sizes[si], payloads[pi]);
-        let bounds: Vec<f64> = reps
-            .iter()
-            .map(|c| timing.bound(|| bound(&c.order, subcomm_size, payload)))
-            .collect();
-        let (evaluated, stats) = branch_and_bound_serial(&bounds, None, &mut |i| {
-            timing.cost(|| cost(&reps[i].order, subcomm_size, payload))
-        });
-        assemble_cell(reps, subcomm_size, payload, evaluated, stats)
-    });
-    Ok(expand_cells(
-        unique_cells,
-        &size_pos,
-        &payload_pos,
-        payloads.len(),
-        &timing,
-    ))
 }
 
 #[cfg(test)]
@@ -1047,10 +679,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_orders_by_sorts_by_cost() {
+    fn rank_orders_sorts_by_cost() {
         let h = hydra();
         // Cost = ring cost (as a stand-in for a simulated duration).
-        let ranked = rank_orders_by(&h, 16, |sigma| {
+        let ranked = rank_orders_by_par(&h, 16, |sigma| {
             characterize_order(&h, sigma, 16).unwrap().ring_cost as f64
         })
         .unwrap();
@@ -1063,12 +695,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranking_is_byte_identical_to_serial() {
+    fn ranking_is_byte_identical_to_a_stable_serial_sort() {
         let h = hydra();
         // A cost with deliberate ties (spreadness buckets) so the stable
         // tie-break is exercised, not just the values.
         let cost = |sigma: &Permutation| (spreadness(&h, sigma, 16).unwrap() * 4.0).round();
-        let serial = rank_orders_by(&h, 16, cost).unwrap();
+        let mut serial: Vec<(OrderCharacterization, f64)> = representatives(&h, 16)
+            .unwrap()
+            .into_iter()
+            .map(|c| {
+                let t = cost(&c.order);
+                (c, t)
+            })
+            .collect();
+        serial.sort_by(|a, b| a.1.total_cmp(&b.1));
         let parallel = rank_orders_by_par(&h, 16, cost).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
@@ -1098,6 +738,9 @@ mod tests {
                 assert_eq!(cells[i].subcomm_size, s);
                 assert_eq!(cells[i].payload, p);
                 assert_eq!(cells[i].ranked.len(), n_reps);
+                assert_eq!(cells[i].stats.evaluated, n_reps as u64);
+                assert_eq!(cells[i].stats.pruned, 0);
+                assert_eq!(cells[i].best, cells[i].ranked[0]);
                 for pair in cells[i].ranked.windows(2) {
                     assert!(pair[0].1 <= pair[1].1);
                 }
@@ -1116,13 +759,12 @@ mod tests {
         let cost_of =
             |sigma: &Permutation| characterize_order(&h, sigma, 16).unwrap().ring_cost as f64;
         let cells = sweep(&h, &spec, |sigma, _, _| cost_of(sigma)).unwrap();
-        let direct = rank_orders_by(&h, 16, cost_of).unwrap();
+        let direct = rank_orders_by_par(&h, 16, cost_of).unwrap();
         assert_eq!(cells[0].ranked, direct);
     }
 
     #[test]
     fn sweep_dedups_duplicate_axes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let h = hydra();
         let evals = AtomicU64::new(0);
         let cost = |sigma: &Permutation, s: usize, bytes: u64| {
@@ -1158,81 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_ranking_matches_exhaustive_best_and_prunes() {
-        let h = hydra();
-        let cost = bb_cost(&h);
-        let result = rank_orders_pruned(
-            &h,
-            16,
-            |sigma| cost(sigma, 16, 1024) * 0.5,
-            |sigma| cost(sigma, 16, 1024),
-        )
-        .unwrap();
-        let exhaustive = rank_orders_by(&h, 16, |sigma| cost(sigma, 16, 1024)).unwrap();
-        assert_eq!(result.best.0, exhaustive[0].0);
-        assert_eq!(result.best.1.to_bits(), exhaustive[0].1.to_bits());
-        assert_eq!(result.best, result.ranked[0].clone());
-        assert!(result.stats.pruned > 0, "stats {:?}", result.stats);
-        assert_eq!(
-            result.stats.candidates(),
-            representatives(&h, 16).unwrap().len() as u64
-        );
-        // Evaluated subset is ranked best-first.
-        for pair in result.ranked.windows(2) {
-            assert!(pair[0].1 <= pair[1].1);
-        }
-    }
-
-    #[test]
-    fn pruned_sweep_best_is_byte_identical_to_exhaustive() {
-        let h = hydra();
-        let cost = bb_cost(&h);
-        let spec = SweepSpec {
-            subcomm_sizes: vec![16, 64],
-            payload_sizes: vec![1 << 10, 1 << 20],
-        };
-        let exhaustive = sweep(&h, &spec, &cost).unwrap();
-        let pruned = sweep_pruned(&h, &spec, |sigma, s, b| cost(sigma, s, b) * 0.5, &cost).unwrap();
-        assert_eq!(exhaustive.len(), pruned.len());
-        let mut total_pruned = 0;
-        for (e, p) in exhaustive.iter().zip(&pruned) {
-            assert_eq!(e.subcomm_size, p.subcomm_size);
-            assert_eq!(e.payload, p.payload);
-            assert_eq!(e.ranked[0].0, p.best.0);
-            assert_eq!(e.ranked[0].1.to_bits(), p.best.1.to_bits());
-            total_pruned += p.stats.pruned;
-        }
-        assert!(total_pruned > 0);
-    }
-
-    #[test]
-    fn parallel_pruned_matches_serial_oracle() {
-        let h = hydra();
-        let cost = bb_cost(&h);
-        for payload in [1u64, 1024, 1 << 20] {
-            let serial = rank_orders_pruned_serial(
-                &h,
-                16,
-                |sigma| cost(sigma, 16, payload) * 0.5,
-                |sigma| cost(sigma, 16, payload),
-            )
-            .unwrap();
-            let parallel = rank_orders_pruned(
-                &h,
-                16,
-                |sigma| cost(sigma, 16, payload) * 0.5,
-                |sigma| cost(sigma, 16, payload),
-            )
-            .unwrap();
-            assert_eq!(serial.best.0, parallel.best.0, "winner order must agree");
-            assert_eq!(serial.best.1.to_bits(), parallel.best.1.to_bits());
-            assert_eq!(serial.stats.candidates(), parallel.stats.candidates());
-        }
-    }
-
-    #[test]
     fn ladder_matches_exhaustive_and_prunes_on_the_tight_rung() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let h = hydra();
         let cost = bb_cost(&h);
         let prepares = AtomicU64::new(0);
@@ -1252,9 +820,13 @@ mod tests {
             |_, &exact: &f64| exact,
         )
         .unwrap();
-        let exhaustive = rank_orders_by(&h, 16, |sigma| cost(sigma, 16, 1024)).unwrap();
+        let exhaustive = rank_orders_by_par(&h, 16, |sigma| cost(sigma, 16, 1024)).unwrap();
         assert_eq!(result.best.0, exhaustive[0].0);
         assert_eq!(result.best.1.to_bits(), exhaustive[0].1.to_bits());
+        assert_eq!(result.best, result.ranked[0].clone());
+        for pair in result.ranked.windows(2) {
+            assert!(pair[0].1 <= pair[1].1);
+        }
         let n = representatives(&h, 16).unwrap().len() as u64;
         // prepare ran exactly once per candidate, pruned or not.
         assert_eq!(prepares.load(Ordering::Relaxed), n);
@@ -1268,35 +840,28 @@ mod tests {
     }
 
     #[test]
-    fn sweep_pruned_ladder_matches_exhaustive_grid() {
+    fn single_rung_ladder_prunes_on_the_cheap_rung() {
         let h = hydra();
         let cost = bb_cost(&h);
-        let spec = SweepSpec {
-            subcomm_sizes: vec![16, 64],
-            payload_sizes: vec![1 << 10, 1 << 20],
-        };
-        let exhaustive = sweep(&h, &spec, &cost).unwrap();
-        let ladder = sweep_pruned_ladder(
+        let result = rank_orders_pruned_ladder(
             &h,
-            &spec,
-            |sigma: &Permutation, s, b| cost(sigma, s, b),
-            |_, _, _, &exact: &f64| exact * 0.5,
-            |_, _, _, &exact: &f64| exact * 0.9,
-            |_, _, _, &exact: &f64| exact,
+            16,
+            |_| (),
+            |sigma, _| cost(sigma, 16, 1024) * 0.5,
+            never_prunes,
+            |sigma, _| cost(sigma, 16, 1024),
         )
         .unwrap();
-        assert_eq!(exhaustive.len(), ladder.len());
-        for (e, l) in exhaustive.iter().zip(&ladder) {
-            assert_eq!(e.subcomm_size, l.subcomm_size);
-            assert_eq!(e.payload, l.payload);
-            assert_eq!(e.ranked[0].0, l.best.0);
-            assert_eq!(e.ranked[0].1.to_bits(), l.best.1.to_bits());
-        }
+        let exhaustive = rank_orders_by_par(&h, 16, |sigma| cost(sigma, 16, 1024)).unwrap();
+        assert_eq!(result.best.0, exhaustive[0].0);
+        assert_eq!(result.best.1.to_bits(), exhaustive[0].1.to_bits());
+        assert!(result.stats.pruned > 0, "stats {:?}", result.stats);
+        assert_eq!(result.stats.tight_pruned, 0);
+        assert_eq!(result.stats.candidates(), exhaustive.len() as u64);
     }
 
     #[test]
     fn sweep_pruned_axis_matches_exhaustive_and_hoists_prepare() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let h = hydra();
         let cost = bb_cost(&h);
         let spec = SweepSpec {
@@ -1322,46 +887,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exhaustive.len(), axis.len());
+        let mut total_pruned = 0;
         for (e, a) in exhaustive.iter().zip(&axis) {
             assert_eq!(e.subcomm_size, a.subcomm_size);
             assert_eq!(e.payload, a.payload);
-            assert_eq!(e.ranked[0].0, a.best.0);
+            assert_eq!(e.best.0, a.best.0);
             assert_eq!(
-                e.ranked[0].1.to_bits(),
+                e.best.1.to_bits(),
                 a.best.1.to_bits(),
                 "axis sweep winner cost drifted at ({}, {})",
                 e.subcomm_size,
                 e.payload
             );
+            assert_eq!(a.stats.candidates(), e.ranked.len() as u64);
+            total_pruned += a.stats.pruned;
         }
+        assert!(total_pruned > 0);
         let n: u64 = [16usize, 64]
             .iter()
             .map(|&s| representatives(&h, s).unwrap().len() as u64)
             .sum();
         // prepare ran once per (size, candidate) — NOT once per payload.
         assert_eq!(prepares.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
-    fn sweep_pruned_serial_is_the_deterministic_baseline() {
-        let h = hydra();
-        let cost = bb_cost(&h);
-        let spec = SweepSpec {
-            subcomm_sizes: vec![16],
-            payload_sizes: vec![1 << 10, 1 << 20],
-        };
-        let a = sweep_pruned_serial(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        let b = sweep_pruned_serial(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        let parallel = sweep_pruned(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        for ((x, y), p) in a.iter().zip(&b).zip(&parallel) {
-            // Serial runs are bit-for-bit repeatable, split included.
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.ranked.len(), y.ranked.len());
-            // The parallel frontier agrees on winner and candidate total.
-            assert_eq!(x.best.0, p.best.0);
-            assert_eq!(x.best.1.to_bits(), p.best.1.to_bits());
-            assert_eq!(x.stats.candidates(), p.stats.candidates());
-        }
     }
 
     #[test]
@@ -1379,11 +926,16 @@ mod tests {
             payload_sizes: vec![1],
         };
         let exhaustive = sweep(&h, &spec, tied).unwrap();
-        let pruned = sweep_pruned(&h, &spec, tied, tied).unwrap();
-        assert_eq!(exhaustive[0].ranked[0].0, pruned[0].best.0);
-        assert_eq!(
-            exhaustive[0].ranked[0].1.to_bits(),
-            pruned[0].best.1.to_bits()
-        );
+        let pruned = sweep_pruned_axis(
+            &h,
+            &spec,
+            |_, _| (),
+            |sigma, s, b, _| tied(sigma, s, b),
+            |sigma, s, b, _| tied(sigma, s, b),
+            |sigma, s, b, _| tied(sigma, s, b),
+        )
+        .unwrap();
+        assert_eq!(exhaustive[0].best.0, pruned[0].best.0);
+        assert_eq!(exhaustive[0].best.1.to_bits(), pruned[0].best.1.to_bits());
     }
 }

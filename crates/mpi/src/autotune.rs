@@ -234,9 +234,11 @@ impl<'a> AlgorithmSelector<'a> {
                     continue;
                 }
             }
-            let cost =
-                self.cache
-                    .schedule_time(self.net, &schedule, Self::payload_key(kind, total_bytes));
+            let cost = self.cache.schedule_time_rounds(
+                self.net,
+                &schedule,
+                Self::payload_key(kind, total_bytes),
+            );
             evaluated += 1;
             if best.is_none_or(|(_, bc)| cost < bc) {
                 best = Some((alg, cost));

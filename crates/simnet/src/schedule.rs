@@ -87,6 +87,22 @@ impl Round {
         h.finish()
     }
 
+    /// Fingerprint of this round's byte sequence `[bytes, …]`, ignoring
+    /// endpoints. Together with [`endpoint_fingerprint`](Self::endpoint_fingerprint)
+    /// it keys [`SharedCostCache`]'s round-time tier: a round's time
+    /// depends on its bytes as well as its endpoints — ring collectives
+    /// emit rounds with identical endpoints but rotating block sizes when
+    /// the payload does not divide evenly, and an endpoint-only key would
+    /// replay the first round's time for all of them.
+    fn byte_fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for m in &self.messages {
+            m.bytes.hash(&mut h);
+        }
+        h.finish()
+    }
+
     /// Checks this round's messages for self-messages and duplicate
     /// `(src, dst)` pairs; `round` is the round's index in its schedule,
     /// used only for error reporting.
@@ -361,14 +377,15 @@ impl CostCache {
 ///
 /// # Caller contract
 ///
-/// Keys are `(net.fingerprint(), Schedule::pattern_fingerprint(),
-/// payload)`. The pattern fingerprint covers endpoints and round
-/// structure but **not** byte counts, so the cached cost is only correct
-/// if the schedule's bytes are a deterministic function of (pattern,
-/// payload key) — true for every collective generator in `mre-mpi`,
-/// where the payload determines all message sizes. Do not feed
-/// hand-built schedules whose byte assignment varies independently of
-/// the payload key.
+/// Whole-schedule keys are `(net.fingerprint(),
+/// Schedule::pattern_fingerprint(), payload)` (or a caller-chosen pattern
+/// key for [`time_keyed`](Self::time_keyed)). The pattern fingerprint
+/// covers endpoints and round structure but **not** byte counts, so the
+/// cached cost is only correct if the schedule's bytes are a
+/// deterministic function of (pattern, payload key) — true for every
+/// collective generator in `mre-mpi`, where the payload determines all
+/// message sizes. Do not feed hand-built schedules whose byte assignment
+/// varies independently of the payload key.
 #[derive(Debug)]
 pub struct SharedCostCache {
     shards: Vec<CostShard>,
@@ -382,8 +399,9 @@ pub struct SharedCostCache {
 }
 
 /// One lock-striped shard: `(model fingerprint, pattern fingerprint,
-/// payload key)` → cost. (The round-time tier reuses the same shape with
-/// the round's endpoint fingerprint in the middle slot.)
+/// payload key)` → cost. (The round-time tier reuses the same shape as
+/// `(model fingerprint, round endpoint fingerprint, round byte
+/// fingerprint)`.)
 type CostShard = std::sync::Mutex<std::collections::HashMap<(u64, u64, u64), f64>>;
 
 /// One lock-striped shard of the round-profile tier: `(model fingerprint,
@@ -497,29 +515,6 @@ impl SharedCostCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// `schedule_time(schedule)` memoized under the key
-    /// `(net.fingerprint(), schedule.pattern_fingerprint(), payload)` —
-    /// see the caller contract on the type.
-    pub fn schedule_time(&self, net: &NetworkModel, schedule: &Schedule, payload: u64) -> f64 {
-        self.time_keyed(net, schedule.pattern_fingerprint(), payload, || {
-            net.schedule_time(schedule)
-        })
-    }
-
-    /// Memoized cost via an arbitrary costing function — for callers whose
-    /// cost is not plain `schedule_time` (e.g. concurrent lockstep runs).
-    /// The same caller contract applies: `cost()` must be a deterministic
-    /// function of `(model, schedule pattern, payload)`.
-    pub fn time_with(
-        &self,
-        net: &NetworkModel,
-        schedule: &Schedule,
-        payload: u64,
-        cost: impl FnOnce() -> f64,
-    ) -> f64 {
-        self.time_keyed(net, schedule.pattern_fingerprint(), payload, cost)
-    }
-
     /// Memoized cost under a caller-chosen pattern key — for evaluations
     /// that are not a single schedule's time (e.g. a fluid job set, keyed
     /// by a hash of its schedules' pattern fingerprints). The model
@@ -594,18 +589,18 @@ impl SharedCostCache {
     /// A round's lockstep time, memoized at round granularity.
     ///
     /// Two tiers: the round-*time* memo keyed `(model fingerprint, round
-    /// endpoint fingerprint, payload)` answers repeats outright; on a time
-    /// miss the round-*profile* memo (payload-independent) avoids the
-    /// contention solve and only the `O(messages)` payload replay runs.
-    /// Either tier counts as a `round_hit`; a full solve counts as a
-    /// `miss`. Bit-identical to `net.round_time(&round.messages)` under
-    /// the caller contract on the type (bytes a deterministic function of
-    /// `(pattern, payload)`).
-    pub fn round_time_memo(&self, net: &NetworkModel, round: &Round, payload: u64) -> f64 {
+    /// endpoint fingerprint, round byte fingerprint)` — the round's whole
+    /// `(src, dst, bytes)` sequence — answers repeats outright; on a time
+    /// miss the round-*profile* memo (keyed on endpoints only, hence
+    /// payload-independent) avoids the contention solve and only the
+    /// `O(messages)` payload replay runs. Either tier counts as a
+    /// `round_hit`; a full solve counts as a `miss`. Bit-identical to
+    /// `net.round_time(&round.messages)`.
+    pub fn round_time_memo(&self, net: &NetworkModel, round: &Round) -> f64 {
         use std::sync::atomic::Ordering::Relaxed;
         let model_fp = net.fingerprint();
-        let rfp = round.endpoint_fingerprint();
-        let tkey = (model_fp, rfp, payload);
+        let endpoint_fp = round.endpoint_fingerprint();
+        let tkey = (model_fp, endpoint_fp, round.byte_fingerprint());
         let tshard = &self.round_times[Self::shard_index(&tkey)];
         if let Some(&t) = tshard.lock().unwrap().get(&tkey) {
             self.round_hits.fetch_add(1, Relaxed);
@@ -614,7 +609,7 @@ impl SharedCostCache {
             }
             return t;
         }
-        let pkey = (model_fp, rfp);
+        let pkey = (model_fp, endpoint_fp);
         let pshard = &self.round_profiles[Self::shard_index(&pkey)];
         let cached = pshard.lock().unwrap().get(&pkey).cloned();
         let (profile, solved) = match cached {
@@ -643,13 +638,15 @@ impl SharedCostCache {
         t
     }
 
-    /// `schedule_time(schedule)` memoized at **both** pattern and round
-    /// granularity: a pattern hit answers outright; on a pattern miss each
-    /// round goes through [`round_time_memo`](Self::round_time_memo), so
-    /// candidate orders that share rounds (or re-cost the same rounds at a
-    /// new payload) reuse work at round granularity instead of re-solving
-    /// the whole schedule. Same caller contract — and the same result,
-    /// bit-for-bit — as [`schedule_time`](Self::schedule_time).
+    /// [`NetworkModel::schedule_time`] memoized at **both** pattern and
+    /// round granularity: a pattern hit under the key `(net.fingerprint(),
+    /// schedule.pattern_fingerprint(), payload)` answers outright; on a
+    /// pattern miss each round goes through
+    /// [`round_time_memo`](Self::round_time_memo), so candidate orders that
+    /// share rounds (or re-cost the same rounds at a new payload) reuse
+    /// work at round granularity instead of re-solving the whole schedule.
+    /// Under the caller contract on the type the result is bit-for-bit
+    /// `net.schedule_time(schedule)`.
     pub fn schedule_time_rounds(
         &self,
         net: &NetworkModel,
@@ -670,7 +667,7 @@ impl SharedCostCache {
         let t: f64 = schedule
             .rounds
             .iter()
-            .map(|r| self.round_time_memo(net, r, payload))
+            .map(|r| self.round_time_memo(net, r))
             .sum();
         self.misses.fetch_add(1, Relaxed);
         shard.lock().unwrap().insert(key, t);
@@ -913,12 +910,12 @@ mod tests {
         let net = toy_network();
         let cache = SharedCostCache::new();
         let s = Schedule::with(sweep_rounds());
-        let t = cache.schedule_time(&net, &s, 100);
+        let t = cache.schedule_time_rounds(&net, &s, 100);
         assert_eq!(t, net.schedule_time(&s));
         // Same pattern + payload: served from cache.
-        assert_eq!(cache.schedule_time(&net, &s, 100), t);
+        assert_eq!(cache.schedule_time_rounds(&net, &s, 100), t);
         // Same pattern, new payload key: a distinct entry.
-        cache.schedule_time(&net, &s, 200);
+        cache.schedule_time_rounds(&net, &s, 200);
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (1, 2));
         assert_eq!(cache.len(), 2);
@@ -933,7 +930,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for payload in [1u64, 2, 3] {
-                        cache.schedule_time(&net, &s, payload);
+                        cache.schedule_time_rounds(&net, &s, payload);
                     }
                 });
             }
@@ -944,17 +941,6 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(hits + misses, 12);
         assert!(misses >= 3);
-    }
-
-    #[test]
-    fn shared_cache_time_with_uses_custom_costing() {
-        let net = toy_network();
-        let cache = SharedCostCache::new();
-        let s = Schedule::with(sweep_rounds());
-        let t = cache.time_with(&net, &s, 7, || 42.0);
-        assert_eq!(t, 42.0);
-        // Cached: the closure is not consulted again.
-        assert_eq!(cache.time_with(&net, &s, 7, || unreachable!()), 42.0);
     }
 
     #[test]
@@ -970,15 +956,15 @@ mod tests {
             Message::new(0, 8, 1000),
             Message::new(1, 9, 1000),
         ])]);
-        let ta = cache.schedule_time(&a, &s, 1000);
-        let tb = cache.schedule_time(&b, &s, 1000);
-        let tc = cache.schedule_time(&c, &s, 1000);
+        let ta = cache.schedule_time_rounds(&a, &s, 1000);
+        let tb = cache.schedule_time_rounds(&b, &s, 1000);
+        let tc = cache.schedule_time_rounds(&c, &s, 1000);
         assert_eq!(ta, a.schedule_time(&s));
         assert_eq!(tb, b.schedule_time(&s));
         assert_eq!(tc, c.schedule_time(&s));
         assert_eq!(cache.len(), 3);
         // Re-asking under the first model is a hit on its own entry.
-        assert_eq!(cache.schedule_time(&a, &s, 1000), ta);
+        assert_eq!(cache.schedule_time_rounds(&a, &s, 1000), ta);
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (1, 3));
     }
@@ -996,7 +982,10 @@ mod tests {
         for nics in [1usize, 2] {
             for policy in [RailPolicy::RoundRobin, RailPolicy::Affinity] {
                 let net = toy_network().with_node_rails(nics, policy);
-                assert_eq!(cache.schedule_time(&net, &s, 4096), net.schedule_time(&s));
+                assert_eq!(
+                    cache.schedule_time_rounds(&net, &s, 4096),
+                    net.schedule_time(&s)
+                );
             }
         }
         // 1-rail entries collapse across policies (the fingerprint and the
@@ -1011,10 +1000,13 @@ mod tests {
         let b = toy_network().with_node_uplink_scale(2.0);
         let cache = SharedCostCache::new();
         let s = Schedule::with(vec![Round::with(vec![Message::new(0, 8, 1000)])]);
-        cache.schedule_time(&a, &s, 1000);
+        cache.schedule_time_rounds(&a, &s, 1000);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.schedule_time(&b, &s, 1000), b.schedule_time(&s));
+        assert_eq!(
+            cache.schedule_time_rounds(&b, &s, 1000),
+            b.schedule_time(&s)
+        );
     }
 
     #[test]

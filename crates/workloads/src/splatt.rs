@@ -514,9 +514,10 @@ pub fn estimate_cpd_time(
 /// the world Allreduce — goes through the cache's round-interned path
 /// ([`SharedCostCache::schedule_time_rounds`]): whole schedules are
 /// memoized under `(model fingerprint, schedule pattern, payload)` and
-/// individual rounds under `(model fingerprint, round fingerprint,
-/// payload)`, so a grid of fabrics (e.g. `fig8_rails`'s 1/2/4-rail sweep
-/// over 24 orders) shares one cache without any `clear()` choreography:
+/// individual rounds under `(model fingerprint, round endpoint
+/// fingerprint, round byte fingerprint)`, so a grid of fabrics (e.g.
+/// `fig8_rails`'s 1/2/4-rail sweep over 24 orders) shares one cache
+/// without any `clear()` choreography:
 /// identical patterns re-encountered within an order (the three per-mode
 /// world Allreduces) hit at pattern granularity, orders that share only
 /// some rounds hit round by round, and different rail counts and policies

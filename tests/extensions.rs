@@ -2,7 +2,7 @@
 //! hierarchy-guided splits, ragged/segmented layouts, the fluid simulator,
 //! topology XML, and the order-search utilities.
 
-use mixed_radix_enum::core::order_search::{rank_orders_by, representatives, spreadness};
+use mixed_radix_enum::core::order_search::{rank_orders_by_par, representatives, spreadness};
 use mixed_radix_enum::core::subcomm::{segmented_layout, Segment};
 use mixed_radix_enum::core::visualize::{render_mapping, render_subcomms};
 use mixed_radix_enum::core::{subcommunicators_ragged, Hierarchy, Permutation};
@@ -175,7 +175,7 @@ fn order_search_against_simulation() {
     use mre_mpi::AlltoallAlg;
     let machine = Hierarchy::new(vec![16, 2, 2, 8]).unwrap();
     let net = hydra_network(16, 1);
-    let ranked = rank_orders_by(&machine, 16, |sigma| {
+    let ranked = rank_orders_by_par(&machine, 16, |sigma| {
         Microbench {
             machine: machine.clone(),
             order: sigma.clone(),
