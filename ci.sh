@@ -17,6 +17,9 @@ echo "== cargo test"
 # and on the autotune grid, where the bound must prune (tests/proptests.rs).
 cargo test -q --workspace
 
+echo "== perf benchmark unit tests (its own workspace; includes a --quick smoke of every workload)"
+cargo test -q --release --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "== cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -22,8 +22,8 @@
 //! A counting global allocator (gated to the measuring thread, so the
 //! parallel test harness cannot pollute the count) then asserts the
 //! steady-state claim: after warm-up, costing a candidate through the
-//! memo and evaluating the symbolic envelope perform **zero** heap
-//! allocations.
+//! memo, evaluating the symbolic envelope and bounding a round with
+//! either rung perform **zero** heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -428,4 +428,16 @@ fn steady_state_costing_is_allocation_free() {
     let (allocs, replay) = count_allocations(|| sym.time_at_payload(4 * REF_PAYLOAD));
     assert!(replay.expect("integral scaling").is_finite());
     assert_eq!(allocs, 0, "symbolic replay must not allocate");
+
+    // Both round-bound rungs accumulate into the pooled load and stamped
+    // link marks: once warm, bounding a round touches no heap either.
+    let round = &m.rounds[0].messages;
+    let warm_aggregate = net.round_lower_bound_aggregate(round);
+    let warm_tight = net.round_lower_bound(round);
+    let (allocs, aggregate) = count_allocations(|| net.round_lower_bound_aggregate(round));
+    assert_eq!(aggregate.to_bits(), warm_aggregate.to_bits());
+    assert_eq!(allocs, 0, "warm cheap round bound must not allocate");
+    let (allocs, tight) = count_allocations(|| net.round_lower_bound(round));
+    assert_eq!(tight.to_bits(), warm_tight.to_bits());
+    assert_eq!(allocs, 0, "warm per-rail round bound must not allocate");
 }

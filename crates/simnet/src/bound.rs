@@ -45,10 +45,16 @@
 //! The per-level totals live in a [`RoundLoad`], built in one pass over a
 //! round's messages; evaluating a bound from a load is O(levels · rails),
 //! so a search that keeps loads around re-bounds without touching the
-//! messages again.
+//! messages again. Distinct active links are counted through the model's
+//! dense [`RailLinkTable`](crate::rail::RailLinkTable) numbering: each
+//! traversed link's id marks an epoch-stamped array in the thread's
+//! [`RoundWorkspace`](crate::workspace::RoundWorkspace), so a warm bound
+//! neither hashes nor allocates. The pooled fluid bounds accumulate every
+//! message of every job into that same load in place.
 
 use crate::network::NetworkModel;
 use crate::schedule::{Message, Schedule};
+use crate::workspace::LinkSlots;
 
 /// Per-level byte totals and activity of one round — everything a bound
 /// evaluation needs, in O(levels) space.
@@ -57,7 +63,7 @@ use crate::schedule::{Message, Schedule};
 /// payloads of all messages whose path traverses level `l` (equivalently:
 /// whose crossing level is `≤ l`), which is the same total for the up and
 /// the down direction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundLoad {
     /// Total payload bytes traversing level-`l` uplinks (per direction).
     pub bytes_through: Vec<u64>,
@@ -95,19 +101,12 @@ pub struct RoundLoad {
 }
 
 impl RoundLoad {
-    /// An empty load for a machine whose level `l` has `rails[l]` rails —
-    /// the reusable counterpart of the internal constructor, for callers
-    /// that keep one load around and [`reset`](Self::reset) it per round.
-    pub fn for_rails(rails: &[usize]) -> Self {
-        Self::empty(rails)
-    }
-
     /// Zeroes the load for a machine whose level `l` has `rails[l]` rails,
     /// **keeping every buffer's allocation** when the shape is unchanged.
-    /// `reset` + accumulate produces exactly the state a fresh
-    /// [`for_rails`](Self::for_rails) load would reach, so reusing one load
-    /// across rounds is bit-identical to building fresh ones.
-    pub fn reset(&mut self, rails: &[usize]) {
+    /// `reset` + accumulate produces exactly the state a fresh load would
+    /// reach, so reusing one load across rounds is bit-identical to
+    /// building fresh ones.
+    pub(crate) fn reset(&mut self, rails: &[usize]) {
         let depth = rails.len();
         fn reset_rows<T: Copy>(rows: &mut Vec<Vec<T>>, rails: &[usize], zero: T) {
             rows.resize_with(rails.len(), Vec::new);
@@ -131,53 +130,57 @@ impl RoundLoad {
         reset_rows(&mut self.rail_active_up, rails, 0);
         reset_rows(&mut self.rail_active_down, rails, 0);
     }
-
-    /// An empty load for a machine whose level `l` has `rails[l]` rails.
-    fn empty(rails: &[usize]) -> Self {
-        let depth = rails.len();
-        let histogram =
-            |fill| -> Vec<Vec<u64>> { rails.iter().map(|&r| vec![fill; r.max(1)]).collect() };
-        let counts = || -> Vec<Vec<usize>> { rails.iter().map(|&r| vec![0; r.max(1)]).collect() };
-        Self {
-            bytes_through: vec![0; depth],
-            active_up: vec![0; depth],
-            active_down: vec![0; depth],
-            min_latency_through: vec![0.0; depth],
-            max_latency: 0.0,
-            max_local_bytes: 0,
-            rail_bytes_up: histogram(0),
-            rail_bytes_down: histogram(0),
-            rail_active_up: counts(),
-            rail_active_down: counts(),
-        }
-    }
 }
 
 impl NetworkModel {
     /// Aggregates one round of messages into a [`RoundLoad`] (one pass over
     /// the messages; bounds evaluated from the load are O(levels)).
     pub fn round_load(&self, messages: &[Message]) -> RoundLoad {
-        let mut load = RoundLoad::empty(self.rail_counts());
-        let mut seen = std::collections::HashSet::new();
-        self.round_load_into(messages, &mut load, &mut seen);
+        let mut load = RoundLoad::default();
+        crate::workspace::with_thread_local(|ws| {
+            self.round_load_into(&mut ws.links, &mut load, messages)
+        });
         load
     }
 
-    /// [`round_load`](Self::round_load) into caller-owned storage: `load`
-    /// is [`reset`](RoundLoad::reset) and `seen` cleared first, so reusing
-    /// them across rounds allocates nothing once warm and accumulates
-    /// exactly what a fresh load would.
-    pub fn round_load_into(
+    /// Runs `f` on the load of `messages`, accumulated into the
+    /// thread-local [`RoundWorkspace`]'s load instead of a fresh one
+    /// (bit-identical — see [`RoundLoad::reset`]). The messages may span
+    /// several rounds: the pooled fluid bounds feed every message of every
+    /// job through here without copying them into one virtual round.
+    ///
+    /// [`RoundWorkspace`]: crate::workspace::RoundWorkspace
+    pub(crate) fn with_round_load<'m, R>(
         &self,
-        messages: &[Message],
+        messages: impl IntoIterator<Item = &'m Message>,
+        f: impl FnOnce(&RoundLoad) -> R,
+    ) -> R {
+        crate::workspace::with_thread_local(|ws| {
+            self.round_load_into(&mut ws.links, &mut ws.load, messages);
+            f(&ws.load)
+        })
+    }
+
+    /// [`round_load`](Self::round_load) into caller-owned storage: `load`
+    /// is [`reset`](RoundLoad::reset) and `links` restarted first, so
+    /// reusing them across rounds allocates nothing once warm and
+    /// accumulates exactly what a fresh load would.
+    ///
+    /// Distinct active links are counted by marking each traversed link's
+    /// id in the model's [`RailLinkTable`](crate::rail::RailLinkTable) in
+    /// the epoch-stamped `links` — a link counts once per round, whichever
+    /// message touches it first.
+    pub(crate) fn round_load_into<'m>(
+        &self,
+        links: &mut LinkSlots,
         load: &mut RoundLoad,
-        seen: &mut std::collections::HashSet<(usize, usize, bool, usize)>,
+        messages: impl IntoIterator<Item = &'m Message>,
     ) {
-        let strides = self.hierarchy().strides();
-        let k = strides.len();
-        let links = self.links();
+        let table = self.link_table();
+        let strides = table.strides();
+        let params = self.links();
         load.reset(self.rail_counts());
-        seen.clear();
+        links.begin(table.num_links());
         for m in messages {
             if m.src == m.dst {
                 load.max_local_bytes = load.max_local_bytes.max(m.bytes);
@@ -187,9 +190,9 @@ impl NetworkModel {
                 .iter()
                 .position(|&s| m.src / s != m.dst / s)
                 .expect("distinct cores differ at some level");
-            let latency = links[j].crossing_latency;
+            let latency = params[j].crossing_latency;
             load.max_latency = load.max_latency.max(latency);
-            for (level, &stride) in strides.iter().enumerate().take(k).skip(j) {
+            for (level, &stride) in strides.iter().enumerate().skip(j) {
                 load.bytes_through[level] += m.bytes;
                 // Distinct (instance, rail) pairs: on a multi-rail fabric
                 // each rail of a NIC drains independently at the per-rail
@@ -198,13 +201,13 @@ impl NetworkModel {
                 // bound) byte-identical to the pre-rail engine.
                 let up_rail = self.message_rail(level, m.src, m.dst, true);
                 load.rail_bytes_up[level][up_rail] += m.bytes;
-                if seen.insert((level, m.src / stride, true, up_rail)) {
+                if links.insert(table.link_id(level, m.src / stride, true, up_rail)) {
                     load.active_up[level] += 1;
                     load.rail_active_up[level][up_rail] += 1;
                 }
                 let down_rail = self.message_rail(level, m.src, m.dst, false);
                 load.rail_bytes_down[level][down_rail] += m.bytes;
-                if seen.insert((level, m.dst / stride, false, down_rail)) {
+                if links.insert(table.link_id(level, m.dst / stride, false, down_rail)) {
                     load.active_down[level] += 1;
                     load.rail_active_down[level][down_rail] += 1;
                 }
@@ -290,30 +293,18 @@ impl NetworkModel {
 
     /// Admissible lower bound on [`round_time`](Self::round_time).
     ///
-    /// Accumulates into the thread-local [`RoundWorkspace`]'s load instead
-    /// of allocating one per call (bit-identical — see
-    /// [`RoundLoad::reset`]).
-    ///
-    /// [`RoundWorkspace`]: crate::workspace::RoundWorkspace
+    /// Accumulates into the thread-local
+    /// [`RoundWorkspace`](crate::workspace::RoundWorkspace)'s load instead
+    /// of allocating one per call (bit-identical: the load is reset first).
     pub fn round_lower_bound(&self, messages: &[Message]) -> f64 {
-        crate::workspace::with_thread_local(|ws| {
-            let crate::workspace::RoundWorkspace { load, seen, .. } = ws;
-            let load = load.get_or_insert_with(|| RoundLoad::for_rails(self.rail_counts()));
-            self.round_load_into(messages, load, seen);
-            self.round_lower_bound_from(load)
-        })
+        self.with_round_load(messages, |load| self.round_lower_bound_from(load))
     }
 
     /// Aggregate-capacity lower bound on [`round_time`](Self::round_time)
     /// (the cheap rung — see
     /// [`round_lower_bound_aggregate_from`](Self::round_lower_bound_aggregate_from)).
     pub fn round_lower_bound_aggregate(&self, messages: &[Message]) -> f64 {
-        crate::workspace::with_thread_local(|ws| {
-            let crate::workspace::RoundWorkspace { load, seen, .. } = ws;
-            let load = load.get_or_insert_with(|| RoundLoad::for_rails(self.rail_counts()));
-            self.round_load_into(messages, load, seen);
-            self.round_lower_bound_aggregate_from(load)
-        })
+        self.with_round_load(messages, |load| self.round_lower_bound_aggregate_from(load))
     }
 
     /// Per-round [`RoundLoad`]s of a schedule, for bound evaluations that
@@ -432,8 +423,7 @@ pub fn fluid_lower_bound(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
         .iter()
         .map(|s| net.schedule_lower_bound(s))
         .fold(0.0, f64::max);
-    let all: Vec<Message> = pooled_messages(schedules);
-    let aggregate = net.round_lower_bound_from(&net.round_load(&all));
+    let aggregate = net.with_round_load(pooled(schedules), |load| net.round_lower_bound_from(load));
     per_job.max(aggregate)
 }
 
@@ -448,18 +438,19 @@ pub fn fluid_lower_bound_aggregate(net: &NetworkModel, schedules: &[Schedule]) -
         .iter()
         .map(|s| net.schedule_lower_bound_aggregate(s))
         .fold(0.0, f64::max);
-    let all: Vec<Message> = pooled_messages(schedules);
-    let aggregate = net.round_lower_bound_aggregate_from(&net.round_load(&all));
+    let aggregate = net.with_round_load(pooled(schedules), |load| {
+        net.round_lower_bound_aggregate_from(load)
+    });
     per_job.max(aggregate)
 }
 
-/// Every message of every round of every schedule, as one virtual round.
-fn pooled_messages(schedules: &[Schedule]) -> Vec<Message> {
+/// Every message of every round of every schedule, in order — one virtual
+/// round, borrowed rather than copied.
+pub(crate) fn pooled(schedules: &[Schedule]) -> impl Iterator<Item = &Message> {
     schedules
         .iter()
-        .flat_map(|s| s.rounds.iter())
-        .flat_map(|r| r.messages.iter().copied())
-        .collect()
+        .flat_map(|s| &s.rounds)
+        .flat_map(|r| &r.messages)
 }
 
 #[cfg(test)]

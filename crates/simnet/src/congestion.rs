@@ -187,17 +187,11 @@ pub struct CongestionProbe {
 impl CongestionProbe {
     /// A probe sized for `net`'s rail-link table, initially empty.
     pub fn new(net: &NetworkModel) -> Self {
-        let strides = net.hierarchy().strides();
-        let table = RailLinkTable::new(
-            net.hierarchy().size(),
-            &strides,
-            net.rail_counts(),
-            net.rail_policy(),
-        );
+        let table = net.link_table().clone();
         let n = table.num_links();
         Self {
             table,
-            depth: strides.len(),
+            depth: net.hierarchy().depth(),
             segments: vec![Vec::new(); n],
             link_bytes: vec![0.0; n],
             busy: vec![0.0; n],
@@ -505,13 +499,7 @@ impl NetworkModel {
     pub fn schedule_time_probed(&self, schedule: &Schedule, probe: &mut CongestionProbe) -> f64 {
         debug_assert_eq!(
             probe.num_links(),
-            RailLinkTable::new(
-                self.hierarchy().size(),
-                &self.hierarchy().strides(),
-                self.rail_counts(),
-                self.rail_policy(),
-            )
-            .num_links(),
+            self.link_table().num_links(),
             "probe built for a different network model"
         );
         let mut t = 0.0;
@@ -610,19 +598,15 @@ pub fn bound_gap_fluid(
     probe: &CongestionProbe,
 ) -> Vec<BoundGap> {
     let k = net.hierarchy().depth();
-    let all: Vec<Message> = schedules
-        .iter()
-        .flat_map(|s| s.rounds.iter())
-        .flat_map(|r| r.messages.iter().copied())
-        .collect();
-    let load = net.round_load(&all);
-    let mut gaps: Vec<BoundGap> = (0..k)
-        .map(|level| BoundGap {
-            level,
-            bound: level_bound_term(net, &load, level),
-            actual: 0.0,
-        })
-        .collect();
+    let mut gaps: Vec<BoundGap> = net.with_round_load(crate::bound::pooled(schedules), |load| {
+        (0..k)
+            .map(|level| BoundGap {
+                level,
+                bound: level_bound_term(net, load, level),
+                actual: 0.0,
+            })
+            .collect()
+    });
     for l in 0..probe.num_links() as u32 {
         let (level, _, _, _) = probe.table().decode(l);
         if let Some(last) = probe.link_segments(l).last() {

@@ -331,17 +331,17 @@ struct FlightHot {
 /// runs.
 pub struct FluidSim<'a> {
     net: &'a NetworkModel,
-    strides: Vec<usize>,
     local_rate: f64,
-    /// The level-major directed rail-link table built by
-    /// [`new`](Self::new): the id of `(level, instance, up, rail)` is
+    /// The model's level-major directed rail-link table
+    /// ([`NetworkModel::link_table`]): the id of
+    /// `(level, instance, up, rail)` is
     /// `level_offset[level] + (2·instance + up)·rails[level] + rail`.
     /// Outer levels get the low ids, so the shared links every solve
     /// touches sit in one dense cache-hot prefix of
     /// [`lstate`](Self::lstate) while the per-core leaf links (numerous,
     /// almost always solo) fill the tail. At one rail per level the ids
     /// are bit-identical to the pre-rail layout.
-    table: RailLinkTable,
+    table: &'a RailLinkTable,
     /// Per-link capacity, flow count, and water-fill scratch.
     lstate: Vec<LinkState>,
     path_cache: HashMap<(u32, u32), (i32, u32, u32)>,
@@ -392,15 +392,14 @@ pub struct FluidSim<'a> {
 impl<'a> FluidSim<'a> {
     /// Builds an engine over `net` with empty caches.
     pub fn new(net: &'a NetworkModel) -> Self {
-        // Pre-intern every directed rail-link level-major (outermost
-        // first): ids become pure arithmetic and the busy shared links
-        // cluster at the front of `lstate` instead of interleaving with
-        // the per-core links in path-discovery order.
+        // Every directed rail-link is pre-interned level-major (outermost
+        // first) by the model's table: ids are pure arithmetic and the busy
+        // shared links cluster at the front of `lstate` instead of
+        // interleaving with the per-core links in path-discovery order.
         let size = net.hierarchy().size();
-        let strides = net.hierarchy().strides();
-        let table = RailLinkTable::new(size, &strides, net.rail_counts(), net.rail_policy());
+        let table = net.link_table();
         let mut lstate = Vec::with_capacity(table.num_links());
-        for (level, &stride) in strides.iter().enumerate() {
+        for (level, &stride) in table.strides().iter().enumerate() {
             let capacity = net.links()[level].uplink_bandwidth;
             let count = 2 * (size / stride) * net.rail_counts()[level];
             lstate.extend((0..count).map(|_| LinkState {
@@ -415,7 +414,6 @@ impl<'a> FluidSim<'a> {
         let links = lstate.len();
         Self {
             net,
-            strides,
             local_rate: net.calibrated_local_rate(),
             table,
             lstate,
@@ -774,9 +772,9 @@ impl<'a> FluidSim<'a> {
         let entry = if src == dst {
             (-1, 0, 0)
         } else {
-            let k = self.strides.len();
-            let j = self
-                .strides
+            let strides = self.table.strides();
+            let k = strides.len();
+            let j = strides
                 .iter()
                 .position(|&s| src / s != dst / s)
                 .expect("distinct cores differ at some level");
@@ -1162,14 +1160,16 @@ struct RefFlight {
     local_rate: f64,
 }
 
-/// Dense directed-link table of the reference solver. Keys carry the rail
-/// axis ([`NetworkModel::message_rail`]); on single-rail models the rail
-/// is constantly 0 and the interning — hence every solved rate — is
+/// Dense directed-link table of the reference solver: links are interned
+/// in first-seen order, looked up by their id in the model's
+/// [`RailLinkTable`] (which carries the rail axis of
+/// [`NetworkModel::message_rail`]); on single-rail models the rail is
+/// constantly 0 and the interning — hence every solved rate — is
 /// identical to the pre-rail table.
 struct RefLinkTable<'a> {
     net: &'a NetworkModel,
-    strides: Vec<usize>,
-    index: HashMap<(usize, usize, bool, usize), usize>,
+    /// Model link id → interned index (`usize::MAX` until first seen).
+    index: Vec<usize>,
     capacities: Vec<f64>,
 }
 
@@ -1177,8 +1177,7 @@ impl<'a> RefLinkTable<'a> {
     fn new(net: &'a NetworkModel) -> Self {
         Self {
             net,
-            strides: net.hierarchy().strides(),
-            index: HashMap::new(),
+            index: vec![usize::MAX; net.link_table().num_links()],
             capacities: Vec::new(),
         }
     }
@@ -1188,28 +1187,23 @@ impl<'a> RefLinkTable<'a> {
         if src == dst {
             return (None, Vec::new());
         }
-        let k = self.net.hierarchy().depth();
-        let j = self
-            .strides
+        let table = self.net.link_table();
+        let k = table.strides().len();
+        let j = table
+            .strides()
             .iter()
             .position(|&s| src / s != dst / s)
             .expect("distinct cores differ at some level");
         let mut path = Vec::with_capacity(2 * (k - j));
         for level in j..k {
-            let stride = self.strides[level];
-            for (core, up) in [(src, true), (dst, false)] {
-                let instance = core / stride;
-                let rail = self.net.message_rail(level, src, dst, up);
-                let next = self.index.len();
-                let idx = *self
-                    .index
-                    .entry((level, instance, up, rail))
-                    .or_insert(next);
-                if idx == self.capacities.len() {
+            for up in [true, false] {
+                let idx = &mut self.index[table.message_link(level, src, dst, up) as usize];
+                if *idx == usize::MAX {
+                    *idx = self.capacities.len();
                     self.capacities
                         .push(self.net.links()[level].uplink_bandwidth);
                 }
-                path.push(idx);
+                path.push(*idx);
             }
         }
         (Some(j), path)

@@ -16,7 +16,7 @@
 //! machines.
 
 use crate::contention::max_min_rates_csr;
-use crate::rail::{assign_rail, RailPolicy};
+use crate::rail::{assign_rail, RailLinkTable, RailPolicy};
 use crate::schedule::{Message, Schedule};
 use mre_core::Hierarchy;
 
@@ -49,7 +49,6 @@ pub struct LinkParams {
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     hierarchy: Hierarchy,
-    strides: Vec<usize>,
     links: Vec<LinkParams>,
     /// Bandwidth of a local (same-core) copy, for self-messages.
     local_copy_bandwidth: f64,
@@ -57,11 +56,12 @@ pub struct NetworkModel {
     /// construction (see [`Self::calibrated_local_rate`]).
     calibrated_local_rate: f64,
     mode: ContentionMode,
-    /// Parallel uplinks ("rails") per instance of each level; all-1 is the
-    /// classic single-rail model, and `uplink_bandwidth` is **per rail**.
-    rails: Vec<usize>,
-    /// How crossing messages are bound to rails (see [`crate::rail`]).
-    rail_policy: RailPolicy,
+    /// The dense directed rail-link numbering every costing kernel shares:
+    /// per-level strides, parallel uplinks ("rails") per instance of each
+    /// level (all-1 is the classic single-rail model, and `uplink_bandwidth`
+    /// is **per rail**) and the policy binding crossing messages to rails
+    /// (see [`crate::rail`]).
+    link_table: RailLinkTable,
 }
 
 impl NetworkModel {
@@ -89,17 +89,19 @@ impl NetworkModel {
                 "level {l} latency must be non-negative"
             );
         }
-        let strides = hierarchy.strides();
-        let rails = vec![1; hierarchy.depth()];
+        let link_table = RailLinkTable::new(
+            hierarchy.size(),
+            &hierarchy.strides(),
+            &vec![1; hierarchy.depth()],
+            RailPolicy::default(),
+        );
         let mut model = Self {
             hierarchy,
-            strides,
             links,
             local_copy_bandwidth,
             calibrated_local_rate: local_copy_bandwidth,
             mode: ContentionMode::MaxMinFair,
-            rails,
-            rail_policy: RailPolicy::default(),
+            link_table,
         };
         // Calibrate the local copy rate once, at construction, via the same
         // probe the fluid simulator used to re-derive per call: the rate a
@@ -174,8 +176,12 @@ impl NetworkModel {
             "one rail count per hierarchy level"
         );
         assert!(rails.iter().all(|&r| r >= 1), "rail counts must be >= 1");
-        self.rails = rails;
-        self.rail_policy = policy;
+        self.link_table = RailLinkTable::new(
+            self.hierarchy.size(),
+            self.link_table.strides(),
+            &rails,
+            policy,
+        );
         // Multi-rail local copies are unaffected, but the calibrated rate
         // could in principle shift if level 0 were degenerate; re-probe so
         // the invariant "construction calibrates" holds for railed models
@@ -195,17 +201,25 @@ impl NetworkModel {
 
     /// Per-level rail counts (all 1 unless [`Self::with_rails`] was used).
     pub fn rail_counts(&self) -> &[usize] {
-        &self.rails
+        self.link_table.rails()
     }
 
     /// The rail assignment policy.
     pub fn rail_policy(&self) -> RailPolicy {
-        self.rail_policy
+        self.link_table.policy()
     }
 
     /// True when any level has more than one rail.
     pub fn is_multi_rail(&self) -> bool {
-        self.rails.iter().any(|&r| r > 1)
+        self.rail_counts().iter().any(|&r| r > 1)
+    }
+
+    /// The model's directed rail-link numbering, built once per rail
+    /// configuration and shared by every costing kernel: the lockstep
+    /// profile, the round bounds, [`crate::FluidSim`] and
+    /// [`crate::CongestionProbe`] all name a link by the same dense id.
+    pub fn link_table(&self) -> &RailLinkTable {
+        &self.link_table
     }
 
     /// The rail a `src → dst` message occupies on the directed level-`level`
@@ -214,10 +228,11 @@ impl NetworkModel {
     /// message always rides the same rails.
     pub fn message_rail(&self, level: usize, src: usize, dst: usize, up: bool) -> usize {
         let (side, peer) = if up { (src, dst) } else { (dst, src) };
+        let table = &self.link_table;
         assign_rail(
-            self.rail_policy,
-            self.rails[level],
-            self.strides[level],
+            table.policy(),
+            table.rails()[level],
+            table.strides()[level],
             side,
             peer,
         )
@@ -252,7 +267,7 @@ impl NetworkModel {
     }
 
     /// [`round_profile`](Self::round_profile) with caller-owned scratch:
-    /// the link-interning table, CSR flow lists and solver state all live
+    /// the link-interning slots, CSR flow lists and solver state all live
     /// in `ws` and are reused across calls, so the steady state allocates
     /// only the returned [`RoundProfile`]. Bit-identical to a fresh-buffer
     /// build — interning order, capacities and the solver's freezing
@@ -270,12 +285,16 @@ impl NetworkModel {
             };
         }
         ws.begin_round();
-        let k = self.hierarchy.depth();
-        // Directed rail-link table: (level, instance, is_up, rail) → dense
-        // index. At one rail per level the rail is constantly 0, so the
-        // interning order — and with it every dense index, capacity and
-        // solved rate — is identical to the single-rail model.
-        ws.link_index.clear();
+        let table = &self.link_table;
+        let strides = table.strides();
+        let k = strides.len();
+        // Intern each traversed rail-link the first time the round touches
+        // it: its dense model id selects a stamped slot, and the slot
+        // records the link's position in first-seen order. At one rail per
+        // level the rail is constantly 0, so the interning order — and
+        // with it every capacity and solved rate — is identical to the
+        // single-rail model.
+        ws.links.begin(table.num_links());
         ws.capacities.clear();
         ws.flow_offsets.clear();
         ws.flow_offsets.push(0);
@@ -288,25 +307,19 @@ impl NetworkModel {
                 crossing.push(None);
                 continue;
             }
-            let j = self
-                .strides
+            let j = strides
                 .iter()
                 .position(|&s| m.src / s != m.dst / s)
                 .expect("distinct cores differ at some level");
             for level in j..k {
-                let stride = self.strides[level];
-                for (core, up) in [(m.src, true), (m.dst, false)] {
-                    let instance = core / stride;
-                    let rail = self.message_rail(level, m.src, m.dst, up);
-                    let next = ws.link_index.len();
-                    let idx = *ws
-                        .link_index
-                        .entry((level, instance, up, rail))
-                        .or_insert(next);
-                    if idx == ws.capacities.len() {
+                for up in [true, false] {
+                    let id = table.message_link(level, m.src, m.dst, up);
+                    let next = ws.capacities.len() as u32;
+                    let idx = ws.links.slot_or_insert(id, next);
+                    if idx == next {
                         ws.capacities.push(self.links[level].uplink_bandwidth);
                     }
-                    ws.flow_links.push(idx);
+                    ws.flow_links.push(idx as usize);
                 }
             }
             ws.flow_offsets.push(ws.flow_links.len());
@@ -394,8 +407,8 @@ impl NetworkModel {
         }
         self.local_copy_bandwidth.to_bits().hash(&mut h);
         (self.mode == ContentionMode::MaxMinFair).hash(&mut h);
-        self.rails.hash(&mut h);
-        self.rail_policy.hash(&mut h);
+        self.rail_counts().hash(&mut h);
+        self.rail_policy().hash(&mut h);
         h.finish()
     }
 }

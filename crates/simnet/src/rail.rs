@@ -169,6 +169,11 @@ impl RailLinkTable {
         self.num_links
     }
 
+    /// Per-level subtree sizes (cores per instance), outermost first.
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Per-level rail counts.
     pub fn rails(&self) -> &[usize] {
         &self.rails

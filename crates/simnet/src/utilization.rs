@@ -107,17 +107,17 @@ pub fn utilization(hierarchy: &Hierarchy, schedule: &Schedule) -> Utilization {
 /// model every message rides rail 0 and the accounting is identical to
 /// [`utilization`] (shape-tested).
 pub fn utilization_railed(net: &NetworkModel, schedule: &Schedule) -> Utilization {
-    let hierarchy = net.hierarchy();
-    let k = hierarchy.depth();
-    let strides = hierarchy.strides();
+    let table = net.link_table();
+    let strides = table.strides();
+    let k = strides.len();
     let mut bytes_crossing = vec![0u64; k + 1];
     let mut message_counts = vec![0usize; k + 1];
     let mut peak_link_bytes = vec![0u64; k];
-    // Per-round rail-link loads: (level, instance, up, rail) → bytes.
-    let mut per_round: std::collections::HashMap<(usize, usize, bool, usize), u64> =
-        std::collections::HashMap::new();
+    // Per-round rail-link loads, indexed by the model's link id; `touched`
+    // lists the (id, level) pairs to fold into the peaks and re-zero.
+    let mut per_round = vec![0u64; table.num_links()];
+    let mut touched: Vec<(u32, usize)> = Vec::new();
     for round in &schedule.rounds {
-        per_round.clear();
         for m in &round.messages {
             let j = if m.src == m.dst {
                 k
@@ -129,20 +129,19 @@ pub fn utilization_railed(net: &NetworkModel, schedule: &Schedule) -> Utilizatio
             };
             bytes_crossing[j] += m.bytes;
             message_counts[j] += 1;
-            if j < k {
-                for (level, &stride) in strides.iter().enumerate().skip(j) {
-                    let up_rail = net.message_rail(level, m.src, m.dst, true);
-                    let down_rail = net.message_rail(level, m.src, m.dst, false);
-                    *per_round
-                        .entry((level, m.src / stride, true, up_rail))
-                        .or_insert(0) += m.bytes;
-                    *per_round
-                        .entry((level, m.dst / stride, false, down_rail))
-                        .or_insert(0) += m.bytes;
+            for level in j..k {
+                for up in [true, false] {
+                    let id = table.message_link(level, m.src, m.dst, up);
+                    let bytes = &mut per_round[id as usize];
+                    if *bytes == 0 {
+                        touched.push((id, level));
+                    }
+                    *bytes += m.bytes;
                 }
             }
         }
-        for (&(level, _, _, _), &bytes) in &per_round {
+        for (id, level) in touched.drain(..) {
+            let bytes = std::mem::take(&mut per_round[id as usize]);
             peak_link_bytes[level] = peak_link_bytes[level].max(bytes);
         }
     }

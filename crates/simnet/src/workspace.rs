@@ -4,18 +4,25 @@
 //! Profiling a round ([`NetworkModel::round_profile`]) interns directed
 //! rail-links, builds per-flow link lists and runs a contention solve;
 //! bounding a round ([`NetworkModel::round_lower_bound`]) accumulates a
-//! [`RoundLoad`] histogram. Done naively, every candidate order costed by
-//! a sweep re-allocates all of that scratch thousands of times. A
+//! [`RoundLoad`] histogram while counting distinct active rail-links.
+//! Both name a link by its dense id in the model's
+//! [`RailLinkTable`](crate::rail::RailLinkTable) and track "seen this
+//! round" in one epoch-stamped `LinkSlots` array instead of hashing link
+//! tuples: a round starts by bumping a `u32` epoch, so clearing the
+//! previous round's marks costs nothing. Done naively, every candidate
+//! order costed by a sweep re-allocates all of that scratch thousands of
+//! times. A
 //! [`RoundWorkspace`] owns every one of those buffers and is reused via a
 //! thread-local, so after a few warm-up rounds the buffers sit at their
 //! high-water marks and the hot loops perform **zero heap allocations**
 //! besides the returned profiles (asserted by the counting-allocator test
 //! in `crates/bench/tests/costing_kernel.rs`).
 //!
-//! Reuse is exact, not approximate: interning order, CSR layout, the
-//! max-min freezing schedule and the load accumulation depend only on the
-//! message sequence, never on buffer history, so workspace-pooled results
-//! are **bit-identical** to fresh-buffer results (property-tested).
+//! Reuse is exact, not approximate: interning order (first-seen), CSR
+//! layout, the max-min freezing schedule and the load accumulation depend
+//! only on the message sequence, never on buffer history or on the epoch,
+//! so workspace-pooled results are **bit-identical** to fresh-buffer
+//! results (property-tested).
 //!
 //! The thread-local is handed out by `with_thread_local`; re-entrant
 //! borrows (a closure that itself profiles a round) fall back to a
@@ -28,10 +35,61 @@
 use crate::bound::RoundLoad;
 use crate::contention::ContentionWorkspace;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+
+/// Epoch-stamped dense "seen this round" marks over a model's rail-link
+/// ids, each carrying a `u32` slot.
+///
+/// `stamp[id] == epoch` means link `id` was seen since the last
+/// [`begin`](Self::begin); `slot[id]` is then the value recorded on first
+/// sight (the link's first-seen position when interning). The arrays grow
+/// only when a larger model needs them and are never cleared per round:
+/// `begin` bumps the epoch instead, and zero-fills the stamps only when
+/// the epoch wraps around.
+#[derive(Debug, Default)]
+pub(crate) struct LinkSlots {
+    stamp: Vec<u32>,
+    slot: Vec<u32>,
+    epoch: u32,
+}
+
+impl LinkSlots {
+    /// Starts a round over links `0..num_links`: every link reads unseen.
+    pub(crate) fn begin(&mut self, num_links: usize) {
+        if self.stamp.len() < num_links {
+            // Fresh stamps are 0, which no live epoch ever equals.
+            self.stamp.resize(num_links, 0);
+            self.slot.resize(num_links, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `link` seen; true when this round had not seen it yet.
+    #[inline]
+    pub(crate) fn insert(&mut self, link: u32) -> bool {
+        let stamp = &mut self.stamp[link as usize];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
+
+    /// The slot of `link` this round, recording `next` on first sight.
+    #[inline]
+    pub(crate) fn slot_or_insert(&mut self, link: u32, next: u32) -> u32 {
+        let i = link as usize;
+        if self.stamp[i] != self.epoch {
+            self.stamp[i] = self.epoch;
+            self.slot[i] = next;
+        }
+        self.slot[i]
+    }
+}
 
 /// Every scratch buffer one thread needs to profile and bound rounds:
-/// the directed rail-link interning table, CSR flow lists, solver rates,
+/// the stamped rail-link slots, CSR flow lists, solver rates,
 /// the contention solver's own workspace and a [`RoundLoad`] accumulator.
 ///
 /// All state is reset on entry to each operation; only capacity survives.
@@ -39,8 +97,9 @@ use std::collections::{HashMap, HashSet};
 /// the costing entry points use the thread-local via `with_thread_local`.
 #[derive(Debug, Default)]
 pub struct RoundWorkspace {
-    /// (level, instance, is_up, rail) → dense link index.
-    pub(crate) link_index: HashMap<(usize, usize, bool, usize), usize>,
+    /// Per-round rail-link marks: the interning slots of round profiles
+    /// and the distinct-link counts of round loads.
+    pub(crate) links: LinkSlots,
     /// Capacity of each interned link, in interning order.
     pub(crate) capacities: Vec<f64>,
     /// CSR offsets: flow `f`'s links span `flow_links[o[f]..o[f + 1]]`.
@@ -53,11 +112,9 @@ pub struct RoundWorkspace {
     pub(crate) counts: Vec<usize>,
     /// The max-min solver's internal buffers.
     pub(crate) contention: ContentionWorkspace,
-    /// Reusable [`RoundLoad`] accumulator for bound evaluations
-    /// (`None` until the first bound on this thread).
-    pub(crate) load: Option<RoundLoad>,
-    /// Distinct-(level, instance, direction, rail) set for load building.
-    pub(crate) seen: HashSet<(usize, usize, bool, usize)>,
+    /// Reusable [`RoundLoad`] accumulator for bound evaluations (empty
+    /// until the first bound on this thread).
+    pub(crate) load: RoundLoad,
     rounds: u64,
 }
 
@@ -114,6 +171,7 @@ pub fn thread_workspace_rounds() -> u64 {
 mod tests {
     use super::*;
     use crate::network::{ContentionMode, NetworkModel};
+    use crate::rail::RailPolicy;
     use crate::schedule::Message;
 
     fn toy(mode: ContentionMode) -> NetworkModel {
@@ -177,6 +235,47 @@ mod tests {
         net.round_profile(&cross_round());
         net.round_profile(&cross_round());
         assert_eq!(thread_workspace_rounds(), before + 2);
+    }
+
+    #[test]
+    fn link_slots_grow_and_forget_marks_across_the_epoch_wrap() {
+        let mut links = LinkSlots::default();
+        links.begin(4);
+        assert!(links.insert(2));
+        assert!(!links.insert(2));
+        // Link 2 carries a mark from epoch 1; jump to just before the
+        // wrap, where the next bumps reach u32::MAX and then wrap to 1.
+        links.epoch = u32::MAX - 1;
+        links.begin(16);
+        assert_eq!(links.epoch, u32::MAX);
+        assert!(links.insert(9), "grown links start unseen");
+        assert_eq!(links.slot_or_insert(3, 7), 7);
+        assert_eq!(links.slot_or_insert(3, 8), 7, "first sight wins");
+        links.begin(16);
+        assert_eq!(links.epoch, 1, "epoch 0 is reserved for unseen");
+        // Without the zero-fill, the epoch-1 mark on link 2 would read
+        // as seen this round.
+        assert!(links.insert(2));
+        assert!(links.insert(9));
+        assert_eq!(links.slot_or_insert(3, 0), 0);
+        assert!(!links.insert(2));
+        // A smaller model never shrinks the arrays.
+        links.begin(4);
+        assert_eq!(links.stamp.len(), 16);
+    }
+
+    #[test]
+    fn profiles_across_the_epoch_wrap_match_fresh() {
+        let net = toy(ContentionMode::MaxMinFair).with_node_rails(2, RailPolicy::Affinity);
+        let msgs = cross_round();
+        let fresh = net.round_profile_with(&mut RoundWorkspace::new(), &msgs);
+        let mut ws = RoundWorkspace::new();
+        ws.links.epoch = u32::MAX - 2;
+        for _ in 0..4 {
+            let reused = net.round_profile_with(&mut ws, &msgs);
+            assert_eq!(fresh, reused);
+        }
+        assert_eq!(ws.links.epoch, 2, "the loop crossed the wrap");
     }
 
     #[test]
