@@ -23,6 +23,13 @@ cargo test -q --release --manifest-path crates/bench/src/bin/perf/Cargo.toml
 echo "== cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "== figure goldens (release figure binaries reproduce results/ byte for byte)"
+for bin in fig2_orders fig3_alltoall_hydra fig4_alltoall_hydra_128 fig5_alltoall_lumi \
+  fig6_allreduce_hydra fig7_allgather_lumi ablations table1 fig9_cg_scaling; do
+  cargo run -q --release -p mre-bench --bin "$bin" > "target/golden_$bin.out"
+  cmp "target/golden_$bin.out" "results/$bin.txt"
+done
+
 echo "== trace_report smoke"
 cargo run -q -p mre-bench --bin trace_report -- \
   --machine hydra --collective alltoall --order 3-2-1-0 \

@@ -100,6 +100,18 @@ fn take_value_flag<T>(
     Some(v)
 }
 
+/// Positional argument `i` parsed as `T`, or `default` when it is absent;
+/// exits with a message when it does not parse.
+fn positional<T: std::str::FromStr>(args: &[String], i: usize, name: &str, default: T) -> T {
+    let Some(text) = args.get(i) else {
+        return default;
+    };
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("bad {name} {text:?}: expected a non-negative integer");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let pruned_mode = args.iter().any(|a| a == "--pruned");
@@ -130,9 +142,9 @@ fn main() {
     })
     .unwrap_or(true);
     let hierarchy_text = args.get(1).map(String::as_str).unwrap_or("16,2,2,8");
-    let subcomm: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(16);
+    let subcomm = positional(&args, 2, "subcommunicator size", 16usize);
     let collective_name = args.get(3).map(String::as_str).unwrap_or("alltoall");
-    let size: u64 = args.get(4).and_then(|a| a.parse().ok()).unwrap_or(4 << 20);
+    let size = positional(&args, 4, "message size", 4u64 << 20);
 
     let machine = match Hierarchy::parse(hierarchy_text) {
         Ok(h) => h,
@@ -156,7 +168,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if machine.size() % subcomm != 0 {
+    if subcomm == 0 || machine.size() % subcomm != 0 {
         eprintln!(
             "subcommunicator size {subcomm} must divide {}",
             machine.size()

@@ -5,10 +5,10 @@
 //! micro-benchmarks (see `benches/`, built on [`tinybench`]).
 //!
 //! Figure sweeps fan out across orders on the [`mre_core::par`] worker
-//! pool (set `MRE_PAR_THREADS=1` to force serial execution) and reuse one
-//! [`mre_simnet::CostCache`] per order across the message-size sweep, so
-//! each round's contention is solved once per communication pattern
-//! instead of once per size.
+//! pool (set `MRE_PAR_THREADS=1` to force serial execution) and share one
+//! [`mre_simnet::SharedCostCache`] across all orders and the
+//! message-size sweep, so each round's contention is solved once per
+//! communication pattern instead of once per size.
 //!
 //! | binary                    | reproduces |
 //! |---------------------------|------------|
@@ -28,8 +28,9 @@
 pub mod tinybench;
 
 use mre_core::metrics::characterize_order;
+use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
-use mre_simnet::{CostCache, NetworkModel};
+use mre_simnet::{NetworkModel, SharedCostCache};
 use mre_workloads::microbench::{Collective, Microbench};
 
 /// One point of a collective-figure sweep.
@@ -68,14 +69,14 @@ pub struct CollectiveFigure {
 
 impl CollectiveFigure {
     /// Runs the full sweep: orders in parallel on the [`mre_core::par`]
-    /// pool, each with one [`CostCache`] shared across its size sweep.
-    /// Rows come back in the same (order-major, then size) sequence as the
-    /// serial loop did.
+    /// pool, all costing through one [`SharedCostCache`]. Rows come back
+    /// in the same (order-major, then size) sequence as the serial loop
+    /// did.
     pub fn run(&self, net: &NetworkModel) -> Vec<FigureRow> {
+        let cache = SharedCostCache::new();
         let per_order: Vec<Vec<FigureRow>> = mre_core::par::map(&self.orders, |_, order| {
             let c = characterize_order(&self.machine, order, self.subcomm_size)
                 .expect("figure orders are valid for the machine");
-            let mut cache = CostCache::new();
             self.sizes
                 .iter()
                 .map(|&size| {
@@ -87,7 +88,7 @@ impl CollectiveFigure {
                         total_bytes: size,
                     };
                     let r = bench
-                        .run_cached(net, &mut cache)
+                        .run_with_scheme_cached(net, ColorScheme::Quotient, &cache)
                         .expect("sweep configuration is valid");
                     FigureRow {
                         order: order.clone(),

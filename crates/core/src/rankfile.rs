@@ -132,11 +132,32 @@ impl Rankfile {
 
     /// Converts back to a world-sized placement vector: `placement[rank]`
     /// is the sequential core id for that rank.
-    pub fn placement(&self, machine_h: &Hierarchy) -> Vec<usize> {
-        let cores_per_node = machine_h.size() / machine_h.level(0);
+    ///
+    /// Fails if an entry names a node outside `0..machine_h.level(0)` or a
+    /// slot outside the node's cores — a slot past the end would otherwise
+    /// silently land on the next node.
+    pub fn placement(&self, machine_h: &Hierarchy) -> Result<Vec<usize>, Error> {
+        let nodes = machine_h.level(0);
+        let cores_per_node = machine_h.size() / nodes;
         self.entries
             .iter()
-            .map(|e| e.node * cores_per_node + e.slot)
+            .map(|e| {
+                let out_of_range = |what: &str, value: usize, limit: usize| Error::Parse {
+                    message: format!(
+                        "rank {}: {what} {value} out of range (machine has {limit})",
+                        e.rank
+                    ),
+                };
+                if e.node >= nodes {
+                    return Err(out_of_range("node", e.node, nodes));
+                }
+                if e.slot >= cores_per_node {
+                    return Err(out_of_range("slot", e.slot, cores_per_node));
+                }
+                // Both in range, so the id is below `machine_h.size()`,
+                // which fits in usize: the arithmetic cannot overflow.
+                Ok(e.node * cores_per_node + e.slot)
+            })
             .collect()
     }
 }
@@ -247,10 +268,27 @@ mod tests {
         for sigma in Permutation::all(3) {
             let reordering = RankReordering::new(&h, &sigma).unwrap();
             let rf = Rankfile::from_reordering(&h, &reordering);
-            let placement = rf.placement(&h);
+            let placement = rf.placement(&h).unwrap();
             for (rank, &core) in placement.iter().enumerate() {
                 assert_eq!(core, reordering.old_rank(rank));
             }
         }
+    }
+
+    #[test]
+    fn placement_rejects_out_of_range_nodes_and_slots() {
+        let h = h224();
+        for text in [
+            "rank 0=node18446744073709551615 slot=0\n",
+            "rank 0=node2 slot=0\n",
+            "rank 0=node0 slot=99\n",
+            "rank 0=node0 slot=8\n",
+            "rank 0=node1 slot=18446744073709551615\n",
+        ] {
+            let rf = Rankfile::parse(text).unwrap();
+            assert!(rf.placement(&h).is_err(), "{text:?} must be rejected");
+        }
+        let last = Rankfile::parse("rank 0=node1 slot=7\n").unwrap();
+        assert_eq!(last.placement(&h), Ok(vec![15]));
     }
 }

@@ -29,7 +29,9 @@
 
 use crate::algorithm::{AllgatherAlg, AllreduceAlg, AllreduceAlg::RecursiveDoubling, AlltoallAlg};
 use crate::schedules;
-use mre_simnet::{fluid_lower_bound, NetworkModel, Schedule, SharedCostCache};
+use mre_simnet::{
+    fluid_lower_bound, schedule_lower_bound, NetworkModel, Schedule, SharedCostCache,
+};
 use mre_trace::level_occupancy;
 
 /// Which collective to tune.
@@ -228,7 +230,7 @@ impl<'a> AlgorithmSelector<'a> {
             }
             seen_patterns.push(fp);
             if let Some((_, best_cost)) = best {
-                let bound = self.net.schedule_lower_bound(&schedule);
+                let bound = schedule_lower_bound(self.net, &schedule);
                 if bound > best_cost {
                     skipped += 1;
                     continue;

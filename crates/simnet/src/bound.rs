@@ -51,6 +51,13 @@
 //! [`RoundWorkspace`](crate::workspace::RoundWorkspace), so a warm bound
 //! neither hashes nor allocates. The pooled fluid bounds accumulate every
 //! message of every job into that same load in place.
+//!
+//! Each rung of the ladder has one public spelling per engine: the free
+//! functions [`schedule_lower_bound`] (tight) and
+//! [`schedule_lower_bound_aggregate`] (cheap) for lockstep schedules,
+//! [`fluid_lower_bound`] and [`fluid_lower_bound_aggregate`] for fluid job
+//! sets. The two rungs are two algorithms, not two spellings: the cheap
+//! one skips the per-rail histogram walk, the tight one prunes more.
 
 use crate::network::NetworkModel;
 use crate::schedule::{Message, Schedule};
@@ -306,89 +313,56 @@ impl NetworkModel {
     pub fn round_lower_bound_aggregate(&self, messages: &[Message]) -> f64 {
         self.with_round_load(messages, |load| self.round_lower_bound_aggregate_from(load))
     }
-
-    /// Per-round [`RoundLoad`]s of a schedule, for bound evaluations that
-    /// want to stay O(levels) per round across repeated calls.
-    pub fn schedule_loads(&self, schedule: &Schedule) -> Vec<RoundLoad> {
-        schedule
-            .rounds
-            .iter()
-            .map(|r| self.round_load(&r.messages))
-            .collect()
-    }
-
-    /// Admissible lower bound on [`schedule_time`](Self::schedule_time):
-    /// the sum of per-round bounds (rounds are barrier-synchronized, so
-    /// per-round lower bounds add).
-    ///
-    /// Repeated rounds — ring and pairwise collectives re-issue the same
-    /// message set every round — are aggregated once: equal rounds share a
-    /// load, so the bound costs O(distinct rounds · messages), mirroring
-    /// the pattern memoization the exact [`CostCache`](crate::CostCache)
-    /// path enjoys. Hash matches are verified by full equality before
-    /// reuse, so a collision can never substitute a wrong (inadmissible)
-    /// bound.
-    pub fn schedule_lower_bound(&self, schedule: &Schedule) -> f64 {
-        self.schedule_bound_by(schedule, |msgs| self.round_lower_bound(msgs))
-    }
-
-    /// [`schedule_lower_bound`](Self::schedule_lower_bound) built from the
-    /// cheap aggregate round term instead of the per-rail histogram — the
-    /// first rung of the bound ladder. Still admissible (it is a max of
-    /// strictly weaker per-round terms); equal to the full bound on
-    /// single-rail fabrics.
-    pub fn schedule_lower_bound_aggregate(&self, schedule: &Schedule) -> f64 {
-        self.schedule_bound_by(schedule, |msgs| self.round_lower_bound_aggregate(msgs))
-    }
-
-    /// Shared round-memoized sum driving both schedule bounds: equal
-    /// rounds (ring and pairwise collectives re-issue the same message
-    /// set every round) are bounded once. Hash matches are verified by
-    /// full equality before reuse, so a collision can never substitute a
-    /// wrong (inadmissible) bound.
-    fn schedule_bound_by(
-        &self,
-        schedule: &Schedule,
-        round_bound: impl Fn(&[Message]) -> f64,
-    ) -> f64 {
-        use std::collections::HashMap;
-        use std::hash::{DefaultHasher, Hash, Hasher};
-        let mut memo: HashMap<u64, Vec<(&[Message], f64)>> = HashMap::new();
-        schedule
-            .rounds
-            .iter()
-            .map(|r| {
-                let mut h = DefaultHasher::new();
-                for m in &r.messages {
-                    (m.src, m.dst, m.bytes).hash(&mut h);
-                }
-                let bucket = memo.entry(h.finish()).or_default();
-                if let Some((_, t)) = bucket
-                    .iter()
-                    .find(|(msgs, _)| *msgs == r.messages.as_slice())
-                {
-                    return *t;
-                }
-                let t = round_bound(&r.messages);
-                bucket.push((r.messages.as_slice(), t));
-                t
-            })
-            .sum()
-    }
 }
 
-/// Free-function spelling of
-/// [`NetworkModel::schedule_lower_bound`]: a cheap, provably admissible
-/// lower bound on `net.schedule_time(schedule)`.
+/// Admissible lower bound on
+/// [`NetworkModel::schedule_time`]: the sum of per-round bounds (rounds
+/// are barrier-synchronized, so per-round lower bounds add) — the tight
+/// rung of the search's bound ladder.
+///
+/// Repeated rounds — ring and pairwise collectives re-issue the same
+/// message set every round — are bounded once, so the bound costs
+/// O(distinct rounds · messages). Hash matches are verified by full
+/// equality before reuse, so a collision can never substitute a wrong
+/// (inadmissible) bound.
 pub fn schedule_lower_bound(net: &NetworkModel, schedule: &Schedule) -> f64 {
-    net.schedule_lower_bound(schedule)
+    schedule_bound_by(schedule, |msgs| net.round_lower_bound(msgs))
 }
 
-/// Free-function spelling of
-/// [`NetworkModel::schedule_lower_bound_aggregate`]: the cheap
-/// aggregate-capacity rung of the bound ladder.
+/// [`schedule_lower_bound`] built from the cheap aggregate round term
+/// instead of the per-rail histogram — the first rung of the bound
+/// ladder. Still admissible (it is a sum of strictly weaker per-round
+/// terms); equal to the tight bound on single-rail fabrics.
 pub fn schedule_lower_bound_aggregate(net: &NetworkModel, schedule: &Schedule) -> f64 {
-    net.schedule_lower_bound_aggregate(schedule)
+    schedule_bound_by(schedule, |msgs| net.round_lower_bound_aggregate(msgs))
+}
+
+/// Round-memoized sum driving both schedule bounds: equal rounds are
+/// bounded once, matched by hash and then by full equality.
+fn schedule_bound_by(schedule: &Schedule, round_bound: impl Fn(&[Message]) -> f64) -> f64 {
+    use std::collections::HashMap;
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let mut memo: HashMap<u64, Vec<(&[Message], f64)>> = HashMap::new();
+    schedule
+        .rounds
+        .iter()
+        .map(|r| {
+            let mut h = DefaultHasher::new();
+            for m in &r.messages {
+                (m.src, m.dst, m.bytes).hash(&mut h);
+            }
+            let bucket = memo.entry(h.finish()).or_default();
+            if let Some((_, t)) = bucket
+                .iter()
+                .find(|(msgs, _)| *msgs == r.messages.as_slice())
+            {
+                return *t;
+            }
+            let t = round_bound(&r.messages);
+            bucket.push((r.messages.as_slice(), t));
+            t
+        })
+        .sum()
 }
 
 /// Admissible lower bound on [`fluid_time`](crate::fluid::fluid_time) of
@@ -419,28 +393,41 @@ pub fn schedule_lower_bound_aggregate(net: &NetworkModel, schedule: &Schedule) -
 /// overlap can beat it. Property-tested against every collective
 /// generator under both contention modes in `tests/proptests.rs`.
 pub fn fluid_lower_bound(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
-    let per_job = schedules
-        .iter()
-        .map(|s| net.schedule_lower_bound(s))
-        .fold(0.0, f64::max);
-    let aggregate = net.with_round_load(pooled(schedules), |load| net.round_lower_bound_from(load));
-    per_job.max(aggregate)
+    fluid_bound_by(
+        net,
+        schedules,
+        schedule_lower_bound,
+        NetworkModel::round_lower_bound_from,
+    )
 }
 
 /// [`fluid_lower_bound`] built from the cheap aggregate round term — the
-/// fluid counterpart of
-/// [`NetworkModel::schedule_lower_bound_aggregate`], and the first rung
-/// of the fluid bound ladder. Admissible by the same argument (every term
-/// is weakened, never strengthened); equal to [`fluid_lower_bound`] on
-/// single-rail fabrics.
+/// fluid counterpart of [`schedule_lower_bound_aggregate`], and the first
+/// rung of the fluid bound ladder. Admissible by the same argument (every
+/// term is weakened, never strengthened); equal to [`fluid_lower_bound`]
+/// on single-rail fabrics.
 pub fn fluid_lower_bound_aggregate(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
+    fluid_bound_by(
+        net,
+        schedules,
+        schedule_lower_bound_aggregate,
+        NetworkModel::round_lower_bound_aggregate_from,
+    )
+}
+
+/// The body of both fluid bounds: the max of the per-job schedule bound
+/// and the round bound of every message pooled into one virtual round.
+fn fluid_bound_by(
+    net: &NetworkModel,
+    schedules: &[Schedule],
+    job_bound: impl Fn(&NetworkModel, &Schedule) -> f64,
+    round_bound: impl Fn(&NetworkModel, &RoundLoad) -> f64,
+) -> f64 {
     let per_job = schedules
         .iter()
-        .map(|s| net.schedule_lower_bound_aggregate(s))
+        .map(|s| job_bound(net, s))
         .fold(0.0, f64::max);
-    let aggregate = net.with_round_load(pooled(schedules), |load| {
-        net.round_lower_bound_aggregate_from(load)
-    });
+    let aggregate = net.with_round_load(pooled(schedules), |load| round_bound(net, load));
     per_job.max(aggregate)
 }
 
@@ -560,16 +547,17 @@ mod tests {
             Round::with(vec![Message::new(0, 1, 100)]),
             Round::new(),
         ]);
-        let lb = net.schedule_lower_bound(&s);
+        let lb = schedule_lower_bound(&net, &s);
         let t = net.schedule_time(&s);
         assert!(lb <= t * (1.0 + 1e-12), "{lb} vs {t}");
         // The empty round contributes nothing.
         assert_eq!(net.round_lower_bound(&[]), 0.0);
-        // Free function agrees with the method.
-        assert_eq!(schedule_lower_bound(&net, &s), lb);
         // Per-round loads expose the O(levels) path.
-        let loads = net.schedule_loads(&s);
-        let from_loads: f64 = loads.iter().map(|l| net.round_lower_bound_from(l)).sum();
+        let from_loads: f64 = s
+            .rounds
+            .iter()
+            .map(|r| net.round_lower_bound_from(&net.round_load(&r.messages)))
+            .sum();
         assert_eq!(from_loads, lb);
     }
 
@@ -695,8 +683,8 @@ mod tests {
             Round::with(vec![Message::new(0, 8, 1000), Message::new(2, 10, 1000)]),
             Round::with(vec![Message::new(1, 9, 500)]),
         ]);
-        let agg = net.schedule_lower_bound_aggregate(&s);
-        let tight = net.schedule_lower_bound(&s);
+        let agg = schedule_lower_bound_aggregate(&net, &s);
+        let tight = schedule_lower_bound(&net, &s);
         assert!(agg <= tight, "{agg} vs {tight}");
         assert!(tight <= net.schedule_time(&s) * (1.0 + 1e-12));
         let jobs = [s.clone(), s];
@@ -706,8 +694,8 @@ mod tests {
         // Single-rail: both rungs coincide bit-for-bit.
         let one = toy().with_node_rails(1, RailPolicy::RoundRobin);
         assert_eq!(
-            one.schedule_lower_bound(&jobs[0]).to_bits(),
-            one.schedule_lower_bound_aggregate(&jobs[0]).to_bits()
+            schedule_lower_bound(&one, &jobs[0]).to_bits(),
+            schedule_lower_bound_aggregate(&one, &jobs[0]).to_bits()
         );
         assert_eq!(
             fluid_lower_bound(&one, &jobs).to_bits(),

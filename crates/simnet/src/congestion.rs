@@ -544,7 +544,7 @@ fn level_bound_term(net: &NetworkModel, load: &RoundLoad, level: usize) -> f64 {
 /// Per-level bound-gap report of a lockstep run recorded by
 /// [`NetworkModel::schedule_time_probed`]: per level, the sum over rounds
 /// of the level's capacity-bound term (its contribution to
-/// [`schedule_lower_bound`](NetworkModel::schedule_lower_bound)) versus
+/// [`schedule_lower_bound`](crate::schedule_lower_bound)) versus
 /// the sum of observed per-round busy spans of that level.
 ///
 /// `actual ≥ bound` for every level: a round's level-`l` traffic starts no

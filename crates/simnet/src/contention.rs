@@ -48,7 +48,7 @@ impl Ord for Candidate {
 /// buffers reach their high-water marks and subsequent solves perform no
 /// heap allocation — the property the sweep loops' steady state relies on.
 #[derive(Debug, Default)]
-pub struct ContentionWorkspace {
+pub(crate) struct ContentionWorkspace {
     count: Vec<usize>,
     offsets: Vec<usize>,
     link_flows: Vec<usize>,
@@ -57,13 +57,6 @@ pub struct ContentionWorkspace {
     frozen: Vec<bool>,
     heap_buf: Vec<Reverse<Candidate>>,
     touched: Vec<usize>,
-}
-
-impl ContentionWorkspace {
-    /// An empty workspace (no allocations until the first solve).
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Computes max-min fair rates.
@@ -90,11 +83,13 @@ impl ContentionWorkspace {
 /// is the true minimum. No tie tolerance is needed at all: links tied with
 /// the bottleneck simply pop next with an unchanged share.
 ///
-/// This is a thin wrapper over [`max_min_rates_csr`] with a throwaway
-/// workspace; hot paths (e.g. `NetworkModel::round_profile`) call the CSR
-/// form with a reused [`ContentionWorkspace`] instead.
-/// [`max_min_rates_reference`] is the original dense solver, kept as an
-/// oracle for property tests and benchmarks.
+/// This is the public format adapter over the crate's one solver: it
+/// packs `flows` into CSR form and solves with a throwaway workspace. The
+/// hot path, [`NetworkModel::round_profile`](crate::NetworkModel::round_profile),
+/// builds the CSR lists itself and solves into a reused per-thread
+/// workspace, bit-identically. [`max_min_rates_reference`] is the
+/// original dense solver, kept as an oracle for property tests and
+/// benchmarks.
 pub fn max_min_rates(flows: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
     let mut offsets = Vec::with_capacity(flows.len() + 1);
     offsets.push(0usize);
@@ -103,7 +98,7 @@ pub fn max_min_rates(flows: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
         links.extend_from_slice(f);
         offsets.push(links.len());
     }
-    let mut ws = ContentionWorkspace::new();
+    let mut ws = ContentionWorkspace::default();
     let mut rates = Vec::new();
     max_min_rates_csr(&mut ws, &offsets, &links, capacities, &mut rates);
     rates
@@ -115,7 +110,7 @@ pub fn max_min_rates(flows: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
 /// into `rates` (cleared first). Bit-identical to [`max_min_rates`] — the
 /// freezing schedule depends only on the data, not the containers — while
 /// allocating nothing once `ws` and `rates` are warm.
-pub fn max_min_rates_csr(
+pub(crate) fn max_min_rates_csr(
     ws: &mut ContentionWorkspace,
     flow_offsets: &[usize],
     flow_links: &[usize],

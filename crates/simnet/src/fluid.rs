@@ -1096,61 +1096,6 @@ pub fn fluid_timeline(net: &NetworkModel, schedules: &[Schedule]) -> FluidTimeli
     FluidSim::new(net).run_timeline(schedules)
 }
 
-/// A pool of persistent [`FluidSim`] engines shared by concurrent sweep
-/// workers.
-///
-/// A `FluidSim` already keeps its link table, path cache and event heaps
-/// alive across [`run`](FluidSim::run) calls; what the sweep loops lacked
-/// was a way for several workers to *reuse* engines instead of each
-/// `fluid_time` call constructing one. `SimPool` holds one engine per
-/// expected worker behind a mutex; [`run`](Self::run) grabs the first
-/// free engine (falling back to waiting on engine 0 when all are busy,
-/// which cannot deadlock — runs never nest). Results are bit-identical to
-/// fresh engines: `run` resets all per-run state and the persistent
-/// caches memoize pure functions of the network model.
-pub struct SimPool<'a> {
-    sims: Vec<std::sync::Mutex<FluidSim<'a>>>,
-}
-
-impl<'a> SimPool<'a> {
-    /// A pool of `engines` persistent simulators over `net` (at least 1).
-    pub fn new(net: &'a NetworkModel, engines: usize) -> Self {
-        Self {
-            sims: (0..engines.max(1))
-                .map(|_| std::sync::Mutex::new(FluidSim::new(net)))
-                .collect(),
-        }
-    }
-
-    /// [`fluid_time`] on a pooled engine: simulates `schedules`
-    /// concurrently and returns the makespan.
-    pub fn run(&self, schedules: &[Schedule]) -> f64 {
-        for sim in &self.sims {
-            if let Ok(mut sim) = sim.try_lock() {
-                return sim.run(schedules);
-            }
-        }
-        // All engines busy (more workers than engines): wait for one.
-        let mut sim = self.sims[0].lock().expect("fluid engine lock poisoned");
-        sim.run(schedules)
-    }
-
-    /// Work counters summed over every engine in the pool (peak link
-    /// utilization is the max across engines).
-    pub fn stats(&self) -> FluidStats {
-        let mut total = FluidStats::default();
-        for sim in &self.sims {
-            let s = sim.lock().expect("fluid engine lock poisoned").stats();
-            total.events += s.events;
-            total.solves += s.solves;
-            total.flights += s.flights;
-            total.repredictions += s.repredictions;
-            total.peak_link_utilization = total.peak_link_utilization.max(s.peak_link_utilization);
-        }
-        total
-    }
-}
-
 /// State of one in-flight message (reference solver).
 struct RefFlight {
     job: usize,

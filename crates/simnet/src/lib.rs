@@ -52,18 +52,16 @@ pub use congestion::{
     bound_gap_fluid, bound_gap_lockstep, BoundGap, CongestionProbe, LinkUsage, RailOccupancy,
     RateSegment, RoundMark,
 };
-pub use contention::{
-    max_min_rates, max_min_rates_csr, max_min_rates_reference, ContentionWorkspace,
-};
+pub use contention::{max_min_rates, max_min_rates_reference};
 pub use fluid::{
     fluid_time, fluid_time_reference, fluid_time_with_stats, fluid_timeline, FluidMessageSpan,
-    FluidSim, FluidStats, FluidTimeline, SimPool,
+    FluidSim, FluidStats, FluidTimeline,
 };
 pub use memory::MemoryModel;
 pub use network::{ContentionMode, LinkParams, NetworkModel, RoundProfile};
 pub use rail::{assign_rail, RailLinkTable, RailPolicy};
-pub use schedule::{CacheStats, CostCache, Message, Round, Schedule, SharedCostCache};
+pub use schedule::{CacheStats, Message, Round, Schedule, SharedCostCache};
 pub use symbolic::{PayloadEnvelope, SymbolicScheduleCost};
 pub use timeline::{MessageTiming, RoundTimeline, ScheduleTimeline};
-pub use utilization::{utilization, utilization_railed, Utilization};
+pub use utilization::{utilization, Utilization};
 pub use workspace::{thread_workspace_rounds, RoundWorkspace};

@@ -255,8 +255,9 @@ impl NetworkModel {
     /// Both contention modes allocate rates from message *paths* alone —
     /// payload sizes never enter the water-filling — so a profile computed
     /// once can re-cost the same endpoint pattern for any payload sizes
-    /// ([`RoundProfile::time`]). [`crate::schedule::CostCache`] builds a
-    /// message-size sweep on exactly this property.
+    /// ([`RoundProfile::time`]). The profile tier of
+    /// [`crate::SharedCostCache`] serves a whole payload axis from one
+    /// solve on exactly this property.
     ///
     /// Delegates to [`round_profile_with`](Self::round_profile_with) on the
     /// thread-local [`RoundWorkspace`](crate::workspace::RoundWorkspace),
@@ -394,9 +395,9 @@ impl NetworkModel {
     }
 
     /// A hash over everything that determines round costs (hierarchy shape,
-    /// link calibration, local-copy bandwidth, contention mode).
-    /// [`crate::schedule::CostCache`] uses it to detect being fed a
-    /// different model than the one its profiles were computed against.
+    /// link calibration, local-copy bandwidth, contention mode, rail
+    /// count × rail policy). [`crate::SharedCostCache`] folds it into
+    /// every key, so one cache never conflates two models.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -21,7 +21,7 @@
 //! what keeps the subsystem composable with the rest of the stack:
 //!
 //! * path interning (`(src, dst) → links`) stays valid across rounds and
-//!   runs ([`crate::FluidSim`]'s memoized paths, [`crate::CostCache`]'s
+//!   runs ([`crate::FluidSim`]'s memoized paths, [`crate::SharedCostCache`]'s
 //!   endpoint-keyed profiles);
 //! * rail assignment is deterministic across threads (property-tested);
 //! * the admissible bounds of [`crate::bound`] can count distinct

@@ -261,118 +261,23 @@ impl Schedule {
     }
 }
 
-/// Memoizes round cost structures across message-size sweeps.
-///
-/// Contended rates depend only on message *endpoints*, never on payload
-/// sizes, so the expensive part of costing a round — building link paths
-/// and solving max-min water-filling — can be done once per distinct
-/// communication pattern and replayed for every payload size. A sweep that
-/// re-costs the same collective schedule at 20 message sizes performs the
-/// contention solve once per round shape instead of 20 times.
-///
-/// Keys are the round's endpoint list `[(src, dst), …]` in message order.
-/// Different process-to-core mappings (different orders σ, subcommunicator
-/// layouts, or collective algorithms) produce different endpoint lists and
-/// therefore distinct entries — the cache never conflates them. A
-/// fingerprint of the [`NetworkModel`] guards against reusing profiles
-/// across different machines or contention modes.
-#[derive(Debug, Default)]
-pub struct CostCache {
-    profiles: std::collections::HashMap<Vec<(usize, usize)>, crate::network::RoundProfile>,
-    fingerprint: Option<u64>,
-    hits: u64,
-    misses: u64,
-}
-
 use crate::network::NetworkModel;
-
-impl CostCache {
-    /// An empty cache. The first call binds it to that call's model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(hits, misses)` — profile lookups served from the cache vs.
-    /// contention solves performed.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of distinct round patterns cached.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Whether no pattern has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
-    /// Drops all cached profiles and unbinds the model, keeping the
-    /// hit/miss counters.
-    pub fn clear(&mut self) {
-        self.profiles.clear();
-        self.fingerprint = None;
-    }
-
-    fn check_model(&mut self, net: &NetworkModel) {
-        let fp = net.fingerprint();
-        match self.fingerprint {
-            None => self.fingerprint = Some(fp),
-            Some(bound) => assert_eq!(
-                bound, fp,
-                "CostCache used with a different NetworkModel than it was built against; \
-                 call clear() when switching models"
-            ),
-        }
-    }
-
-    /// Cached equivalent of [`NetworkModel::round_time`].
-    pub fn round_time(&mut self, net: &NetworkModel, messages: &[Message]) -> f64 {
-        self.check_model(net);
-        let key: Vec<(usize, usize)> = messages.iter().map(|m| (m.src, m.dst)).collect();
-        match self.profiles.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.get().time(messages)
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(net.round_profile(messages)).time(messages)
-            }
-        }
-    }
-
-    /// Cached equivalent of [`NetworkModel::schedule_time`].
-    pub fn schedule_time(&mut self, net: &NetworkModel, schedule: &Schedule) -> f64 {
-        schedule
-            .rounds
-            .iter()
-            .map(|r| self.round_time(net, &r.messages))
-            .sum()
-    }
-
-    /// Cached equivalent of [`NetworkModel::concurrent_time`].
-    pub fn concurrent_time(&mut self, net: &NetworkModel, schedules: &[Schedule]) -> f64 {
-        self.schedule_time(net, &Schedule::lockstep(schedules))
-    }
-}
 
 /// Thread-safe memo of `(network model, schedule pattern, payload)` →
 /// cost, shared across sweep workers.
 ///
-/// Where [`CostCache`] memoizes per-round contention *profiles* behind a
-/// `&mut` receiver, this cache memoizes whole evaluated *costs* behind
-/// `&self`, so the parallel sweep's workers — and consecutive payload
-/// sweeps, and neighbouring grid cells that happen to generate the same
-/// schedule pattern — all share one pool. Entries are sharded across
-/// several mutex-protected maps to keep lock contention negligible.
+/// Three tiers behind `&self`: whole-schedule costs, round times and
+/// solved round contention *profiles*, so the parallel sweep's workers —
+/// and consecutive payload sweeps, and neighbouring grid cells that
+/// happen to generate the same schedule pattern or the same rounds — all
+/// share one pool. Entries are sharded across several mutex-protected
+/// maps to keep lock contention negligible.
 ///
 /// The [`NetworkModel::fingerprint`] — which covers the hierarchy, link
 /// calibration, contention mode, **and the rail count × rail policy** —
 /// is folded into every key, so one cache safely serves a whole grid of
-/// models: a 1/2/4-rail sweep across rail policies (e.g. `fig8_rails` or
-/// the `prune` bench) reuses each configuration's costings without
+/// models: a 1/2/4-rail sweep across rail policies (e.g. `fig8_rails`)
+/// reuses each configuration's costings without
 /// `clear()` choreography and without ever conflating two fabrics.
 ///
 /// # Caller contract
@@ -475,7 +380,7 @@ impl SharedCostCache {
     }
 
     /// Drops all cached costs (pattern costs, round times and round
-    /// profiles), keeping the hit/miss counters. No longer required when
+    /// profiles), keeping the hit/miss counters. Never required when
     /// switching models (the model fingerprint is part of every key) —
     /// only for reclaiming memory.
     pub fn clear(&self) {
@@ -505,16 +410,6 @@ impl SharedCostCache {
         }
     }
 
-    fn shard(
-        &self,
-        key: (u64, u64, u64),
-    ) -> &std::sync::Mutex<std::collections::HashMap<(u64, u64, u64), f64>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
     /// Memoized cost under a caller-chosen pattern key — for evaluations
     /// that are not a single schedule's time (e.g. a fluid job set, keyed
     /// by a hash of its schedules' pattern fingerprints). The model
@@ -529,7 +424,7 @@ impl SharedCostCache {
         cost: impl FnOnce() -> f64,
     ) -> f64 {
         let key = (net.fingerprint(), pattern_key, payload);
-        let shard = self.shard(key);
+        let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return t;
@@ -565,25 +460,11 @@ impl SharedCostCache {
         net: &NetworkModel,
         round: &Round,
     ) -> std::sync::Arc<crate::network::RoundProfile> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let key = (net.fingerprint(), round.endpoint_fingerprint());
-        let shard = &self.round_profiles[Self::shard_index(&key)];
-        if let Some(p) = shard.lock().unwrap().get(&key) {
-            self.round_hits.fetch_add(1, Relaxed);
-            if mre_core::telemetry::enabled() {
-                mre_core::telemetry::counter_add("core.cost_cache.round_hits", 1);
-            }
-            return p.clone();
-        }
-        // Solve outside the lock; a racing duplicate solve produces the
-        // identical profile.
-        let p = std::sync::Arc::new(net.round_profile(&round.messages));
-        self.round_misses.fetch_add(1, Relaxed);
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("core.cost_cache.misses", 1);
-        }
-        shard.lock().unwrap().insert(key, p.clone());
-        p
+        self.profile_tier(
+            net,
+            round,
+            (net.fingerprint(), round.endpoint_fingerprint()),
+        )
     }
 
     /// A round's lockstep time, memoized at round granularity.
@@ -597,45 +478,59 @@ impl SharedCostCache {
     /// `round_hit`; a full solve counts as a `miss`. Bit-identical to
     /// `net.round_time(&round.messages)`.
     pub fn round_time_memo(&self, net: &NetworkModel, round: &Round) -> f64 {
-        use std::sync::atomic::Ordering::Relaxed;
         let model_fp = net.fingerprint();
         let endpoint_fp = round.endpoint_fingerprint();
         let tkey = (model_fp, endpoint_fp, round.byte_fingerprint());
         let tshard = &self.round_times[Self::shard_index(&tkey)];
         if let Some(&t) = tshard.lock().unwrap().get(&tkey) {
-            self.round_hits.fetch_add(1, Relaxed);
-            if mre_core::telemetry::enabled() {
-                mre_core::telemetry::counter_add("core.cost_cache.round_hits", 1);
-            }
+            self.count_round(false);
             return t;
         }
-        let pkey = (model_fp, endpoint_fp);
-        let pshard = &self.round_profiles[Self::shard_index(&pkey)];
-        let cached = pshard.lock().unwrap().get(&pkey).cloned();
-        let (profile, solved) = match cached {
-            Some(p) => (p, false),
-            None => {
-                let p = std::sync::Arc::new(net.round_profile(&round.messages));
-                pshard.lock().unwrap().insert(pkey, p.clone());
-                (p, true)
-            }
-        };
-        if solved {
-            self.round_misses.fetch_add(1, Relaxed);
-        } else {
-            self.round_hits.fetch_add(1, Relaxed);
-        }
-        if mre_core::telemetry::enabled() {
-            let name = if solved {
-                "core.cost_cache.misses"
-            } else {
-                "core.cost_cache.round_hits"
-            };
-            mre_core::telemetry::counter_add(name, 1);
-        }
-        let t = profile.time(&round.messages);
+        let t = self
+            .profile_tier(net, round, (model_fp, endpoint_fp))
+            .time(&round.messages);
         tshard.lock().unwrap().insert(tkey, t);
         t
+    }
+
+    /// The profile tier under an already computed `(model fingerprint,
+    /// endpoint fingerprint)` key: a cached profile counts a round hit, a
+    /// solve counts a miss. The caller passes the key because
+    /// [`round_time_memo`](Self::round_time_memo) already hashed both for
+    /// its time key, and a time-tier miss should not hash them twice.
+    fn profile_tier(
+        &self,
+        net: &NetworkModel,
+        round: &Round,
+        key: (u64, u64),
+    ) -> std::sync::Arc<crate::network::RoundProfile> {
+        let shard = &self.round_profiles[Self::shard_index(&key)];
+        let cached = shard.lock().unwrap().get(&key).cloned();
+        if let Some(p) = cached {
+            self.count_round(false);
+            return p;
+        }
+        // Solve outside the lock; a racing duplicate solve produces the
+        // identical profile.
+        let p = std::sync::Arc::new(net.round_profile(&round.messages));
+        self.count_round(true);
+        shard.lock().unwrap().insert(key, p.clone());
+        p
+    }
+
+    /// Counts one round resolved from a memo tier (`solved == false`) or
+    /// by a contention solve, in the counters and the telemetry sink.
+    fn count_round(&self, solved: bool) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let (counter, name) = if solved {
+            (&self.round_misses, "core.cost_cache.misses")
+        } else {
+            (&self.round_hits, "core.cost_cache.round_hits")
+        };
+        counter.fetch_add(1, Relaxed);
+        if mre_core::telemetry::enabled() {
+            mre_core::telemetry::counter_add(name, 1);
+        }
     }
 
     /// [`NetworkModel::schedule_time`] memoized at **both** pattern and
@@ -655,7 +550,7 @@ impl SharedCostCache {
     ) -> f64 {
         use std::sync::atomic::Ordering::Relaxed;
         let key = (net.fingerprint(), schedule.pattern_fingerprint(), payload);
-        let shard = self.shard(key);
+        let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Relaxed);
             self.pattern_hits.fetch_add(1, Relaxed);
@@ -803,95 +698,6 @@ mod tests {
             Round::with(vec![Message::new(0, 1, 100), Message::new(2, 2, 100)]),
             Round::with(vec![Message::new(3, 12, 100)]),
         ]
-    }
-
-    #[test]
-    fn cached_round_time_matches_direct_across_sizes() {
-        let net = toy_network();
-        let mut cache = CostCache::new();
-        for round in sweep_rounds() {
-            for bytes in [1u64, 100, 4096, 1 << 20] {
-                let sized: Vec<Message> = round
-                    .messages
-                    .iter()
-                    .map(|m| Message::new(m.src, m.dst, bytes))
-                    .collect();
-                assert_eq!(cache.round_time(&net, &sized), net.round_time(&sized));
-            }
-        }
-    }
-
-    #[test]
-    fn size_sweep_solves_each_pattern_once() {
-        let net = toy_network();
-        let mut cache = CostCache::new();
-        let rounds = sweep_rounds();
-        let sizes = [1u64, 100, 4096, 1 << 20];
-        for &bytes in &sizes {
-            for round in &rounds {
-                let sized: Vec<Message> = round
-                    .messages
-                    .iter()
-                    .map(|m| Message::new(m.src, m.dst, bytes))
-                    .collect();
-                cache.round_time(&net, &sized);
-            }
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, rounds.len() as u64);
-        assert_eq!(hits, (sizes.len() as u64 - 1) * rounds.len() as u64);
-        assert_eq!(cache.len(), rounds.len());
-    }
-
-    #[test]
-    fn cached_schedule_time_matches_direct() {
-        let net = toy_network();
-        let mut cache = CostCache::new();
-        let s = Schedule::with(sweep_rounds());
-        assert_eq!(cache.schedule_time(&net, &s), net.schedule_time(&s));
-        let other = Schedule::with(vec![Round::with(vec![Message::new(4, 0, 77)])]);
-        assert_eq!(
-            cache.concurrent_time(&net, &[s.clone(), other.clone()]),
-            net.concurrent_time(&[s, other])
-        );
-    }
-
-    #[test]
-    fn distinct_endpoint_patterns_get_distinct_entries() {
-        let net = toy_network();
-        let mut cache = CostCache::new();
-        // Same shape (one message), different endpoints: a node-crossing
-        // and an intra-node message must not share a profile.
-        let cross = [Message::new(0, 8, 100)];
-        let local = [Message::new(0, 1, 100)];
-        let t_cross = cache.round_time(&net, &cross);
-        let t_local = cache.round_time(&net, &local);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(t_cross, net.round_time(&cross));
-        assert_eq!(t_local, net.round_time(&local));
-        assert!(t_cross > t_local);
-    }
-
-    #[test]
-    #[should_panic(expected = "different NetworkModel")]
-    fn model_switch_without_clear_panics() {
-        let a = toy_network();
-        let b = toy_network().with_contention_mode(ContentionMode::EqualShare);
-        let mut cache = CostCache::new();
-        cache.round_time(&a, &[Message::new(0, 8, 1)]);
-        cache.round_time(&b, &[Message::new(0, 8, 1)]);
-    }
-
-    #[test]
-    fn clear_rebinds_to_a_new_model() {
-        let a = toy_network();
-        let b = toy_network().with_node_uplink_scale(2.0);
-        let mut cache = CostCache::new();
-        let m = [Message::new(0, 8, 1000)];
-        cache.round_time(&a, &m);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.round_time(&b, &m), b.round_time(&m));
     }
 
     #[test]

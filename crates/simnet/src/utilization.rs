@@ -7,7 +7,6 @@
 //! contention discipline: useful for explaining *why* an order wins
 //! (e.g. a packed alltoall moves zero bytes across NICs).
 
-use crate::network::NetworkModel;
 use crate::schedule::Schedule;
 use mre_core::Hierarchy;
 
@@ -87,61 +86,6 @@ pub fn utilization(hierarchy: &Hierarchy, schedule: &Schedule) -> Utilization {
             }
         }
         for (&(level, _, _), &bytes) in &per_round {
-            peak_link_bytes[level] = peak_link_bytes[level].max(bytes);
-        }
-    }
-    let total_bytes = bytes_crossing.iter().sum();
-    Utilization {
-        bytes_crossing,
-        peak_link_bytes,
-        message_counts,
-        total_bytes,
-    }
-}
-
-/// Rail-aware spelling of [`utilization`]: on `net`'s fabric, bytes are
-/// attributed to the *rail link* a message actually occupies (the same
-/// pure [`NetworkModel::message_rail`] assignment both cost engines and
-/// the schedule rail hints use) instead of the aggregate directed uplink,
-/// so `peak_link_bytes` reports the hottest single rail. On an all-1-rail
-/// model every message rides rail 0 and the accounting is identical to
-/// [`utilization`] (shape-tested).
-pub fn utilization_railed(net: &NetworkModel, schedule: &Schedule) -> Utilization {
-    let table = net.link_table();
-    let strides = table.strides();
-    let k = strides.len();
-    let mut bytes_crossing = vec![0u64; k + 1];
-    let mut message_counts = vec![0usize; k + 1];
-    let mut peak_link_bytes = vec![0u64; k];
-    // Per-round rail-link loads, indexed by the model's link id; `touched`
-    // lists the (id, level) pairs to fold into the peaks and re-zero.
-    let mut per_round = vec![0u64; table.num_links()];
-    let mut touched: Vec<(u32, usize)> = Vec::new();
-    for round in &schedule.rounds {
-        for m in &round.messages {
-            let j = if m.src == m.dst {
-                k
-            } else {
-                strides
-                    .iter()
-                    .position(|&s| m.src / s != m.dst / s)
-                    .expect("distinct cores differ at some level")
-            };
-            bytes_crossing[j] += m.bytes;
-            message_counts[j] += 1;
-            for level in j..k {
-                for up in [true, false] {
-                    let id = table.message_link(level, m.src, m.dst, up);
-                    let bytes = &mut per_round[id as usize];
-                    if *bytes == 0 {
-                        touched.push((id, level));
-                    }
-                    *bytes += m.bytes;
-                }
-            }
-        }
-        for (id, level) in touched.drain(..) {
-            let bytes = std::mem::take(&mut per_round[id as usize]);
             peak_link_bytes[level] = peak_link_bytes[level].max(bytes);
         }
     }
@@ -248,83 +192,6 @@ mod tests {
         ]);
         let u = utilization(&h224(), &two_rounds);
         assert_eq!(u.peak_link_bytes[2], 30);
-    }
-
-    #[test]
-    fn railed_accounting_matches_rail_blind_on_one_rail() {
-        // One rail per level ⇒ every message rides rail 0 and the railed
-        // ledger must reproduce the aggregate one field for field.
-        use crate::network::LinkParams;
-        let net = NetworkModel::new(
-            h224(),
-            vec![
-                LinkParams {
-                    uplink_bandwidth: 10.0,
-                    crossing_latency: 2.0,
-                },
-                LinkParams {
-                    uplink_bandwidth: 40.0,
-                    crossing_latency: 1.0,
-                },
-                LinkParams {
-                    uplink_bandwidth: 100.0,
-                    crossing_latency: 0.5,
-                },
-            ],
-            1000.0,
-        );
-        let s = Schedule::with(vec![
-            Round::with(vec![
-                Message::new(0, 8, 10),
-                Message::new(0, 12, 30),
-                Message::new(1, 5, 7),
-                Message::new(3, 3, 11),
-            ]),
-            Round::with(vec![Message::new(8, 0, 25), Message::new(2, 3, 5)]),
-        ]);
-        assert_eq!(utilization_railed(&net, &s), utilization(&h224(), &s));
-    }
-
-    #[test]
-    fn railed_accounting_splits_striped_rounds_across_rails() {
-        // Two messages from different cores of node 0 to node 1 in one
-        // round: round-robin rail assignment sends them up different NIC
-        // rails, so the hottest *rail* carries one message's bytes while
-        // the rail-blind view aggregates both on the node uplink.
-        use crate::network::LinkParams;
-        use crate::rail::RailPolicy;
-        let net = NetworkModel::new(
-            h224(),
-            vec![
-                LinkParams {
-                    uplink_bandwidth: 10.0,
-                    crossing_latency: 2.0,
-                },
-                LinkParams {
-                    uplink_bandwidth: 40.0,
-                    crossing_latency: 1.0,
-                },
-                LinkParams {
-                    uplink_bandwidth: 100.0,
-                    crossing_latency: 0.5,
-                },
-            ],
-            1000.0,
-        )
-        .with_node_rails(2, RailPolicy::RoundRobin);
-        // Round-robin keys on the endpoint ids: 0 → 8 rides rail
-        // (0 + 8) % 2 = 0, 1 → 8 rides rail (1 + 8) % 2 = 1.
-        let s = Schedule::with(vec![Round::with(vec![
-            Message::new(0, 8, 10),
-            Message::new(1, 8, 30),
-        ])]);
-        let railed = utilization_railed(&net, &s);
-        let blind = utilization(&h224(), &s);
-        assert_eq!(blind.peak_link_bytes[0], 40, "aggregate uplink sums both");
-        assert_eq!(railed.peak_link_bytes[0], 30, "hottest rail carries one");
-        // Levels below the striped one are unaffected.
-        assert_eq!(railed.peak_link_bytes[1..], blind.peak_link_bytes[1..]);
-        assert_eq!(railed.bytes_crossing, blind.bytes_crossing);
     }
 
     #[test]

@@ -17,8 +17,9 @@ use std::collections::{HashMap, HashSet};
 use mre_core::Hierarchy;
 use mre_rng::{propcheck, SmallRng};
 use mre_simnet::{
-    fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates, LinkParams, Message,
-    NetworkModel, RailPolicy, Round, RoundLoad, Schedule,
+    fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates, schedule_lower_bound,
+    schedule_lower_bound_aggregate, LinkParams, Message, NetworkModel, RailPolicy, Round,
+    RoundLoad, Schedule,
 };
 
 /// A 3–4-level machine with random per-level calibration; `nics` rails on
@@ -216,12 +217,12 @@ fn pooled_fluid_bounds_match_the_copied_message_reference() {
                 );
                 let tight = jobs
                     .iter()
-                    .map(|s| net.schedule_lower_bound(s))
+                    .map(|s| schedule_lower_bound(&net, s))
                     .fold(0.0, f64::max)
                     .max(net.round_lower_bound_from(&pooled));
                 let cheap = jobs
                     .iter()
-                    .map(|s| net.schedule_lower_bound_aggregate(s))
+                    .map(|s| schedule_lower_bound_aggregate(&net, s))
                     .fold(0.0, f64::max)
                     .max(net.round_lower_bound_aggregate_from(&pooled));
                 assert_eq!(fluid_lower_bound(&net, &jobs).to_bits(), tight.to_bits());

@@ -98,7 +98,7 @@ impl JobLayout {
 
     /// Layout from a rankfile.
     pub fn from_rankfile(machine: &Hierarchy, rf: &Rankfile) -> Result<Self, Error> {
-        Self::from_placement(rf.placement(machine))
+        Self::from_placement(rf.placement(machine)?)
     }
 
     /// Number of ranks.
@@ -209,6 +209,25 @@ mod tests {
         let via_rankfile = JobLayout::from_rankfile(&h, &rf).unwrap();
         let via_order = JobLayout::from_order(&h, &sigma).unwrap();
         assert_eq!(via_rankfile, via_order);
+    }
+
+    #[test]
+    fn rankfile_layout_rejects_out_of_range_entries() {
+        // A huge node id once overflowed the core-id multiply; an oversized
+        // slot landed on a core that does not exist (slot 99) or silently
+        // on the next node (slot 8 of an 8-core node is node 1, core 0).
+        let h = h224();
+        for text in [
+            "rank 0=node18446744073709551615 slot=0",
+            "rank 0=node0 slot=99",
+            "rank 0=node0 slot=8",
+        ] {
+            let rf = Rankfile::parse(text).unwrap();
+            assert!(
+                JobLayout::from_rankfile(&h, &rf).is_err(),
+                "{text:?} must be rejected"
+            );
+        }
     }
 
     #[test]

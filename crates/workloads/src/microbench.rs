@@ -21,7 +21,7 @@ use mre_mpi::schedules;
 use mre_mpi::{run_instrumented, Comm};
 use mre_mpi::{AlgorithmChoice, AlgorithmSelector, CollectiveKind};
 use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
-use mre_simnet::{CostCache, NetworkModel, Schedule, SharedCostCache};
+use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
 use mre_trace::{MetricsRegistry, Recorder};
 
 /// The non-rooted collectives the paper evaluates.
@@ -176,31 +176,23 @@ impl Microbench {
         net: &NetworkModel,
         scheme: ColorScheme,
     ) -> Result<MicrobenchResult, Error> {
-        self.run_with_scheme_cached(net, scheme, &mut CostCache::new())
+        self.run_with_scheme_cached(net, scheme, &SharedCostCache::new())
     }
 
-    /// Like [`run`](Self::run) but reusing `cache` across calls.
+    /// [`run_with_scheme`](Self::run_with_scheme) reusing `cache` across
+    /// calls.
     ///
     /// Contended rates depend only on message endpoints, so a size sweep
-    /// over the same (machine, order, subcommunicator, collective) re-costs
+    /// over the same (machine, order, subcommunicator, collective) replays
     /// cached round profiles instead of re-solving contention — with `Auto`
     /// algorithm selection, each resolved algorithm's round shapes are
-    /// cached separately and coexist.
-    pub fn run_cached(
-        &self,
-        net: &NetworkModel,
-        cache: &mut CostCache,
-    ) -> Result<MicrobenchResult, Error> {
-        self.run_with_scheme_cached(net, ColorScheme::Quotient, cache)
-    }
-
-    /// [`run_with_scheme`](Self::run_with_scheme) with an explicit
-    /// [`CostCache`].
+    /// cached separately and coexist. The cache is shared, so a whole
+    /// figure's orders can cost through one.
     pub fn run_with_scheme_cached(
         &self,
         net: &NetworkModel,
         scheme: ColorScheme,
-        cache: &mut CostCache,
+        cache: &SharedCostCache,
     ) -> Result<MicrobenchResult, Error> {
         assert_eq!(
             net.hierarchy(),
@@ -209,11 +201,15 @@ impl Microbench {
         );
         let layout = subcommunicators(&self.machine, &self.order, self.subcomm_size, scheme)?;
         let nics = Self::node_rails(net);
-        let single = cache.schedule_time(net, &self.schedule_for_rails(layout.members(0), nics));
+        // Round tier only: a figure sweep never repeats a whole schedule,
+        // so the pattern tier would only add a fingerprint and a miss.
+        let time =
+            |s: &Schedule| -> f64 { s.rounds.iter().map(|r| cache.round_time_memo(net, r)).sum() };
+        let single = time(&self.schedule_for_rails(layout.members(0), nics));
         let all: Vec<Schedule> = (0..layout.count())
             .map(|c| self.schedule_for_rails(layout.members(c), nics))
             .collect();
-        let simultaneous = cache.concurrent_time(net, &all);
+        let simultaneous = time(&Schedule::lockstep(&all));
         Ok(MicrobenchResult {
             single_duration: single,
             simultaneous_duration: simultaneous,
@@ -503,20 +499,24 @@ mod tests {
     #[test]
     fn cached_size_sweep_matches_uncached_and_reuses_profiles() {
         let net = hydra_network(16, 1);
-        let mut cache = CostCache::new();
+        let cache = SharedCostCache::new();
         for e in [16u32, 20, 24] {
             for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
                 let b = bench(&order, 1 << e);
-                let cached = b.run_cached(&net, &mut cache).unwrap();
+                let cached = b
+                    .run_with_scheme_cached(&net, ColorScheme::Quotient, &cache)
+                    .unwrap();
                 let direct = b.run(&net).unwrap();
                 assert_eq!(cached, direct);
             }
         }
-        let (hits, misses) = cache.stats();
-        // 3 sizes per pattern → the first size populates, the rest hit.
+        let stats = cache.cache_stats();
+        // 3 sizes per pattern → the first size solves, the rest replay.
         assert!(
-            hits >= 2 * misses,
-            "size sweep should mostly hit: {hits} hits / {misses} misses"
+            stats.round_hits >= 2 * stats.misses,
+            "size sweep should mostly hit: {} hits / {} solves",
+            stats.round_hits,
+            stats.misses
         );
     }
 

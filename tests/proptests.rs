@@ -1362,3 +1362,165 @@ fn per_rail_bound_dominates_aggregate_on_railed_fabrics() {
         }
     });
 }
+
+/// Text fragments the no-panic property splices into its inputs: the
+/// tokens of every grammar below, huge and negative numbers, empty
+/// fields, stray separators and a multi-byte character.
+const TEXT_FRAGMENTS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "7",
+    "16",
+    "99",
+    "-1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999999999",
+    "",
+    " ",
+    ",",
+    ",,",
+    "x",
+    "-",
+    "--",
+    "[",
+    "]",
+    ":",
+    "=",
+    "\n",
+    "#",
+    "rank ",
+    "node",
+    " slot=",
+    "block",
+    "cyclic",
+    "plane=",
+    "<topology>",
+    "</topology>",
+    "<object ",
+    "type=\"",
+    "arity=\"",
+    "\"",
+    "/>",
+    ">",
+    "</object>",
+    "core",
+    "socket",
+    "é",
+];
+
+/// Numeric fields the no-panic property substitutes into valid inputs:
+/// in range, just past a `[2, 2, 4]` machine, huge, negative and empty.
+const NUMBER_FIELDS: &[&str] = &[
+    "0",
+    "1",
+    "7",
+    "8",
+    "99",
+    "-1",
+    "",
+    "18446744073709551615",
+    "99999999999999999999999999",
+];
+
+/// A seeded random string: a splice of fragments, or one of the `valid`
+/// spellings with about half its numeric fields replaced from
+/// [`NUMBER_FIELDS`], or one with spans replaced, deleted, duplicated or
+/// interleaved with fragments.
+fn arb_text(rng: &mut SmallRng, valid: &[String]) -> String {
+    let fragment = |rng: &mut SmallRng| *rng.choose(TEXT_FRAGMENTS).expect("fragments");
+    let base = rng.choose(valid).expect("valid inputs");
+    match rng.gen_range(0u32..3) {
+        0 => (0..rng.gen_range(0usize..12))
+            .map(|_| fragment(rng))
+            .collect(),
+        1 => {
+            let mut out = String::new();
+            let mut rest = base.as_str();
+            while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+                let end = rest[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .map_or(rest.len(), |len| start + len);
+                out.push_str(&rest[..start]);
+                out.push_str(if rng.gen_bool(0.5) {
+                    rng.choose(NUMBER_FIELDS).expect("fields")
+                } else {
+                    &rest[start..end]
+                });
+                rest = &rest[end..];
+            }
+            out + rest
+        }
+        _ => {
+            let mut chars: Vec<char> = base.chars().collect();
+            for _ in 0..rng.gen_range(1usize..4) {
+                let at = rng.gen_range(0..chars.len() + 1);
+                let end = (at + rng.gen_range(0usize..6)).min(chars.len());
+                match rng.gen_range(0u32..4) {
+                    0 => {
+                        chars.splice(at..end, fragment(rng).chars());
+                    }
+                    1 => {
+                        chars.drain(at..end);
+                    }
+                    2 => {
+                        let span: Vec<char> = chars[at..end].to_vec();
+                        chars.splice(at..at, span);
+                    }
+                    _ => {
+                        chars.splice(at..at, fragment(rng).chars());
+                    }
+                }
+            }
+            chars.into_iter().collect()
+        }
+    }
+}
+
+/// Every text input surface returns `Ok` or `Err` on arbitrary input —
+/// hierarchies, permutations, rankfiles (through to a job layout), Slurm
+/// distributions (through to an order) and topology XML — never a panic.
+#[test]
+fn text_inputs_never_panic() {
+    use mixed_radix_enum::core::rankfile::Rankfile;
+    use mixed_radix_enum::slurm::{Distribution, JobLayout};
+    use mixed_radix_enum::topology::machines::hydra;
+    use mixed_radix_enum::topology::xml::{from_xml, to_xml};
+
+    let machine = Hierarchy::new(vec![2, 2, 4]).unwrap();
+    let rankfile = Rankfile::from_order(&machine, &Permutation::new(vec![0, 2, 1]).unwrap())
+        .unwrap()
+        .render();
+    let valid: Vec<String> = [
+        "2,2,4",
+        "2x2x4",
+        "[16, 2, 2, 8]",
+        "2-0-1",
+        "[3, 2, 1, 0]",
+        "block:cyclic",
+        "cyclic",
+        "plane=4",
+        "rank 0=node0 slot=0",
+        "rank 0=node1 slot=7\nrank 1=node0 slot=0\n",
+        &rankfile,
+        &to_xml(&hydra(2).spec),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    propcheck(20_000, 0x7E47_0001, |rng| {
+        let text = arb_text(rng, &valid);
+        let _ = Hierarchy::parse(&text);
+        let _ = Permutation::parse(&text);
+        if let Ok(rf) = Rankfile::parse(&text) {
+            let _ = JobLayout::from_rankfile(&machine, &rf);
+        }
+        if let Ok(dist) = Distribution::parse(&text) {
+            let _ = dist.to_order(&machine);
+        }
+        if let Ok(spec) = from_xml(&text) {
+            let _ = spec.hierarchy();
+        }
+    });
+}
