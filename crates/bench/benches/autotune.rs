@@ -2,12 +2,7 @@
 //! over a layout of eight 16-core subcommunicators, with a cold vs. a
 //! warm [`SharedCostCache`].
 //!
-//! A full run refreshes the `"selector"` record of `BENCH_autotune.json`
-//! at the repo root and leaves the rest of the file as it is: its
-//! `"sweep"` and `"pool_reuse"` records timed order-search spellings that
-//! no longer exist, so they stay frozen at the revision named in their
-//! `"frozen_at_rev"` fields. The pruned-sweep acceptance check those
-//! records came with is a test now (`crates/bench/tests/costing_kernel.rs`).
+//! A full run rewrites `BENCH_autotune.json` at the repo root.
 
 use mre_bench::tinybench::{black_box, Bench, Stats};
 use mre_core::subcomm::{subcommunicators, ColorScheme};
@@ -48,26 +43,6 @@ fn bench_selector(
     (cold, warm)
 }
 
-/// Replaces the object value of the top-level `"key": { … }` in `json`
-/// with `value`; `None` if the key is missing or its braces are
-/// unbalanced. The records hold no braces inside strings.
-fn replace_object(json: &str, key: &str, value: &str) -> Option<String> {
-    let start = json.find(&format!("\"{key}\": {{"))? + key.len() + 4;
-    let mut depth = 0usize;
-    for (i, c) in json[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' if depth == 1 => {
-                let end = start + i + 1;
-                return Some(format!("{}{value}{}", &json[..start], &json[end..]));
-            }
-            '}' => depth -= 1,
-            _ => {}
-        }
-    }
-    None
-}
-
 fn main() {
     let mut b = Bench::from_env();
     let net = hydra_network(NODES, 1);
@@ -75,10 +50,11 @@ fn main() {
     let (cold, warm) = bench_selector(&mut b, &machine, &net);
 
     let med = |s: &Option<Stats>| s.as_ref().map_or(f64::NAN, |s| s.median_ns);
-    let selector = format!(
-        "{{\n    \"collective\": \"allgather over eight 16-core subcommunicators\",\n    \
+    let json = format!(
+        "{{\n  \"bench\": \"autotune\",\n  \"machine\": \"hydra_network({NODES}, 1)\",\n  \
+         \"selector\": {{\n    \"collective\": \"allgather over eight 16-core subcommunicators\",\n    \
          \"total_bytes\": {SELECTOR_BYTES},\n    \"cold_ns\": {:.1},\n    \
-         \"warm_ns\": {:.1},\n    \"warm_speedup\": {:.3}\n  }}",
+         \"warm_ns\": {:.1},\n    \"warm_speedup\": {:.3}\n  }}\n}}\n",
         med(&cold),
         med(&warm),
         med(&cold) / med(&warm),
@@ -87,11 +63,8 @@ fn main() {
     if b.is_quick() {
         println!("\n--quick run: leaving {path} untouched");
     } else {
-        let old = std::fs::read_to_string(path).expect("read BENCH_autotune.json");
-        let json = replace_object(&old, "selector", &selector)
-            .expect("BENCH_autotune.json has a \"selector\" record");
         std::fs::write(path, json).expect("write BENCH_autotune.json");
-        println!("\nwrote the selector record of {path}");
+        println!("\nwrote {path}");
     }
     b.finish();
 }

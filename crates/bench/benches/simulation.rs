@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the simulation substrate: the max-min fair
-//! contention solver (incremental vs reference), single contended rounds
-//! at cluster scale, and functional collectives on the thread runtime.
+//! contention solver, single contended rounds at cluster scale, and
+//! functional collectives on the thread runtime.
 
 use mre_bench::tinybench::{black_box, Bench};
 use mre_mpi::schedules;
 use mre_mpi::{run, AllreduceAlg, Comm};
 use mre_simnet::presets::{hydra_network, lumi_network};
-use mre_simnet::{max_min_rates, max_min_rates_reference, Message};
+use mre_simnet::{max_min_rates, Message};
 
 fn bench_contention_solver(b: &mut Bench) {
     for &nf in &[64usize, 512, 2048] {
@@ -16,9 +16,6 @@ fn bench_contention_solver(b: &mut Bench) {
         let flows: Vec<Vec<usize>> = (0..nf).map(|f| vec![f, nf + f / 16]).collect();
         b.bench(&format!("contention/max_min_rates/{nf}"), || {
             max_min_rates(black_box(&flows), black_box(&caps))
-        });
-        b.bench(&format!("contention/max_min_rates_reference/{nf}"), || {
-            max_min_rates_reference(black_box(&flows), black_box(&caps))
         });
     }
 }

@@ -111,7 +111,13 @@ fn parse_args() -> Options {
         match flag {
             "--machine" => opts.machine = value("--machine"),
             "--workload" => opts.workload = value("--workload"),
-            "--nodes" => opts.nodes = parse_usize("--nodes", value("--nodes")),
+            "--nodes" => {
+                opts.nodes = parse_usize("--nodes", value("--nodes"));
+                if opts.nodes == 0 {
+                    eprintln!("bad --nodes (need an integer >= 1)");
+                    std::process::exit(2);
+                }
+            }
             "--procs" => opts.procs = parse_usize("--procs", value("--procs")),
             "--n" => opts.n = parse_usize("--n", value("--n")),
             "--iters" => opts.iters = parse_usize("--iters", value("--iters")),

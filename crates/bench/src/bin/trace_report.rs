@@ -77,10 +77,14 @@ fn parse_args() -> Options {
         match flag {
             "--machine" => opts.machine = value("--machine"),
             "--nodes" => {
-                opts.nodes = value("--nodes").parse().unwrap_or_else(|e| {
-                    eprintln!("bad --nodes: {e}");
-                    std::process::exit(2);
-                })
+                opts.nodes = value("--nodes")
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| {
+                        eprintln!("bad --nodes (need an integer >= 1)");
+                        std::process::exit(2);
+                    })
             }
             "--collective" => opts.collective = value("--collective"),
             "--order" => opts.order = Some(value("--order")),

@@ -11,8 +11,8 @@
 //!    nanoseconds per iteration.
 //!
 //! [`Bench::finish`] prints an aligned table; [`Stats`] are also returned
-//! from every [`Bench::bench`] call so callers (e.g. the
-//! `bench_order_search` binary) can post-process timings into JSON.
+//! from every [`Bench::bench`] call so callers (e.g. `benches/autotune.rs`)
+//! can post-process timings into JSON.
 //!
 //! Bench binaries accept an optional substring filter argument, mirroring
 //! `cargo bench -- <filter>`, plus `--quick` to cut sample counts for

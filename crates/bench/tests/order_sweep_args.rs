@@ -1,15 +1,15 @@
-//! `order_sweep` rejects bad positional arguments with exit code 1 and a
-//! message instead of panicking or silently falling back to a default.
+//! The CLIs reject bad arguments with a non-zero exit code and a message
+//! instead of panicking or silently falling back to a default.
 
 use std::process::Command;
 
-/// Runs `order_sweep` with `args`; returns its exit code and stderr.
-fn run(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_order_sweep"))
+/// Runs the binary `bin` with `args`; returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
         .args(args)
         .env("MRE_PAR_THREADS", "1")
         .output()
-        .expect("order_sweep runs");
+        .expect("binary runs");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
@@ -26,9 +26,29 @@ fn bad_positional_arguments_exit_1_without_panicking() {
         ["16,2,2,8", "x", "alltoall", "1024"],
         ["16,2,2,8", "-4", "alltoall", "1024"],
     ] {
-        let (code, stderr) = run(&args);
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_order_sweep"), &args);
         assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?}: no message");
+    }
+}
+
+#[test]
+fn zero_nodes_exit_2_without_panicking() {
+    // A zero node count once panicked building the machine presets.
+    let congestion = env!("CARGO_BIN_EXE_congestion_report");
+    let trace = env!("CARGO_BIN_EXE_trace_report");
+    let diff = env!("CARGO_BIN_EXE_trace_diff");
+    for (bin, args) in [
+        (congestion, &["--nodes", "0"][..]),
+        (congestion, &["--machine", "lumi", "--nodes", "0"]),
+        (trace, &["--nodes", "0"]),
+        (trace, &["--machine", "lumi", "--nodes", "0"]),
+        (diff, &["--nodes", "0"]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
     }
 }

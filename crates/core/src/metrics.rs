@@ -75,9 +75,8 @@ pub fn ring_cost(h: &Hierarchy, members: &[usize]) -> usize {
 /// their core ids agree after division by `strides[j]`, so after sorting
 /// once, the pairs agreeing on a level prefix are runs of equal quotients,
 /// and the pairs *first* differing at level `j` are the difference between
-/// adjacent prefix counts. The original pairwise scan is kept as
-/// [`pair_counts_per_level_naive`] and the two are cross-checked by
-/// property tests.
+/// adjacent prefix counts. The original pairwise scan is kept in this
+/// module's tests as the oracle `pair_counts_per_level_naive`.
 pub fn pair_counts_per_level(h: &Hierarchy, members: &[usize]) -> Vec<usize> {
     let k = h.depth();
     let mut counts = vec![0usize; k];
@@ -113,9 +112,9 @@ pub fn pair_counts_per_level(h: &Hierarchy, members: &[usize]) -> Vec<usize> {
 }
 
 /// The original `O(m²·k)` pairwise implementation of
-/// [`pair_counts_per_level`], kept as a correctness oracle for property
-/// tests and as the baseline in the `order_search` benchmark.
-pub fn pair_counts_per_level_naive(h: &Hierarchy, members: &[usize]) -> Vec<usize> {
+/// [`pair_counts_per_level`], kept as the test-only correctness oracle.
+#[cfg(test)]
+fn pair_counts_per_level_naive(h: &Hierarchy, members: &[usize]) -> Vec<usize> {
     let k = h.depth();
     let mut counts = vec![0usize; k];
     for (i, &a) in members.iter().enumerate() {
@@ -578,6 +577,23 @@ mod tests {
                 pair_counts_per_level_naive(&hydra, members)
             );
         }
+        // Arbitrary hierarchies (2–5 levels of size 1–6) and arbitrary
+        // shuffled member sets that no layout produces.
+        mre_rng::propcheck(64, 0xD0C0_000D, |rng| {
+            let depth = rng.gen_range(2usize..6);
+            let hier = h(&(0..depth)
+                .map(|_| rng.gen_range(1usize..7))
+                .collect::<Vec<_>>());
+            let world = hier.size();
+            let m = rng.gen_range(2usize..world.max(3)).min(world);
+            let mut cores: Vec<usize> = (0..world).collect();
+            rng.shuffle(&mut cores);
+            let members = &cores[..m];
+            assert_eq!(
+                pair_counts_per_level(&hier, members),
+                pair_counts_per_level_naive(&hier, members)
+            );
+        });
     }
 
     #[test]

@@ -509,21 +509,7 @@ impl NetworkModel {
             probe.record_round(&r.messages, &profile, t, duration);
             t += duration;
         }
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("simnet.lockstep.runs", 1);
-            mre_core::telemetry::counter_add(
-                "simnet.lockstep.rounds",
-                schedule.rounds.len() as u64,
-            );
-            mre_core::telemetry::counter_add(
-                "simnet.lockstep.messages",
-                schedule
-                    .rounds
-                    .iter()
-                    .map(|r| r.messages.len() as u64)
-                    .sum(),
-            );
-        }
+        crate::network::record_lockstep_run(schedule);
         t
     }
 }

@@ -19,8 +19,8 @@
 //! # The incremental engine
 //!
 //! [`FluidSim`] is the event-heap formulation of that model. The original
-//! solver (kept verbatim as [`fluid_time_reference`], the property-test
-//! oracle) rebuilds a `flows: Vec<Vec<usize>>` table, re-solves max-min
+//! solver (kept verbatim as the test-only oracle `fluid_time_reference`)
+//! rebuilds a `flows: Vec<Vec<usize>>` table, re-solves max-min
 //! rates over *every* flight, and linearly scans all flights for the next
 //! event — at *every* completion, O(events × flows × path-len). The
 //! engine instead maintains all of it across events:
@@ -28,8 +28,8 @@
 //! * **Persistent link ↔ flow adjacency.** Each directed link keeps the
 //!   list of flights currently consuming bandwidth through it (swap-remove
 //!   with back-pointers, O(path) per join/retire) — the same per-link flow
-//!   lists the incremental [`max_min_rates`] solver builds in CSR form,
-//!   except never rebuilt. Rates are re-solved
+//!   lists the incremental [`max_min_rates`](crate::max_min_rates)
+//!   solver builds in CSR form, except never rebuilt. Rates are re-solved
 //!   (a lazy-heap water-fill over the *active* links only) exclusively
 //!   when the bandwidth-consuming flow set changes; events that touch only
 //!   local copies solve nothing.
@@ -65,10 +65,10 @@
 //!   sharing, so tiny excesses over lockstep are possible and allowed.)
 //! * work conservation: no traversed link is ever oversubscribed
 //!   ([`FluidStats::peak_link_utilization`]);
-//! * the engine agrees with [`fluid_time_reference`] to 1e-9 relative.
+//! * the engine agrees with the `fluid_time_reference` oracle to 1e-9
+//!   relative, also on the paper's 1024-core Splatt-like instance.
 
 use crate::congestion::CongestionProbe;
-use crate::contention::max_min_rates;
 use crate::network::NetworkModel;
 use crate::rail::RailLinkTable;
 use crate::schedule::Schedule;
@@ -211,11 +211,12 @@ impl Ord for Ev {
 }
 
 /// A water-fill heap candidate (the lazy-heap design of
-/// [`max_min_rates`], reused for the per-event re-solves). The heap
-/// holds at most one entry per link, so staleness needs no version
-/// counter: a popped entry whose share no longer matches the link's
-/// current `remaining / wcount` is simply re-pushed up to date (shares
-/// only grow as flows freeze, so the pop order stays correct).
+/// [`max_min_rates`](crate::max_min_rates), reused for the per-event
+/// re-solves). The heap holds at most one entry per link, so staleness
+/// needs no version counter: a popped entry whose share no longer
+/// matches the link's current `remaining / wcount` is simply re-pushed
+/// up to date (shares only grow as flows freeze, so the pop order stays
+/// correct).
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     share: f64,
@@ -445,8 +446,8 @@ impl<'a> FluidSim<'a> {
     }
 
     /// Simulates `schedules` concurrently (no cross-schedule barriers) and
-    /// returns the makespan. Semantics are identical to
-    /// [`fluid_time_reference`] up to floating-point reassociation.
+    /// returns the makespan. Semantics are identical to the test-only
+    /// `fluid_time_reference` oracle up to floating-point reassociation.
     pub fn run(&mut self, schedules: &[Schedule]) -> f64 {
         self.execute(schedules, None, None)
     }
@@ -1075,8 +1076,7 @@ impl<'a> FluidSim<'a> {
 /// delivered.
 ///
 /// This is the incremental [`FluidSim`] engine; use it directly to reuse
-/// link/path caches across many evaluations. [`fluid_time_reference`] is
-/// the original per-event-rebuild solver, kept as the oracle.
+/// link/path caches across many evaluations.
 pub fn fluid_time(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
     FluidSim::new(net).run(schedules)
 }
@@ -1097,6 +1097,7 @@ pub fn fluid_timeline(net: &NetworkModel, schedules: &[Schedule]) -> FluidTimeli
 }
 
 /// State of one in-flight message (reference solver).
+#[cfg(test)]
 struct RefFlight {
     job: usize,
     latency_left: f64,
@@ -1111,6 +1112,7 @@ struct RefFlight {
 /// [`NetworkModel::message_rail`]); on single-rail models the rail is
 /// constantly 0 and the interning — hence every solved rate — is
 /// identical to the pre-rail table.
+#[cfg(test)]
 struct RefLinkTable<'a> {
     net: &'a NetworkModel,
     /// Model link id → interned index (`usize::MAX` until first seen).
@@ -1118,6 +1120,7 @@ struct RefLinkTable<'a> {
     capacities: Vec<f64>,
 }
 
+#[cfg(test)]
 impl<'a> RefLinkTable<'a> {
     fn new(net: &'a NetworkModel) -> Self {
         Self {
@@ -1158,11 +1161,11 @@ impl<'a> RefLinkTable<'a> {
 /// The original fluid solver: rebuilds the flow table, re-solves all
 /// rates, and linearly scans for the next event at every completion —
 /// O(events × flows × path-len). Kept verbatim (absolute retire
-/// tolerances and all) as the correctness oracle the [`FluidSim`] engine
-/// is cross-checked against, mirroring the
-/// [`max_min_rates_reference`](crate::contention::max_min_rates_reference)
-/// pattern.
-pub fn fluid_time_reference(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
+/// tolerances and all) as the test-only oracle the [`FluidSim`] engine
+/// is cross-checked against, like `max_min_rates_reference` in
+/// `contention.rs`.
+#[cfg(test)]
+fn fluid_time_reference(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
     let mut table = RefLinkTable::new(net);
 
     let mut next_round = vec![0usize; schedules.len()];
@@ -1193,7 +1196,7 @@ pub fn fluid_time_reference(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
                 }
             })
             .collect();
-        let rates = max_min_rates(&flows, &table.capacities);
+        let rates = crate::contention::max_min_rates(&flows, &table.capacities);
         // Time to the next event: a latency expiry or a completion.
         let mut dt = f64::INFINITY;
         for (f, flight) in active.iter().enumerate() {
@@ -1252,6 +1255,7 @@ pub fn fluid_time_reference(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
     now
 }
 
+#[cfg(test)]
 fn ref_start_round(
     job: usize,
     schedule: &Schedule,
@@ -1663,6 +1667,145 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Copy of `mre_mpi::schedules::alltoallv_pairwise` (simnet cannot
+    /// depend on `mre-mpi`): round `r` sends `sizes[i][(i + r) % p]` from
+    /// rank `i`, skipping zero blocks and empty rounds.
+    fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
+        let p = members.len();
+        let rounds = (0..p).map(|r| {
+            Round::with(
+                (0..p)
+                    .map(|i| (i, (i + r) % p))
+                    .filter(|&(i, j)| sizes[i][j] > 0)
+                    .map(|(i, j)| Message::new(members[i], members[j], sizes[i][j]))
+                    .collect(),
+            )
+        });
+        Schedule::with(rounds.filter(|r| !r.messages.is_empty()).collect())
+    }
+
+    /// Copy of `mre_mpi::schedules::alltoall_pairwise_railed`: the `p − 1`
+    /// pairwise rounds merged `nics` at a time (`nics = 1` is the plain
+    /// pairwise Alltoall).
+    fn alltoall_pairwise_railed(members: &[usize], bytes: u64, nics: usize) -> Schedule {
+        let p = members.len();
+        let round = |r: usize| {
+            Round::with(
+                (r..(r + nics).min(p))
+                    .flat_map(|sub| (0..p).map(move |i| (i, (i + sub) % p)))
+                    .map(|(i, j)| Message::new(members[i], members[j], bytes))
+                    .collect(),
+            )
+        };
+        Schedule::with((1..p).step_by(nics).map(round).collect())
+    }
+
+    /// The 64 sixteen-rank communicators of the fully spread order on
+    /// `hydra_network(32, _)`: 1024 cores, the process count of the
+    /// paper's `nell-1` Splatt run (its mode-2 layer communicators).
+    fn spread_communicators() -> Vec<Vec<usize>> {
+        use mre_core::subcomm::{subcommunicators, ColorScheme};
+        let machine = Hierarchy::new(vec![32, 2, 2, 8]).unwrap();
+        let order = mre_core::Permutation::identity(machine.depth());
+        let layout = subcommunicators(&machine, &order, 16, ColorScheme::Quotient).unwrap();
+        (0..layout.count())
+            .map(|c| layout.members(c).to_vec())
+            .collect()
+    }
+
+    /// The engine agrees with the oracle on the 1024-core Splatt-like
+    /// instance: 64 concurrent ragged pairwise Alltoallvs × 2 CP-ALS
+    /// iterations. Per-pair volumes are 0.5×–1.5× the mean, per-comm
+    /// totals are staggered, and the dominant diagonal block moves as a
+    /// local copy, so completions arrive one by one — the event storm
+    /// where the engine's incremental bookkeeping does the most work.
+    #[test]
+    fn engine_matches_reference_on_the_1024_core_splatt_instance() {
+        const BYTES: u64 = 4 << 20;
+        let net = crate::presets::hydra_network(32, 1);
+        let comms = spread_communicators();
+        let jobs: Vec<Schedule> = comms
+            .iter()
+            .enumerate()
+            .map(|(c, members)| {
+                let p = members.len();
+                let base = (BYTES + c as u64 * (BYTES / 96)) / (p * p) as u64;
+                let sizes: Vec<Vec<u64>> = (0..p)
+                    .map(|i| {
+                        (0..p)
+                            .map(|j| {
+                                let eighth = base / 8;
+                                if i == j {
+                                    4 * base + i as u64 * eighth
+                                } else {
+                                    base / 2 + ((i * 7 + j * 13 + c * 3) % 9) as u64 * eighth
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let exchange = alltoallv_pairwise(members, &sizes);
+                let mut schedule = exchange.clone();
+                schedule.then(exchange);
+                schedule
+            })
+            .collect();
+        let messages = jobs
+            .iter()
+            .flat_map(|s| &s.rounds)
+            .flat_map(|r| &r.messages);
+        assert_eq!(messages.clone().count(), 32768);
+        assert_eq!(messages.filter(|m| m.src == m.dst).count(), 2048);
+        let engine = fluid_time(&net, &jobs);
+        let reference = fluid_time_reference(&net, &jobs);
+        assert_close(engine, reference, 1e-9, "1024-core engine vs reference");
+    }
+
+    /// The 64 × 16 spread pairwise Alltoall (4 MiB per call) on 32 Hydra
+    /// nodes: a 1-rail fabric costs it bit-identically to the aggregate
+    /// model under every rail policy, lockstep and fluid alike, and on 2
+    /// round-robin rails with rail-striped rounds the engine agrees with
+    /// the oracle.
+    #[test]
+    fn spread_alltoall_rail_identity_and_two_rail_agreement() {
+        use crate::presets::{hydra_network, hydra_network_rails};
+        use crate::rail::RailPolicy;
+        let comms = spread_communicators();
+        let jobs = |nics: usize| -> Vec<Schedule> {
+            comms
+                .iter()
+                .map(|m| alltoall_pairwise_railed(m, (4 << 20) / 256, nics))
+                .collect()
+        };
+        let (jobs1, jobs2) = (jobs(1), jobs(2));
+        let aggregate = hydra_network(32, 1);
+        let lockstep = aggregate.concurrent_time(&jobs1);
+        let fluid = fluid_time(&aggregate, &jobs1);
+        for policy in RailPolicy::ALL {
+            let one = hydra_network_rails(32, 1, policy);
+            assert_eq!(
+                lockstep.to_bits(),
+                one.concurrent_time(&jobs1).to_bits(),
+                "1-rail lockstep ({policy})"
+            );
+            assert_eq!(
+                fluid.to_bits(),
+                fluid_time(&one, &jobs1).to_bits(),
+                "1-rail fluid ({policy})"
+            );
+        }
+        let railed = hydra_network_rails(32, 2, RailPolicy::RoundRobin);
+        let messages: usize = jobs2
+            .iter()
+            .flat_map(|s| &s.rounds)
+            .map(|r| r.messages.len())
+            .sum();
+        assert_eq!(messages, 15360);
+        let engine = fluid_time(&railed, &jobs2);
+        let reference = fluid_time_reference(&railed, &jobs2);
+        assert_close(engine, reference, 1e-9, "2-rail engine vs reference");
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub use congestion::{
     bound_gap_fluid, bound_gap_lockstep, BoundGap, CongestionProbe, LinkUsage, RailOccupancy,
     RateSegment, RoundMark,
 };
-pub use contention::{max_min_rates, max_min_rates_reference};
+pub use contention::max_min_rates;
 pub use fluid::{
-    fluid_time, fluid_time_reference, fluid_time_with_stats, fluid_timeline, FluidMessageSpan,
-    FluidSim, FluidStats, FluidTimeline,
+    fluid_time, fluid_time_with_stats, fluid_timeline, FluidMessageSpan, FluidSim, FluidStats,
+    FluidTimeline,
 };
 pub use memory::MemoryModel;
 pub use network::{ContentionMode, LinkParams, NetworkModel, RoundProfile};

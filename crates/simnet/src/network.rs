@@ -362,23 +362,7 @@ impl NetworkModel {
             .iter()
             .map(|r| self.round_time(&r.messages))
             .sum();
-        // Work counters mirroring the fluid engine's `simnet.fluid.*`
-        // family; a relaxed-atomic check when telemetry is off.
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("simnet.lockstep.runs", 1);
-            mre_core::telemetry::counter_add(
-                "simnet.lockstep.rounds",
-                schedule.rounds.len() as u64,
-            );
-            mre_core::telemetry::counter_add(
-                "simnet.lockstep.messages",
-                schedule
-                    .rounds
-                    .iter()
-                    .map(|r| r.messages.len() as u64)
-                    .sum(),
-            );
-        }
+        record_lockstep_run(schedule);
         t
     }
 
@@ -496,6 +480,19 @@ fn equal_share_rates_csr(
             .map(|&l| capacities[l] / counts[l] as f64)
             .fold(f64::INFINITY, f64::min)
     }));
+}
+
+/// Counts one lockstep costing of `schedule` in the `simnet.lockstep.*`
+/// work counters, which mirror the fluid engine's `simnet.fluid.*` family;
+/// a relaxed-atomic check when telemetry is off.
+pub(crate) fn record_lockstep_run(schedule: &Schedule) {
+    if !mre_core::telemetry::enabled() {
+        return;
+    }
+    let messages = schedule.rounds.iter().map(|r| r.messages.len() as u64);
+    mre_core::telemetry::counter_add("simnet.lockstep.runs", 1);
+    mre_core::telemetry::counter_add("simnet.lockstep.rounds", schedule.rounds.len() as u64);
+    mre_core::telemetry::counter_add("simnet.lockstep.messages", messages.sum());
 }
 
 #[cfg(test)]

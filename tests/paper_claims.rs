@@ -6,11 +6,14 @@ use mixed_radix_enum::core::core_select::map_cpu_list;
 use mixed_radix_enum::core::{Hierarchy, Permutation};
 use mixed_radix_enum::mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mixed_radix_enum::simnet::presets::{
-    hydra_network, lumi_network, lumi_node_memory, lumi_node_network,
+    hydra_network, hydra_network_rails, lumi_network, lumi_node_memory, lumi_node_network,
 };
+use mixed_radix_enum::simnet::{RailPolicy, SharedCostCache};
 use mixed_radix_enum::workloads::cg::{estimate_time, CgClass};
 use mixed_radix_enum::workloads::microbench::{Collective, Microbench};
-use mixed_radix_enum::workloads::splatt::{estimate_cpd_time, pearson, SplattConfig};
+use mixed_radix_enum::workloads::splatt::{
+    estimate_cpd_time, estimate_cpd_time_cached, pearson, SplattConfig,
+};
 
 fn hydra16() -> Hierarchy {
     Hierarchy::new(vec![16, 2, 2, 8]).unwrap()
@@ -174,6 +177,36 @@ fn figure8_splatt_claims() {
     let mean1 = totals1.iter().sum::<f64>() / totals1.len() as f64;
     let mean2 = totals2.iter().sum::<f64>() / totals2.len() as f64;
     assert!(mean2 < mean1, "two NICs must help on average");
+}
+
+/// Fig. 8 second-NIC ablation on discrete rails: on 32 Hydra nodes the
+/// best of all 24 CPD orders moves from `1-0-3-2` at one rail to the
+/// spread `0-1-2-3` at two and `0-1-3-2` at four (round-robin rails).
+/// One iteration suffices: every cost term is linear in the iteration
+/// count, so the winner is the full run's.
+#[test]
+fn figure8_rail_count_flips_the_cpd_winner() {
+    let cfg = SplattConfig {
+        iterations: 1,
+        ..SplattConfig::nell1_like()
+    };
+    let machine = Hierarchy::new(vec![32, 2, 2, 8]).unwrap();
+    let sigmas = Permutation::all(4);
+    let cache = SharedCostCache::new();
+    let winner = |nics: usize| {
+        let net = hydra_network_rails(32, nics, RailPolicy::RoundRobin);
+        let totals = mixed_radix_enum::core::par::map(&sigmas, |_, sigma| {
+            estimate_cpd_time_cached(&cfg, &machine, sigma, &net, 15.0e9, &cache)
+                .unwrap()
+                .total
+        });
+        let best = (0..sigmas.len()).min_by(|&a, &b| totals[a].total_cmp(&totals[b]));
+        sigmas[best.unwrap()].to_string()
+    };
+    assert_eq!(
+        [winner(1), winner(2), winner(4)],
+        ["1-0-3-2", "0-1-2-3", "0-1-3-2"]
+    );
 }
 
 /// Fig. 9 claims: the default packed mapping is (near-)worst at every
