@@ -35,6 +35,15 @@ for bin in fig2_orders fig3_alltoall_hydra fig4_alltoall_hydra_128 fig5_alltoall
   cmp "target/golden_$bin.out" "results/$bin.txt"
 done
 
+echo "== order_sweep golden (the ranked allgather sweep reproduces results/ byte for byte)"
+cargo run -q --release -p mre-bench --bin order_sweep -- 16,2,2,8 16 allgather 4194304 \
+  > target/golden_order_sweep.out
+cmp target/golden_order_sweep.out results/order_sweep.txt
+
+echo "== explore_orders golden (every class and member of LUMI 4,2,4,2,8 at s=16)"
+cargo run -q --release --example explore_orders -- 4,2,4,2,8 16 > target/golden_explore_orders.out
+cmp target/golden_explore_orders.out results/explore_orders.txt
+
 echo "== trace_report smoke"
 cargo run -q -p mre-bench --bin trace_report -- \
   --machine hydra --collective alltoall --order 3-2-1-0 \

@@ -50,6 +50,13 @@ pub enum Error {
         /// Permutation length.
         permutation: usize,
     },
+    /// The hierarchy is too deep to enumerate all of its `depth!` orders.
+    TooManyOrders {
+        /// Hierarchy depth.
+        depth: usize,
+        /// Deepest hierarchy whose orders are enumerated.
+        max: usize,
+    },
     /// A level split was requested with a factor that does not divide the
     /// level size.
     IndivisibleLevel {
@@ -145,6 +152,11 @@ impl fmt::Display for Error {
             } => write!(
                 f,
                 "permutation of length {permutation} does not match hierarchy depth {hierarchy}"
+            ),
+            Error::TooManyOrders { depth, max } => write!(
+                f,
+                "hierarchy depth {depth} has {depth}! orders; order enumeration \
+                 stops at depth {max}"
             ),
             Error::IndivisibleLevel {
                 level,

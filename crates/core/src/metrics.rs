@@ -16,11 +16,18 @@
 //!
 //! Both metrics take the communicator as a list of sequential core ids in
 //! rank-in-communicator order, as produced by
-//! [`crate::subcomm::subcommunicators`].
+//! [`crate::subcomm::subcommunicators`]. [`order_ring_cost`] computes the
+//! ring cost of an order's communicator 0 in closed form instead.
+//!
+//! [`equivalence_classes`] groups the `k!` orders into
+//! mapping-equivalence classes in one allocation-free pass over the
+//! orders: on machines whose communicators are digit boxes (every
+//! power-of-two machine) a class is a vector of per-level digit counts,
+//! and no layout is built (DESIGN.md §7i).
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
-use crate::permutation::Permutation;
+use crate::permutation::{next_lexicographic, Permutation, MAX_ENUMERATED_DEPTH};
 use crate::subcomm::{subcommunicators, ColorScheme, SubcommLayout};
 use std::collections::BTreeMap;
 
@@ -168,14 +175,45 @@ impl OrderCharacterization {
 }
 
 /// Characterizes communicator 0 under `sigma` with subcommunicators of
-/// `subcomm_size` (quotient coloring, as in the paper's legends).
+/// `subcomm_size` (quotient coloring, as in the paper's legends). Only
+/// communicator 0 is built, not the whole-world layout.
 pub fn characterize_order(
     h: &Hierarchy,
     sigma: &Permutation,
     subcomm_size: usize,
 ) -> Result<OrderCharacterization, Error> {
-    let layout = subcommunicators(h, sigma, subcomm_size, ColorScheme::Quotient)?;
-    Ok(characterize_layout(h, sigma, &layout))
+    check_subcomm_size(h, subcomm_size)?;
+    check_order_depth(h, sigma)?;
+    let members = first_communicator(h, sigma.as_slice(), subcomm_size);
+    Ok(OrderCharacterization {
+        order: sigma.clone(),
+        ring_cost: ring_cost(h, &members),
+        percentages: pairs_per_level(h, &members),
+    })
+}
+
+/// Communicator 0 under `order` (quotient coloring): the cores holding the
+/// reordered ranks `0..s`, in rank order — the `members(0)` of
+/// [`subcommunicators`] without building the other communicators.
+fn first_communicator(h: &Hierarchy, order: &[usize], s: usize) -> Vec<usize> {
+    let strides = h.strides();
+    let mut digits = vec![0usize; order.len()];
+    let mut members = Vec::with_capacity(s);
+    let mut core = 0usize;
+    for _ in 0..s {
+        members.push(core);
+        // Next reordered rank: level order[0] varies fastest.
+        for (digit, &level) in digits.iter_mut().zip(order) {
+            *digit += 1;
+            core += strides[level];
+            if *digit < h.level(level) {
+                break;
+            }
+            core -= *digit * strides[level];
+            *digit = 0;
+        }
+    }
+    members
 }
 
 /// Characterization of communicator 0 of an already-built layout — lets
@@ -216,51 +254,269 @@ pub fn mapping_signature(layout: &SubcommLayout) -> Vec<Vec<usize>> {
     sig
 }
 
+/// Ring cost of communicator 0 under `sigma` with subcommunicators of
+/// `subcomm_size` (quotient coloring), in closed form: equal to
+/// [`ring_cost`] of the layout's communicator 0, without building it.
+///
+/// Let `P_t` be the product of the radices at positions `< t` of `sigma`.
+/// A hop `n → n+1` between consecutive ranks of communicator 0 carries up
+/// to position `t` (level `σ(t)`) when `P_t | n+1` but `P_{t+1} ∤ n+1`,
+/// which `⌊(s−1)/P_t⌋ − ⌊(s−1)/P_{t+1}⌋` of the `s − 1` hops do. Such a hop
+/// changes every digit at positions `≤ t` whose radix exceeds 1, so its
+/// [`distance`] is `k − min{σ(i) : i ≤ t, r_σ(i) > 1}`.
+///
+/// ```
+/// use mre_core::{Hierarchy, Permutation, metrics};
+/// let h = Hierarchy::new(vec![2, 2, 4]).unwrap();
+/// let sigma = Permutation::new(vec![1, 0, 2]).unwrap();
+/// assert_eq!(metrics::order_ring_cost(&h, &sigma, 4).unwrap(), 7);
+/// ```
+pub fn order_ring_cost(
+    h: &Hierarchy,
+    sigma: &Permutation,
+    subcomm_size: usize,
+) -> Result<usize, Error> {
+    check_subcomm_size(h, subcomm_size)?;
+    check_order_depth(h, sigma)?;
+    Ok(closed_form_ring_cost(
+        h.levels(),
+        sigma.as_slice(),
+        subcomm_size,
+    ))
+}
+
+/// [`order_ring_cost`] on raw level radices and an order's image.
+fn closed_form_ring_cost(levels: &[usize], order: &[usize], s: usize) -> usize {
+    let k = levels.len();
+    let mut ring = 0;
+    // ⌊(s−1)/P_t⌋: the hops that carry at least up to position t.
+    let mut carried = s - 1;
+    let mut product = 1;
+    let mut outermost = k;
+    for &level in order {
+        if carried == 0 {
+            break;
+        }
+        let r = levels[level];
+        if r > 1 {
+            outermost = outermost.min(level);
+            product *= r;
+            let next = (s - 1) / product;
+            ring += (carried - next) * (k - outermost);
+            carried = next;
+        }
+    }
+    ring
+}
+
+fn check_order_depth(h: &Hierarchy, sigma: &Permutation) -> Result<(), Error> {
+    if sigma.len() != h.depth() {
+        return Err(Error::PermutationDepthMismatch {
+            hierarchy: h.depth(),
+            permutation: sigma.len(),
+        });
+    }
+    Ok(())
+}
+
+fn check_subcomm_size(h: &Hierarchy, subcomm_size: usize) -> Result<(), Error> {
+    let world = h.size();
+    if subcomm_size == 0 || !world.is_multiple_of(subcomm_size) {
+        return Err(Error::IndivisibleSubcomm {
+            world,
+            subcomm: subcomm_size,
+        });
+    }
+    Ok(())
+}
+
 /// Groups all `k!` orders into equivalence classes of identical
 /// [`mapping_signature`]s. Evaluating one representative per class avoids
 /// redundant measurements (§3.3).
 ///
-/// Layouts of the `k!` orders are built on the [`crate::par`] worker pool;
-/// the grouping itself is deterministic (orders are generated and grouped
-/// in lexicographic order regardless of thread count).
+/// Classes are ordered by signature; members keep lexicographic order.
+/// When every communicator of every order is a translate of one digit box
+/// (each level spanned whole, by a leading block dividing its radix, or by
+/// one digit), the classes follow from those per-level digit counts and no
+/// layout is built; otherwise every order's layout is (DESIGN.md §7i).
+/// Hierarchies deeper than [`MAX_ENUMERATED_DEPTH`] return
+/// [`Error::TooManyOrders`].
 pub fn equivalence_classes(
     h: &Hierarchy,
     subcomm_size: usize,
 ) -> Result<Vec<Vec<Permutation>>, Error> {
-    let orders = Permutation::all(h.depth());
-    let signatures = crate::par::map(&orders, |_, sigma| {
-        subcommunicators(h, sigma, subcomm_size, ColorScheme::Quotient)
-            .map(|layout| mapping_signature(&layout))
-    });
-    let mut classes: BTreeMap<Vec<Vec<usize>>, Vec<Permutation>> = BTreeMap::new();
-    for (sigma, signature) in orders.into_iter().zip(signatures) {
-        classes.entry(signature?).or_default().push(sigma);
-    }
-    Ok(classes.into_values().collect())
+    fold_classes(h, subcomm_size, |class: &mut Vec<Permutation>, order, _| {
+        class.push(Permutation::from_valid(order.to_vec()));
+    })
 }
 
-/// [`equivalence_classes`] with every member already characterized: each
-/// of the `k!` orders has its layout built, signature taken and
-/// communicator 0 characterized exactly once, in parallel. Classes are
-/// ordered by signature; members keep lexicographic order.
-pub fn characterized_classes(
+/// Walks the `k!` orders of `h` once, in lexicographic order, and folds
+/// each one with its closed-form ring cost (see [`order_ring_cost`]) into
+/// the accumulator of its mapping-equivalence class. Returns the
+/// accumulators in class order (ascending [`mapping_signature`]). This is
+/// the one grouping behind [`equivalence_classes`] and
+/// [`crate::order_search::representatives`].
+///
+/// With quotient coloring communicator 0 holds the reordered ranks
+/// `0..s`. When, for every order, those ranks span a *digit box* — each
+/// level whole (inner), a leading block `s/P` of it (partial, with `s/P`
+/// dividing the radix) or a single digit (outer) — every communicator is
+/// an aligned translate of communicator 0's box, so the per-level digit
+/// counts fix the signature and the walk needs no layouts
+/// ([`digit_count_key`]). Classes are then ordered by communicator 0's
+/// sorted cores, the first entry of every signature. If any order's ranks
+/// do not form such a box (mixed radices such as `⟦3,2,2⟧`), the whole
+/// `(h, s)` falls back to building every order's layout and grouping by
+/// its signature — the only place the `k!` layouts survive.
+pub(crate) fn fold_classes<A: Default>(
     h: &Hierarchy,
     subcomm_size: usize,
-) -> Result<Vec<Vec<OrderCharacterization>>, Error> {
-    let orders = Permutation::all(h.depth());
-    let classified = crate::par::map(&orders, |_, sigma| {
-        subcommunicators(h, sigma, subcomm_size, ColorScheme::Quotient).map(|layout| {
-            (
-                mapping_signature(&layout),
-                characterize_layout(h, sigma, &layout),
-            )
-        })
-    });
-    let mut classes: BTreeMap<Vec<Vec<usize>>, Vec<OrderCharacterization>> = BTreeMap::new();
-    for result in classified {
-        let (signature, characterization) = result?;
-        classes.entry(signature).or_default().push(characterization);
+    mut add: impl FnMut(&mut A, &[usize], usize),
+) -> Result<Vec<A>, Error> {
+    let depth = h.depth();
+    if depth > MAX_ENUMERATED_DEPTH {
+        return Err(Error::TooManyOrders {
+            depth,
+            max: MAX_ENUMERATED_DEPTH,
+        });
     }
+    check_subcomm_size(h, subcomm_size)?;
+    match fold_by_digit_counts(h, subcomm_size, &mut add) {
+        Some(classes) => Ok(classes),
+        None => fold_by_layout_signature(h, subcomm_size, &mut add),
+    }
+}
+
+/// Visits the `k!` orders of depth `k` in lexicographic order, in place on
+/// one stack array, until `visit` fails.
+fn walk_orders<E>(k: usize, mut visit: impl FnMut(&[usize]) -> Result<(), E>) -> Result<(), E> {
+    let mut image = [0usize; MAX_ENUMERATED_DEPTH];
+    let order = &mut image[..k];
+    for (i, level) in order.iter_mut().enumerate() {
+        *level = i;
+    }
+    loop {
+        visit(order)?;
+        if !next_lexicographic(order) {
+            return Ok(());
+        }
+    }
+}
+
+/// The digit counts of communicator 0 under `order`, packed: bit `L` is set
+/// when level `L` (radix > 1) is inner, and the bits from `k` up hold
+/// `1 + L` of the partial level, if any (its count is `s` over the inner
+/// radices' product). `None` when the reordered ranks `0..s` are no digit
+/// box, or one whose translates straddle a digit wrap.
+fn digit_count_key(levels: &[usize], order: &[usize], s: usize) -> Option<usize> {
+    let mut inner = 0usize;
+    let mut partial = 0usize;
+    // The running product P of the levels spanned so far; it divides s.
+    let mut product = 1usize;
+    for &level in order {
+        let r = levels[level];
+        let rest = s / product;
+        if rest.is_multiple_of(r) {
+            if r > 1 {
+                inner |= 1 << level;
+            }
+            product *= r;
+        } else if rest > 1 {
+            if !r.is_multiple_of(rest) {
+                return None;
+            }
+            partial = level + 1;
+            product = s;
+        }
+    }
+    Some(partial << levels.len() | inner)
+}
+
+/// Communicator 0's cores in ascending order for a [`digit_count_key`]:
+/// every `Σ d_L·stride_L` with `d_L` below level `L`'s count.
+fn digit_box_cores(levels: &[usize], strides: &[usize], key: usize, s: usize) -> Vec<usize> {
+    let k = levels.len();
+    let mut counts: Vec<usize> = (0..k)
+        .map(|level| {
+            if key >> level & 1 == 1 {
+                levels[level]
+            } else {
+                1
+            }
+        })
+        .collect();
+    let partial = key >> k;
+    if partial > 0 {
+        counts[partial - 1] = s / counts.iter().product::<usize>();
+    }
+    // Expanding the outermost level first keeps the list sorted.
+    let mut cores = vec![0usize];
+    for (&count, &stride) in counts.iter().zip(strides) {
+        cores = cores
+            .iter()
+            .flat_map(|&base| (0..count).map(move |d| base + d * stride))
+            .collect();
+    }
+    cores
+}
+
+/// [`fold_classes`] keyed by digit counts, or `None` when some order's
+/// communicator 0 is no tiling digit box.
+fn fold_by_digit_counts<A: Default>(
+    h: &Hierarchy,
+    s: usize,
+    add: &mut impl FnMut(&mut A, &[usize], usize),
+) -> Option<Vec<A>> {
+    let levels = h.levels();
+    let k = levels.len();
+    // Class slot of every possible key, then (key, accumulator) per class
+    // in discovery order.
+    let mut slot_of = vec![usize::MAX; (k + 1) << k];
+    let mut classes: Vec<(usize, A)> = Vec::new();
+    walk_orders(k, |order| {
+        let Some(key) = digit_count_key(levels, order, s) else {
+            return Err(());
+        };
+        let slot = &mut slot_of[key];
+        if *slot == usize::MAX {
+            *slot = classes.len();
+            classes.push((key, A::default()));
+        }
+        add(
+            &mut classes[*slot].1,
+            order,
+            closed_form_ring_cost(levels, order, s),
+        );
+        Ok(())
+    })
+    .ok()?;
+    let strides = h.strides();
+    let mut sorted: Vec<(Vec<usize>, A)> = classes
+        .into_iter()
+        .map(|(key, acc)| (digit_box_cores(levels, &strides, key, s), acc))
+        .collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    Some(sorted.into_iter().map(|(_, acc)| acc).collect())
+}
+
+/// [`fold_classes`] keyed by each order's [`mapping_signature`]: one layout
+/// per order.
+fn fold_by_layout_signature<A: Default>(
+    h: &Hierarchy,
+    s: usize,
+    add: &mut impl FnMut(&mut A, &[usize], usize),
+) -> Result<Vec<A>, Error> {
+    let mut classes: BTreeMap<Vec<Vec<usize>>, A> = BTreeMap::new();
+    walk_orders(h.depth(), |order| {
+        let sigma = Permutation::from_valid(order.to_vec());
+        let layout = subcommunicators(h, &sigma, s, ColorScheme::Quotient)?;
+        add(
+            classes.entry(mapping_signature(&layout)).or_default(),
+            order,
+            closed_form_ring_cost(h.levels(), order, s),
+        );
+        Ok::<(), Error>(())
+    })?;
     Ok(classes.into_values().collect())
 }
 
@@ -598,30 +854,188 @@ mod tests {
 
     #[test]
     fn characterized_classes_match_equivalence_classes() {
+        // Representatives line up with the classes one to one: each is the
+        // (ring cost, order)-minimal member of its class, characterized as
+        // characterize_order would.
         let hydra = h(&[16, 2, 2, 8]);
         for s in [16usize, 64] {
-            let plain = equivalence_classes(&hydra, s).unwrap();
-            let characterized = characterized_classes(&hydra, s).unwrap();
-            assert_eq!(plain.len(), characterized.len());
-            for (p, c) in plain.iter().zip(&characterized) {
-                let orders: Vec<&Permutation> = c.iter().map(|oc| &oc.order).collect();
-                assert_eq!(p.iter().collect::<Vec<_>>(), orders);
-                for oc in c {
-                    assert_eq!(oc, &characterize_order(&hydra, &oc.order, s).unwrap());
-                }
+            let classes = equivalence_classes(&hydra, s).unwrap();
+            let reps = crate::order_search::representatives(&hydra, s).unwrap();
+            assert_eq!(classes.len(), reps.len());
+            for (class, rep) in classes.iter().zip(&reps) {
+                let best = class
+                    .iter()
+                    .map(|sigma| characterize_order(&hydra, sigma, s).unwrap())
+                    .min_by(|a, b| {
+                        a.ring_cost
+                            .cmp(&b.ring_cost)
+                            .then_with(|| a.order.cmp(&b.order))
+                    })
+                    .unwrap();
+                assert_eq!(rep, &best);
             }
         }
     }
 
+    /// The `k!`-layout grouping the class walk replaced: every order's
+    /// layout built, grouped by signature, each class's representative the
+    /// (ring cost, order)-minimal characterization.
+    fn layout_oracle(
+        hier: &Hierarchy,
+        s: usize,
+    ) -> (Vec<Vec<Permutation>>, Vec<OrderCharacterization>) {
+        let mut classes: BTreeMap<Vec<Vec<usize>>, Vec<OrderCharacterization>> = BTreeMap::new();
+        for sigma in Permutation::all(hier.depth()) {
+            let layout = subcommunicators(hier, &sigma, s, ColorScheme::Quotient).unwrap();
+            classes
+                .entry(mapping_signature(&layout))
+                .or_default()
+                .push(characterize_layout(hier, &sigma, &layout));
+        }
+        let members = classes
+            .values()
+            .map(|class| class.iter().map(|c| c.order.clone()).collect())
+            .collect();
+        let reps = classes
+            .into_values()
+            .map(|class| {
+                class
+                    .into_iter()
+                    .min_by(|a, b| {
+                        a.ring_cost
+                            .cmp(&b.ring_cost)
+                            .then_with(|| a.order.cmp(&b.order))
+                    })
+                    .unwrap()
+            })
+            .collect();
+        (members, reps)
+    }
+
+    /// Checks [`equivalence_classes`] and `representatives` against
+    /// [`layout_oracle`] (same list, same order, same `f64` bits) for every
+    /// divisor `s` in `sizes`, and that exactly the sizes in `fallback`
+    /// leave the digit-count walk.
+    fn assert_matches_layout_oracle(levels: &[usize], sizes: &[usize], fallback: &[usize]) {
+        let hier = h(levels);
+        for &s in sizes {
+            assert!(hier.size().is_multiple_of(s));
+            let fast = fold_by_digit_counts(&hier, s, &mut |_: &mut (), _, _| {}).is_some();
+            assert_eq!(
+                fast,
+                !fallback.contains(&s),
+                "levels {levels:?} s {s}: digit-count walk taken = {fast}"
+            );
+            let (classes, reps) = layout_oracle(&hier, s);
+            assert_eq!(
+                equivalence_classes(&hier, s).unwrap(),
+                classes,
+                "levels {levels:?} s {s}"
+            );
+            let got = crate::order_search::representatives(&hier, s).unwrap();
+            assert_eq!(got.len(), reps.len(), "levels {levels:?} s {s}");
+            for (g, want) in got.iter().zip(&reps) {
+                assert_eq!(g.order, want.order, "levels {levels:?} s {s}");
+                assert_eq!(g.ring_cost, want.ring_cost, "order {}", g.order);
+                let bits = |c: &OrderCharacterization| {
+                    c.percentages
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(g), bits(want), "order {}", g.order);
+            }
+        }
+    }
+
+    fn divisors(n: usize) -> Vec<usize> {
+        (1..=n).filter(|d| n.is_multiple_of(*d)).collect()
+    }
+
+    #[test]
+    fn class_walk_matches_layout_oracle_on_product_set_machines() {
+        for levels in [
+            &[16, 2, 2, 8][..],
+            &[4, 2, 4, 2, 8],
+            &[2; 6],
+            &[4, 2, 4, 2, 8, 2],
+            &[4, 2, 2, 2, 2, 2],
+            &[2; 7],
+            // Radix-1 levels always count as spanned whole.
+            &[2, 1, 4, 2],
+            &[1, 2, 1, 4],
+        ] {
+            let world: usize = levels.iter().product();
+            assert_matches_layout_oracle(levels, &divisors(world), &[]);
+        }
+    }
+
+    #[test]
+    fn class_walk_matches_layout_oracle_on_2_pow_8() {
+        // The oracle builds 40320 layouts per size (~1.3 s in the test
+        // profile), so this keeps five of the nine divisors; 1, 4, 8 and
+        // 256 run on ⟦2;6⟧ and ⟦2;7⟧ above.
+        assert_matches_layout_oracle(&[2; 8], &[2, 16, 32, 64, 128], &[]);
+    }
+
+    #[test]
+    fn class_walk_falls_back_to_layouts_on_mixed_radices() {
+        for (levels, fallback) in [
+            (&[3, 2, 2][..], &[2, 3, 4, 6][..]),
+            (&[2, 3, 4], &[2, 3, 4, 6, 8, 12]),
+            (&[6, 2, 3], &[2, 3, 4, 9, 12, 18]),
+            (&[3, 1, 2, 2], &[2, 3, 4, 6]),
+        ] {
+            let world: usize = levels.iter().product();
+            assert_matches_layout_oracle(levels, &divisors(world), fallback);
+        }
+    }
+
+    #[test]
+    fn too_deep_hierarchies_return_an_error_instead_of_panicking() {
+        let deep = h(&[1; 13]);
+        let err = Error::TooManyOrders { depth: 13, max: 12 };
+        assert_eq!(equivalence_classes(&deep, 1), Err(err.clone()));
+        assert_eq!(crate::order_search::representatives(&deep, 1), Err(err));
+    }
+
+    #[test]
+    fn order_ring_cost_rejects_what_subcommunicators_rejects() {
+        let h224 = h(&[2, 2, 4]);
+        assert!(order_ring_cost(&h224, &sig(&[0, 1]), 4).is_err());
+        assert!(order_ring_cost(&h224, &sig(&[0, 1, 2]), 3).is_err());
+        assert!(order_ring_cost(&h224, &sig(&[0, 1, 2]), 0).is_err());
+        assert_eq!(order_ring_cost(&h224, &sig(&[0, 1, 2]), 4), Ok(9));
+    }
+
     #[test]
     fn characterize_layout_agrees_with_characterize_order() {
+        // characterize_order builds communicator 0 alone; it must match
+        // the whole layout's for every order and size.
+        for levels in [&[2, 2, 4][..], &[3, 1, 2, 4], &[16, 2, 2, 8]] {
+            let hier = h(levels);
+            for s in divisors(hier.size()) {
+                for sigma in Permutation::all(hier.depth()) {
+                    let layout = subcommunicators(&hier, &sigma, s, ColorScheme::Quotient).unwrap();
+                    assert_eq!(
+                        first_communicator(&hier, sigma.as_slice(), s),
+                        layout.members(0)
+                    );
+                    assert_eq!(
+                        characterize_layout(&hier, &sigma, &layout),
+                        characterize_order(&hier, &sigma, s).unwrap()
+                    );
+                }
+            }
+        }
         let h224 = h(&[2, 2, 4]);
-        let sigma = sig(&[1, 0, 2]);
-        let layout = subcommunicators(&h224, &sigma, 4, ColorScheme::Quotient).unwrap();
-        assert_eq!(
-            characterize_layout(&h224, &sigma, &layout),
-            characterize_order(&h224, &sigma, 4).unwrap()
-        );
+        for (sigma, s) in [(sig(&[0, 1]), 4), (sig(&[0, 1, 2]), 3), (sig(&[0, 1]), 0)] {
+            assert_eq!(
+                characterize_order(&h224, &sigma, s),
+                subcommunicators(&h224, &sigma, s, ColorScheme::Quotient)
+                    .map(|layout| characterize_layout(&h224, &sigma, &layout))
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   single `[0, 1]` score (0 = fully packed, 1 = fully spread);
 //! * [`representatives`] prunes the order space to one order per
 //!   mapping-equivalence class, preferring the lowest ring cost in each
-//!   class (the cheapest rank assignment on the same resources).
+//!   class (the cheapest rank assignment on the same resources). One
+//!   allocation-free pass over the `k!` orders finds the classes from
+//!   per-level digit counts and each order's ring cost in closed form;
+//!   only the class winners are characterized (DESIGN.md §7i).
 //!
 //! Every search then performs the paper's single operation (§3.3): cost
 //! one representative per class and return the best. One private engine
@@ -44,7 +47,7 @@
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
-use crate::metrics::{characterize_order, characterized_classes, OrderCharacterization};
+use crate::metrics::{characterize_order, fold_classes, OrderCharacterization};
 use crate::par;
 use crate::permutation::Permutation;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -72,36 +75,35 @@ pub fn spreadness(h: &Hierarchy, sigma: &Permutation, subcomm_size: usize) -> Re
 /// class the order with the lowest ring cost (ties broken
 /// lexicographically). Evaluating only these avoids the paper's redundant
 /// measurements.
+///
+/// Classes come in [`crate::metrics::equivalence_classes`] order. The
+/// class walk costs every order's ring in closed form
+/// ([`crate::metrics::order_ring_cost`]), so only each class winner is
+/// characterized. Hierarchies deeper than
+/// [`crate::permutation::MAX_ENUMERATED_DEPTH`] return
+/// [`Error::TooManyOrders`].
 pub fn representatives(
     h: &Hierarchy,
     subcomm_size: usize,
 ) -> Result<Vec<OrderCharacterization>, Error> {
-    // Every order is laid out and characterized exactly once (in parallel
-    // inside `characterized_classes`); picking the class minimum then
-    // compares the precomputed characterizations instead of re-deriving
-    // them per comparison.
-    let classes = characterized_classes(h, subcomm_size)?;
-    if crate::telemetry::enabled() {
-        let candidates: usize = classes.iter().map(Vec::len).sum();
-        crate::telemetry::counter_add("core.order_search.candidates", candidates as u64);
-        crate::telemetry::counter_add(
-            "core.order_search.pruned",
-            (candidates - classes.len()) as u64,
-        );
-    }
-    Ok(classes
+    let winners = fold_classes(
+        h,
+        subcomm_size,
+        |best: &mut Option<(usize, Vec<usize>)>, order, ring| match best {
+            // Orders arrive in lexicographic order: a tie keeps the first.
+            Some((best_ring, _)) if ring >= *best_ring => {}
+            Some((best_ring, best_order)) => {
+                *best_ring = ring;
+                best_order.copy_from_slice(order);
+            }
+            None => *best = Some((ring, order.to_vec())),
+        },
+    )?;
+    winners
         .into_iter()
-        .map(|class| {
-            class
-                .into_iter()
-                .min_by(|a, b| {
-                    a.ring_cost
-                        .cmp(&b.ring_cost)
-                        .then_with(|| a.order.cmp(&b.order))
-                })
-                .expect("equivalence classes are non-empty")
-        })
-        .collect())
+        .flatten()
+        .map(|(_, order)| characterize_order(h, &Permutation::from_valid(order), subcomm_size))
+        .collect()
 }
 
 /// Outcome counters of a branch-and-bound search: how many candidates

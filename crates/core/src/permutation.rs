@@ -12,6 +12,12 @@
 use crate::error::Error;
 use std::fmt;
 
+/// Deepest hierarchy whose `k!` orders are ever enumerated (`12! ≈ 4.8·10⁸`):
+/// [`Permutation::all`] asserts it, and the class enumeration of
+/// [`crate::metrics::equivalence_classes`] returns
+/// [`Error::TooManyOrders`] beyond it.
+pub const MAX_ENUMERATED_DEPTH: usize = 12;
+
 /// A permutation σ of `0..k`, stored as the image vector `[σ(0), …, σ(k-1)]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Permutation(Vec<usize>);
@@ -40,6 +46,13 @@ impl Permutation {
             seen[v] = true;
         }
         Ok(Self(image))
+    }
+
+    /// Wraps an image vector the crate already knows is a permutation,
+    /// such as an order of the in-place lexicographic walk.
+    pub(crate) fn from_valid(image: Vec<usize>) -> Self {
+        debug_assert!(Self::new(image.clone()).is_ok(), "not a permutation");
+        Self(image)
     }
 
     /// The identity permutation `[0, 1, …, n-1]`.
@@ -115,9 +128,13 @@ impl Permutation {
     /// All `n!` permutations of `0..n` in lexicographic order.
     ///
     /// Intended for the small `n` of hierarchy depths (the paper never
-    /// exceeds 6); `n` is capped at 12 to avoid accidental explosions.
+    /// exceeds 6); `n` is capped at [`MAX_ENUMERATED_DEPTH`] to avoid
+    /// accidental explosions.
     pub fn all(n: usize) -> Vec<Self> {
-        assert!(n <= 12, "refusing to materialize {n}! permutations");
+        assert!(
+            n <= MAX_ENUMERATED_DEPTH,
+            "refusing to materialize {n}! permutations"
+        );
         let mut result = Vec::new();
         let mut current: Vec<usize> = (0..n).collect();
         loop {
@@ -144,7 +161,7 @@ impl fmt::Display for Permutation {
 
 /// Advances `perm` to the next permutation in lexicographic order, returning
 /// `false` when `perm` was the last one.
-fn next_lexicographic(perm: &mut [usize]) -> bool {
+pub(crate) fn next_lexicographic(perm: &mut [usize]) -> bool {
     if perm.len() < 2 {
         return false;
     }

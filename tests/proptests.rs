@@ -7,7 +7,7 @@
 //! environment cannot fetch `proptest`.
 
 use mixed_radix_enum::core::metrics::{
-    distance, pair_counts_per_level, pairs_per_level, ring_cost,
+    distance, order_ring_cost, pair_counts_per_level, pairs_per_level, ring_cost,
 };
 use mixed_radix_enum::core::subcomm::{subcommunicators, ColorScheme};
 use mixed_radix_enum::core::{
@@ -169,6 +169,29 @@ fn fast_pair_counts_match_naive() {
             }
         }
         assert_eq!(pair_counts_per_level(&h, members), naive);
+    });
+}
+
+/// The closed-form ring cost the class walk uses equals the ring cost of
+/// communicator 0's built layout, for every order and every divisor
+/// subcommunicator size of arbitrary hierarchies (1–5 levels of size 1–6).
+#[test]
+fn closed_form_ring_cost_matches_layout() {
+    propcheck(64, 0xD0C0_0032, |rng| {
+        let depth = rng.gen_range(1usize..6);
+        let levels: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..7)).collect();
+        let h = Hierarchy::new(levels).expect("non-zero levels");
+        let world = h.size();
+        for s in (1..=world).filter(|s| world.is_multiple_of(*s)) {
+            for sigma in Permutation::all(depth) {
+                let layout = subcommunicators(&h, &sigma, s, ColorScheme::Quotient).unwrap();
+                assert_eq!(
+                    order_ring_cost(&h, &sigma, s).unwrap(),
+                    ring_cost(&h, layout.members(0)),
+                    "{h} order {sigma} s {s}"
+                );
+            }
+        }
     });
 }
 
