@@ -29,8 +29,11 @@ echo "== cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== figure goldens (release figure binaries reproduce results/ byte for byte)"
+# fig8_splatt and fig8_rails cost 1- and 2-rail rounds (and fig8_rails
+# 4-rail ones) through the per-core path rows of every costing kernel.
 for bin in fig2_orders fig3_alltoall_hydra fig4_alltoall_hydra_128 fig5_alltoall_lumi \
-  fig6_allreduce_hydra fig7_allgather_lumi ablations table1 fig9_cg_scaling; do
+  fig6_allreduce_hydra fig7_allgather_lumi fig8_splatt fig8_rails ablations table1 \
+  fig9_cg_scaling; do
   cargo run -q --release -p mre-bench --bin "$bin" > "target/golden_$bin.out"
   cmp "target/golden_$bin.out" "results/$bin.txt"
 done

@@ -18,12 +18,17 @@
 //! 4. **Pruned ≡ exhaustive**: on the 8-node Hydra rail grid, the bound
 //!    ladder over memoized costs and the symbolic payload axis pick every
 //!    cell's winner, cost bits included, exactly as the exhaustive sweep.
+//! 5. **Round reuse ≡ per-round work**: both schedule bounds, the memoized
+//!    schedule cost and the symbolic build reuse a round equal to its
+//!    predecessor; each equals its memo-free per-round spelling bit for
+//!    bit, and the memo counters do not move.
 //!
 //! A counting global allocator (gated to the measuring thread, so the
 //! parallel test harness cannot pollute the count) then asserts the
 //! steady-state claim: after warm-up, costing a candidate through the
-//! memo, evaluating the symbolic envelope and bounding a round with
-//! either rung perform **zero** heap allocations.
+//! memo, evaluating the symbolic envelope and bounding a round or a whole
+//! schedule with either rung perform **zero** heap allocations, and the
+//! schedule generators and the lockstep merge allocate each round once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,11 +37,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mre_core::order_search::{rank_orders_pruned_ladder, sweep, sweep_pruned_axis, SweepSpec};
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
+use mre_mpi::schedules;
 use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{
     schedule_lower_bound, schedule_lower_bound_aggregate, thread_workspace_rounds, ContentionMode,
-    NetworkModel, RailPolicy, Schedule, SharedCostCache, SymbolicScheduleCost,
+    Message, NetworkModel, RailPolicy, Round, Schedule, SharedCostCache, SymbolicScheduleCost,
 };
 use mre_workloads::microbench::{Collective, Microbench};
 
@@ -171,10 +177,21 @@ fn envelope_matches_schedule_time_across_the_full_product() {
                 let net = fabric(nics, policy, mode);
                 let machine = net.hierarchy().clone();
                 let cache = SharedCostCache::new();
+                // The build reuses a round equal to its predecessor; it must
+                // count exactly the hits of one profile lookup per round.
+                let per_round = SharedCostCache::new();
                 for collective in generators() {
                     let reference = merged(&machine, collective, REF_PAYLOAD, nics);
                     let sym = SymbolicScheduleCost::build(&net, &cache, &reference, REF_PAYLOAD)
                         .expect("non-zero reference payload");
+                    for r in &reference.rounds {
+                        per_round.round_profile_memo(&net, r);
+                    }
+                    assert_eq!(
+                        cache.cache_stats(),
+                        per_round.cache_stats(),
+                        "{collective:?}: round reuse must count the hits it replaces"
+                    );
                     for payload in PAYLOADS {
                         let m = merged(&machine, collective, payload, nics);
                         assert!(
@@ -440,4 +457,162 @@ fn steady_state_costing_is_allocation_free() {
     let (allocs, tight) = count_allocations(|| net.round_lower_bound(round));
     assert_eq!(tight.to_bits(), warm_tight.to_bits());
     assert_eq!(allocs, 0, "warm per-rail round bound must not allocate");
+}
+
+#[test]
+fn warm_schedule_bounds_are_allocation_free() {
+    let net = fabric(2, RailPolicy::RoundRobin, ContentionMode::MaxMinFair);
+    let machine = net.hierarchy().clone();
+    for collective in generators() {
+        let m = merged(&machine, collective, REF_PAYLOAD, 2);
+        let warm_aggregate = schedule_lower_bound_aggregate(&net, &m);
+        let warm_tight = schedule_lower_bound(&net, &m);
+        let (allocs, aggregate) = count_allocations(|| schedule_lower_bound_aggregate(&net, &m));
+        assert_eq!(aggregate.to_bits(), warm_aggregate.to_bits());
+        assert_eq!(
+            allocs, 0,
+            "warm cheap schedule bound must not allocate ({collective:?})"
+        );
+        let (allocs, tight) = count_allocations(|| schedule_lower_bound(&net, &m));
+        assert_eq!(tight.to_bits(), warm_tight.to_bits());
+        assert_eq!(
+            allocs, 0,
+            "warm tight schedule bound must not allocate ({collective:?})"
+        );
+    }
+}
+
+#[test]
+fn generators_and_lockstep_allocate_each_round_once() {
+    // 12 ranks spread over both nodes: not a power of two, so recursive
+    // doubling also emits its fold and unfold rounds.
+    let members: Vec<usize> = (0..12).map(|i| i * 5).collect();
+    type Generator = fn(&[usize]) -> Schedule;
+    let generated: [(&str, Generator); 6] = [
+        ("alltoall_pairwise", |m| schedules::alltoall_pairwise(m, 64)),
+        ("alltoall_pairwise_railed", |m| {
+            schedules::alltoall_pairwise_railed(m, 64, 4)
+        }),
+        ("allgather_ring", |m| schedules::allgather_ring(m, 64)),
+        ("allreduce_ring", |m| schedules::allreduce_ring(m, 1000)),
+        ("allreduce_recursive_doubling", |m| {
+            schedules::allreduce_recursive_doubling(m, 1000)
+        }),
+        ("allreduce_recursive_doubling (p = 8)", |m| {
+            schedules::allreduce_recursive_doubling(&m[..8], 1000)
+        }),
+    ];
+    for (name, generate) in generated {
+        let (allocs, s) = count_allocations(|| generate(&members));
+        assert!(s.num_rounds() > 0);
+        assert_eq!(
+            allocs,
+            s.num_rounds() as u64 + 1,
+            "{name}: one buffer per round plus the round list"
+        );
+    }
+    let jobs: Vec<Schedule> = (0..4)
+        .map(|c| {
+            let members: Vec<usize> = (0..3 + c).map(|i| c + 8 * i).collect();
+            schedules::allgather_ring(&members, 64)
+        })
+        .collect();
+    let (allocs, merged) = count_allocations(|| Schedule::lockstep(&jobs));
+    assert_eq!(merged.num_rounds(), 5);
+    assert_eq!(
+        allocs,
+        merged.num_rounds() as u64 + 1,
+        "lockstep: one buffer per merged round plus the round list"
+    );
+}
+
+/// The memo-free spelling of a schedule bound: every round bounded on its
+/// own, summed in round order.
+fn per_round_sum(schedule: &Schedule, round_bound: impl Fn(&[Message]) -> f64) -> f64 {
+    schedule
+        .rounds
+        .iter()
+        .map(|r| round_bound(&r.messages))
+        .sum()
+}
+
+/// A hand-built `A A B A` schedule: one adjacent and one non-adjacent
+/// repeat, with rounds that differ only in bytes or only in endpoints.
+fn repeats() -> Vec<Schedule> {
+    let a = Round::with(vec![Message::new(0, 16, 4096), Message::new(1, 17, 512)]);
+    let b = Round::with(vec![Message::new(0, 16, 4096), Message::new(1, 17, 513)]);
+    let c = Round::with(vec![Message::new(17, 1, 512), Message::new(0, 16, 4096)]);
+    vec![
+        Schedule::with(vec![a.clone(), a.clone(), b.clone(), a.clone()]),
+        Schedule::with(vec![
+            a.clone(),
+            c.clone(),
+            c,
+            a.clone(),
+            Round::new(),
+            Round::new(),
+            a,
+        ]),
+        Schedule::with(vec![b.clone(), b]),
+    ]
+}
+
+#[test]
+fn schedule_bounds_equal_the_memo_free_per_round_sum() {
+    for mode in [ContentionMode::MaxMinFair, ContentionMode::EqualShare] {
+        for nics in [1usize, 2, 4] {
+            for policy in policies() {
+                let net = fabric(nics, policy, mode);
+                let machine = net.hierarchy().clone();
+                let mut cases = repeats();
+                cases.extend(
+                    generators()
+                        .into_iter()
+                        .map(|c| merged(&machine, c, REF_PAYLOAD, nics)),
+                );
+                for (i, m) in cases.iter().enumerate() {
+                    assert_eq!(
+                        schedule_lower_bound(&net, m).to_bits(),
+                        per_round_sum(m, |r| net.round_lower_bound(r)).to_bits(),
+                        "tight bound, case {i} ({mode:?}, {nics} rails, {policy})"
+                    );
+                    assert_eq!(
+                        schedule_lower_bound_aggregate(&net, m).to_bits(),
+                        per_round_sum(m, |r| net.round_lower_bound_aggregate(r)).to_bits(),
+                        "cheap bound, case {i} ({mode:?}, {nics} rails, {policy})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn schedule_time_rounds_equals_summed_round_memo() {
+    for nics in [1usize, 2, 4] {
+        let net = fabric(nics, RailPolicy::RoundRobin, ContentionMode::MaxMinFair);
+        let machine = net.hierarchy().clone();
+        let mut cases = repeats();
+        cases.extend(
+            generators()
+                .into_iter()
+                .map(|c| merged(&machine, c, REF_PAYLOAD, nics)),
+        );
+        for (i, m) in cases.iter().enumerate() {
+            let memoized = SharedCostCache::new();
+            let per_round = SharedCostCache::new();
+            let t = memoized.schedule_time_rounds(&net, m, REF_PAYLOAD);
+            let summed: f64 = m
+                .rounds
+                .iter()
+                .map(|r| per_round.round_time_memo(&net, r))
+                .sum();
+            assert_eq!(t.to_bits(), summed.to_bits(), "case {i}, {nics} rails");
+            assert_eq!(
+                memoized.cache_stats(),
+                per_round.cache_stats(),
+                "case {i}, {nics} rails: round reuse must count the hits it replaces"
+            );
+        }
+    }
 }

@@ -21,9 +21,9 @@ use mre_simnet::{Message, Round, Schedule};
 /// payload each rank sends to each other rank.
 pub fn alltoall_pairwise(members: &[usize], bytes_per_pair: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(p.saturating_sub(1)));
     for r in 1..p {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(
                 members[i],
@@ -49,11 +49,12 @@ pub fn alltoall_pairwise(members: &[usize], bytes_per_pair: u64) -> Schedule {
 pub fn alltoall_pairwise_railed(members: &[usize], bytes_per_pair: u64, nics: usize) -> Schedule {
     assert!(nics >= 1, "need at least one rail");
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(p.saturating_sub(1).div_ceil(nics)));
     let mut r = 1;
     while r < p {
-        let mut round = Round::new();
-        for sub in r..(r + nics).min(p) {
+        let end = (r + nics).min(p);
+        let mut round = Round::with_capacity((end - r) * p);
+        for sub in r..end {
             for i in 0..p {
                 round.push(Message::new(
                     members[i],
@@ -93,13 +94,13 @@ pub fn rail_hints(schedule: &Schedule, nics: usize) -> Vec<Vec<usize>> {
 /// blocks whose destination offset has bit `k` set to `(i + 2ᵏ) mod p`.
 pub fn alltoall_bruck(members: &[usize], bytes_per_pair: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(ceil_log2(p)));
     for k in 0..ceil_log2(p) {
         let hop = 1usize << k;
         // Every rank holds, per destination offset `o`, one block of
         // `bytes_per_pair`; blocks with bit k of o set travel this round.
         let blocks: u64 = (0..p).filter(|o| o & hop != 0).count() as u64;
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(
                 members[i],
@@ -123,9 +124,9 @@ pub fn alltoall_bruck(members: &[usize], bytes_per_pair: u64) -> Schedule {
 pub fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
     let p = members.len();
     assert_eq!(sizes.len(), p, "one size row per rank");
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(p));
     for r in 0..p {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             let dst = (i + r) % p;
             let bytes = sizes[i][dst];
@@ -144,9 +145,9 @@ pub fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
 /// last to its right neighbor. `block_bytes` is one rank's contribution.
 pub fn allgather_ring(members: &[usize], block_bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(p.saturating_sub(1)));
     for _ in 1..p {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(members[i], members[(i + 1) % p], block_bytes));
         }
@@ -163,10 +164,10 @@ pub fn allgather_recursive_doubling(members: &[usize], block_bytes: u64) -> Sche
         p.is_power_of_two(),
         "recursive doubling needs a power of two"
     );
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(p.trailing_zeros() as usize));
     let mut hop = 1usize;
     while hop < p {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(
                 members[i],
@@ -184,11 +185,11 @@ pub fn allgather_recursive_doubling(members: &[usize], block_bytes: u64) -> Sche
 /// `(i − 2ᵏ) mod p`.
 pub fn allgather_bruck(members: &[usize], block_bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(ceil_log2(p)));
     let mut hop = 1usize;
     while hop < p {
         let blocks = hop.min(p - hop) as u64;
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(
                 members[i],
@@ -206,14 +207,15 @@ pub fn allgather_bruck(members: &[usize], block_bytes: u64) -> Schedule {
 /// plus `log₂` full-vector exchange rounds.
 pub fn allreduce_recursive_doubling(members: &[usize], total_bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
     if p <= 1 {
-        return schedule;
+        return Schedule::new();
     }
     let pow = 1usize << (usize::BITS - 1 - p.leading_zeros());
     let rem = p - pow;
+    let folds = if rem > 0 { 2 } else { 0 };
+    let mut schedule = Schedule::with(Vec::with_capacity(pow.trailing_zeros() as usize + folds));
     if rem > 0 {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(rem);
         for i in 0..rem {
             round.push(Message::new(
                 members[2 * i + 1],
@@ -226,7 +228,7 @@ pub fn allreduce_recursive_doubling(members: &[usize], total_bytes: u64) -> Sche
     let to_real = |nr: usize| if nr < rem { nr * 2 } else { nr + rem };
     let mut hop = 1usize;
     while hop < pow {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(pow);
         for nr in 0..pow {
             round.push(Message::new(
                 members[to_real(nr)],
@@ -238,7 +240,7 @@ pub fn allreduce_recursive_doubling(members: &[usize], total_bytes: u64) -> Sche
         hop <<= 1;
     }
     if rem > 0 {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(rem);
         for i in 0..rem {
             round.push(Message::new(
                 members[2 * i],
@@ -255,14 +257,14 @@ pub fn allreduce_recursive_doubling(members: &[usize], total_bytes: u64) -> Sche
 /// `total_bytes / p` blocks (balanced split).
 pub fn allreduce_ring(members: &[usize], total_bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
     if p <= 1 {
-        return schedule;
+        return Schedule::new();
     }
+    let mut schedule = Schedule::with(Vec::with_capacity(2 * (p - 1)));
     let n = total_bytes as usize;
     // Reduce-scatter.
     for step in 0..p - 1 {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             let send_block = (i + p - step) % p;
             let (s0, s1) = block_range(n, p, send_block);
@@ -276,7 +278,7 @@ pub fn allreduce_ring(members: &[usize], total_bytes: u64) -> Schedule {
     }
     // Allgather.
     for step in 0..p - 1 {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             let send_block = (i + 1 + p - step) % p;
             let (s0, s1) = block_range(n, p, send_block);
@@ -294,15 +296,15 @@ pub fn allreduce_ring(members: &[usize], total_bytes: u64) -> Schedule {
 /// Binomial-tree broadcast from communicator rank `root`.
 pub fn bcast_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
     if p <= 1 {
-        return schedule;
+        return Schedule::new();
     }
     // Round k: relative ranks < 2^k forward to +2^k.
     let rounds = ceil_log2(p);
+    let mut schedule = Schedule::with(Vec::with_capacity(rounds));
     for k in 0..rounds {
         let hop = 1usize << k;
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(hop.min(p - hop));
         for rel in 0..hop.min(p) {
             if rel + hop < p {
                 round.push(Message::new(
@@ -343,7 +345,7 @@ pub fn reduce_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
 /// Linear gather of `bytes` per rank to `root` (one contention round).
 pub fn gather_linear(members: &[usize], root: usize, bytes: u64) -> Schedule {
     let p = members.len();
-    let mut round = Round::new();
+    let mut round = Round::with_capacity(p.saturating_sub(1));
     for (i, &m) in members.iter().enumerate() {
         if i != root {
             round.push(Message::new(m, members[root], bytes));
@@ -359,10 +361,10 @@ pub fn gather_linear(members: &[usize], root: usize, bytes: u64) -> Schedule {
 /// Hillis–Steele inclusive scan: `⌈log₂ p⌉` rounds of full-vector hops.
 pub fn scan_hillis_steele(members: &[usize], bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(ceil_log2(p)));
     let mut hop = 1usize;
     while hop < p {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p - hop);
         for i in 0..p - hop {
             round.push(Message::new(members[i], members[i + hop], bytes));
         }
@@ -376,13 +378,13 @@ pub fn scan_hillis_steele(members: &[usize], bytes: u64) -> Schedule {
 /// rotate-home round, block size `total_bytes / p`.
 pub fn reduce_scatter_ring(members: &[usize], total_bytes: u64) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
     if p <= 1 {
-        return schedule;
+        return Schedule::new();
     }
+    let mut schedule = Schedule::with(Vec::with_capacity(p));
     let block = total_bytes / p as u64;
     for _ in 0..p - 1 {
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(members[i], members[(i + 1) % p], block));
         }
@@ -390,7 +392,7 @@ pub fn reduce_scatter_ring(members: &[usize], total_bytes: u64) -> Schedule {
     }
     // Rotate the finished block home: rank i holds block i+1, which
     // belongs to the right neighbor.
-    let mut round = Round::new();
+    let mut round = Round::with_capacity(p);
     for i in 0..p {
         round.push(Message::new(members[i], members[(i + 1) % p], block));
     }
@@ -407,10 +409,10 @@ pub fn exscan_hillis_steele(members: &[usize], bytes: u64) -> Schedule {
 /// messages.
 pub fn barrier_dissemination(members: &[usize]) -> Schedule {
     let p = members.len();
-    let mut schedule = Schedule::new();
+    let mut schedule = Schedule::with(Vec::with_capacity(ceil_log2(p)));
     for k in 0..ceil_log2(p) {
         let hop = 1usize << k;
-        let mut round = Round::new();
+        let mut round = Round::with_capacity(p);
         for i in 0..p {
             round.push(Message::new(members[i], members[(i + hop) % p], 0));
         }

@@ -45,12 +45,20 @@
 //! The per-level totals live in a [`RoundLoad`], built in one pass over a
 //! round's messages; evaluating a bound from a load is O(levels · rails),
 //! so a search that keeps loads around re-bounds without touching the
-//! messages again. Distinct active links are counted through the model's
-//! dense [`RailLinkTable`](crate::rail::RailLinkTable) numbering: each
-//! traversed link's id marks an epoch-stamped array in the thread's
+//! messages again. Each message's crossing level and per-level up/down
+//! link ids come from the model's
+//! [`RailLinkTable`](crate::rail::RailLinkTable) rows: one core-major row
+//! per core holding, per level, the instance's link base and the core's
+//! part of the rail choice (`size × depth × 8` bytes per model), so the
+//! crossing level is the first level whose bases differ and every link id
+//! is an addition — no division by level strides per hop. Distinct active
+//! links are counted by marking each traversed link's id in an
+//! epoch-stamped array in the thread's
 //! [`RoundWorkspace`](crate::workspace::RoundWorkspace), so a warm bound
-//! neither hashes nor allocates. The pooled fluid bounds accumulate every
-//! message of every job into that same load in place.
+//! neither hashes nor allocates. The cheap rung fills only the aggregate
+//! fields of the load, not the per-rail histograms it never reads. The
+//! pooled fluid bounds accumulate every message of every job into that
+//! same load in place.
 //!
 //! Each rung of the ladder has one public spelling per engine: the free
 //! functions [`schedule_lower_bound`] (tight) and
@@ -145,7 +153,7 @@ impl NetworkModel {
     pub fn round_load(&self, messages: &[Message]) -> RoundLoad {
         let mut load = RoundLoad::default();
         crate::workspace::with_thread_local(|ws| {
-            self.round_load_into(&mut ws.links, &mut load, messages)
+            self.round_load_into::<true>(&mut ws.links, &mut load, messages)
         });
         load
     }
@@ -156,14 +164,22 @@ impl NetworkModel {
     /// several rounds: the pooled fluid bounds feed every message of every
     /// job through here without copying them into one virtual round.
     ///
+    /// Without `per_rail` the four per-rail histograms stay zero: the
+    /// aggregate rung never reads them, so it skips their updates.
+    ///
     /// [`RoundWorkspace`]: crate::workspace::RoundWorkspace
     pub(crate) fn with_round_load<'m, R>(
         &self,
         messages: impl IntoIterator<Item = &'m Message>,
+        per_rail: bool,
         f: impl FnOnce(&RoundLoad) -> R,
     ) -> R {
         crate::workspace::with_thread_local(|ws| {
-            self.round_load_into(&mut ws.links, &mut ws.load, messages);
+            if per_rail {
+                self.round_load_into::<true>(&mut ws.links, &mut ws.load, messages);
+            } else {
+                self.round_load_into::<false>(&mut ws.links, &mut ws.load, messages);
+            }
             f(&ws.load)
         })
     }
@@ -176,47 +192,50 @@ impl NetworkModel {
     /// Distinct active links are counted by marking each traversed link's
     /// id in the model's [`RailLinkTable`](crate::rail::RailLinkTable) in
     /// the epoch-stamped `links` — a link counts once per round, whichever
-    /// message touches it first.
-    pub(crate) fn round_load_into<'m>(
+    /// message touches it first. Each message's crossing level and link
+    /// ids come from the table's per-core rows
+    /// ([`RailLinkTable::path`](crate::rail::RailLinkTable::path)). The
+    /// per-rail histograms are filled only when `PER_RAIL`.
+    pub(crate) fn round_load_into<'m, const PER_RAIL: bool>(
         &self,
         links: &mut LinkSlots,
         load: &mut RoundLoad,
         messages: impl IntoIterator<Item = &'m Message>,
     ) {
         let table = self.link_table();
-        let strides = table.strides();
         let params = self.links();
         load.reset(self.rail_counts());
         links.begin(table.num_links());
         for m in messages {
-            if m.src == m.dst {
+            let Some(path) = table.path(m.src, m.dst) else {
                 load.max_local_bytes = load.max_local_bytes.max(m.bytes);
                 continue;
-            }
-            let j = strides
-                .iter()
-                .position(|&s| m.src / s != m.dst / s)
-                .expect("distinct cores differ at some level");
-            let latency = params[j].crossing_latency;
+            };
+            let latency = params[path.crossing()].crossing_latency;
             load.max_latency = load.max_latency.max(latency);
-            for (level, &stride) in strides.iter().enumerate().skip(j) {
+            for hop in path {
+                let level = hop.level;
                 load.bytes_through[level] += m.bytes;
                 // Distinct (instance, rail) pairs: on a multi-rail fabric
                 // each rail of a NIC drains independently at the per-rail
                 // bandwidth, so activity is counted per rail. Single-rail
                 // models always yield rail 0, keeping the counts (and the
                 // bound) byte-identical to the pre-rail engine.
-                let up_rail = self.message_rail(level, m.src, m.dst, true);
-                load.rail_bytes_up[level][up_rail] += m.bytes;
-                if links.insert(table.link_id(level, m.src / stride, true, up_rail)) {
-                    load.active_up[level] += 1;
-                    load.rail_active_up[level][up_rail] += 1;
+                if PER_RAIL {
+                    load.rail_bytes_up[level][hop.up_rail] += m.bytes;
+                    load.rail_bytes_down[level][hop.down_rail] += m.bytes;
                 }
-                let down_rail = self.message_rail(level, m.src, m.dst, false);
-                load.rail_bytes_down[level][down_rail] += m.bytes;
-                if links.insert(table.link_id(level, m.dst / stride, false, down_rail)) {
+                if links.insert(hop.up) {
+                    load.active_up[level] += 1;
+                    if PER_RAIL {
+                        load.rail_active_up[level][hop.up_rail] += 1;
+                    }
+                }
+                if links.insert(hop.down) {
                     load.active_down[level] += 1;
-                    load.rail_active_down[level][down_rail] += 1;
+                    if PER_RAIL {
+                        load.rail_active_down[level][hop.down_rail] += 1;
+                    }
                 }
                 let entry = &mut load.min_latency_through[level];
                 if load.bytes_through[level] == m.bytes {
@@ -304,14 +323,16 @@ impl NetworkModel {
     /// [`RoundWorkspace`](crate::workspace::RoundWorkspace)'s load instead
     /// of allocating one per call (bit-identical: the load is reset first).
     pub fn round_lower_bound(&self, messages: &[Message]) -> f64 {
-        self.with_round_load(messages, |load| self.round_lower_bound_from(load))
+        self.with_round_load(messages, true, |load| self.round_lower_bound_from(load))
     }
 
     /// Aggregate-capacity lower bound on [`round_time`](Self::round_time)
     /// (the cheap rung — see
     /// [`round_lower_bound_aggregate_from`](Self::round_lower_bound_aggregate_from)).
     pub fn round_lower_bound_aggregate(&self, messages: &[Message]) -> f64 {
-        self.with_round_load(messages, |load| self.round_lower_bound_aggregate_from(load))
+        self.with_round_load(messages, false, |load| {
+            self.round_lower_bound_aggregate_from(load)
+        })
     }
 }
 
@@ -320,11 +341,14 @@ impl NetworkModel {
 /// are barrier-synchronized, so per-round lower bounds add) — the tight
 /// rung of the search's bound ladder.
 ///
-/// Repeated rounds — ring and pairwise collectives re-issue the same
-/// message set every round — are bounded once, so the bound costs
-/// O(distinct rounds · messages). Hash matches are verified by full
-/// equality before reuse, so a collision can never substitute a wrong
-/// (inadmissible) bound.
+/// A round equal to the one before it reuses that round's bound instead
+/// of walking its messages again. Ring collectives re-issue the same
+/// message set round after round (and lockstep merges of rings keep
+/// doing so), so they cost O(distinct runs · messages); pairwise rounds
+/// never repeat and are each bounded once. Equality is checked on the
+/// whole message slice, and a round's bound is a pure function of its
+/// messages, so reuse changes no bit; repeats that are not adjacent are
+/// simply bounded again.
 pub fn schedule_lower_bound(net: &NetworkModel, schedule: &Schedule) -> f64 {
     schedule_bound_by(schedule, |msgs| net.round_lower_bound(msgs))
 }
@@ -337,29 +361,20 @@ pub fn schedule_lower_bound_aggregate(net: &NetworkModel, schedule: &Schedule) -
     schedule_bound_by(schedule, |msgs| net.round_lower_bound_aggregate(msgs))
 }
 
-/// Round-memoized sum driving both schedule bounds: equal rounds are
-/// bounded once, matched by hash and then by full equality.
+/// The per-round sum driving both schedule bounds: a round equal to its
+/// predecessor reuses the predecessor's bound.
 fn schedule_bound_by(schedule: &Schedule, round_bound: impl Fn(&[Message]) -> f64) -> f64 {
-    use std::collections::HashMap;
-    use std::hash::{DefaultHasher, Hash, Hasher};
-    let mut memo: HashMap<u64, Vec<(&[Message], f64)>> = HashMap::new();
+    let mut previous: Option<(&[Message], f64)> = None;
     schedule
         .rounds
         .iter()
         .map(|r| {
-            let mut h = DefaultHasher::new();
-            for m in &r.messages {
-                (m.src, m.dst, m.bytes).hash(&mut h);
-            }
-            let bucket = memo.entry(h.finish()).or_default();
-            if let Some((_, t)) = bucket
-                .iter()
-                .find(|(msgs, _)| *msgs == r.messages.as_slice())
-            {
-                return *t;
-            }
-            let t = round_bound(&r.messages);
-            bucket.push((r.messages.as_slice(), t));
+            let messages = r.messages.as_slice();
+            let t = match previous {
+                Some((prev, t)) if prev == messages => t,
+                _ => round_bound(messages),
+            };
+            previous = Some((messages, t));
             t
         })
         .sum()
@@ -396,6 +411,7 @@ pub fn fluid_lower_bound(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
     fluid_bound_by(
         net,
         schedules,
+        true,
         schedule_lower_bound,
         NetworkModel::round_lower_bound_from,
     )
@@ -410,16 +426,19 @@ pub fn fluid_lower_bound_aggregate(net: &NetworkModel, schedules: &[Schedule]) -
     fluid_bound_by(
         net,
         schedules,
+        false,
         schedule_lower_bound_aggregate,
         NetworkModel::round_lower_bound_aggregate_from,
     )
 }
 
 /// The body of both fluid bounds: the max of the per-job schedule bound
-/// and the round bound of every message pooled into one virtual round.
+/// and the round bound of every message pooled into one virtual round
+/// (whose load carries the per-rail histograms when `per_rail`).
 fn fluid_bound_by(
     net: &NetworkModel,
     schedules: &[Schedule],
+    per_rail: bool,
     job_bound: impl Fn(&NetworkModel, &Schedule) -> f64,
     round_bound: impl Fn(&NetworkModel, &RoundLoad) -> f64,
 ) -> f64 {
@@ -427,7 +446,7 @@ fn fluid_bound_by(
         .iter()
         .map(|s| job_bound(net, s))
         .fold(0.0, f64::max);
-    let aggregate = net.with_round_load(pooled(schedules), |load| round_bound(net, load));
+    let aggregate = net.with_round_load(pooled(schedules), per_rail, |load| round_bound(net, load));
     per_job.max(aggregate)
 }
 

@@ -272,19 +272,18 @@ impl CongestionProbe {
         };
         self.scratch.clear();
         for (i, m) in messages.iter().enumerate() {
-            let Some(j) = profile.crossing[i] else {
+            let Some(path) = self.table.path(m.src, m.dst) else {
                 continue;
             };
+            debug_assert_eq!(profile.crossing[i], Some(path.crossing()));
             let (latency, rate) = profile.entries[i];
             let s = start + latency;
             let f = s + m.bytes as f64 / rate;
-            for level in j..k {
-                let span = &mut mark.level_span[level];
+            for hop in path {
+                let span = &mut mark.level_span[hop.level];
                 *span = span.max(f - start);
-                for up in [true, false] {
-                    let link = self.table.message_link(level, m.src, m.dst, up);
-                    self.scratch.push((link, s, f, rate));
-                }
+                self.scratch.push((hop.up, s, f, rate));
+                self.scratch.push((hop.down, s, f, rate));
             }
         }
         // Per link, merge message intervals into aggregate-rate segments.
@@ -584,15 +583,16 @@ pub fn bound_gap_fluid(
     probe: &CongestionProbe,
 ) -> Vec<BoundGap> {
     let k = net.hierarchy().depth();
-    let mut gaps: Vec<BoundGap> = net.with_round_load(crate::bound::pooled(schedules), |load| {
-        (0..k)
-            .map(|level| BoundGap {
-                level,
-                bound: level_bound_term(net, load, level),
-                actual: 0.0,
-            })
-            .collect()
-    });
+    let mut gaps: Vec<BoundGap> =
+        net.with_round_load(crate::bound::pooled(schedules), true, |load| {
+            (0..k)
+                .map(|level| BoundGap {
+                    level,
+                    bound: level_bound_term(net, load, level),
+                    actual: 0.0,
+                })
+                .collect()
+        });
     for l in 0..probe.num_links() as u32 {
         let (level, _, _, _) = probe.table().decode(l);
         if let Some(last) = probe.link_segments(l).last() {

@@ -33,9 +33,11 @@
 //!   (a lazy-heap water-fill over the *active* links only) exclusively
 //!   when the bandwidth-consuming flow set changes; events that touch only
 //!   local copies solve nothing.
-//! * **Memoized paths.** `(src, dst) → (crossing level, link path)` is
-//!   computed once per endpoint pair and interned in an arena; collectives
-//!   re-issue the same pairs round after round.
+//! * **Row-read paths.** A flight's crossing level and link path come
+//!   from the model's per-core [`RailLinkTable`] rows — a few additions
+//!   per level, cheaper than looking the pair up in a `(src, dst)` memo —
+//!   and are written into a per-run arena parallel to the flights'
+//!   back-pointer slots.
 //! * **Solve-time prediction scan.** Each transferring flight carries its
 //!   predicted finish; a solve re-predicts only the flights whose rate
 //!   actually changed and tracks the minimum while it freezes them (the
@@ -73,7 +75,7 @@ use crate::network::NetworkModel;
 use crate::rail::RailLinkTable;
 use crate::schedule::Schedule;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Residual-byte snap tolerance, relative to the flight's payload size.
 const REL_BYTES_EPS: f64 = 1e-12;
@@ -286,9 +288,6 @@ struct Flight {
     crossing: i32,
     /// Injection time (the owning round's start), for the timeline.
     injected: f64,
-    /// Range into the per-run `link_pos` arena: position of this flight
-    /// in `link_flows[path[k]]`, for each path slot `k`.
-    lp_start: u32,
     /// Position in the `transferring` list (NO_POS while not in it).
     tpos: u32,
     /// True until the head latency expires (no bandwidth consumed).
@@ -314,7 +313,9 @@ struct FlightHot {
     predicted: f64,
     /// Absolute byte-snap threshold, `bytes * REL_BYTES_EPS` precomputed.
     snap: f64,
-    /// Range into the path arena (dense directed-link indices).
+    /// Range into the per-run path arena (dense directed-link ids) and,
+    /// at the same offsets, into the `link_pos` back-pointer arena: the
+    /// flight's position in `link_flows[path[k]]` for each path slot `k`.
     path_start: u32,
     path_len: u32,
     /// Solve epoch that froze this flight last (the visited-mark of the
@@ -326,8 +327,8 @@ struct FlightHot {
 
 /// The persistent incremental fluid engine. Construct once per network
 /// model and [`run`](Self::run) any number of schedule batches — the
-/// interned link table and the memoized `(src, dst) → path` cache survive
-/// across runs, which is what a cost oracle evaluated thousands of times
+/// pre-interned link state and the per-link flow lists survive across
+/// runs, which is what a cost oracle evaluated thousands of times
 /// by an order sweep wants. [`stats`](Self::stats) accumulates over all
 /// runs.
 pub struct FluidSim<'a> {
@@ -345,7 +346,7 @@ pub struct FluidSim<'a> {
     table: &'a RailLinkTable,
     /// Per-link capacity, flow count, and water-fill scratch.
     lstate: Vec<LinkState>,
-    path_cache: HashMap<(u32, u32), (i32, u32, u32)>,
+    /// Per-run arena of flight paths (see [`FlightHot::path_start`]).
     path_arena: Vec<u32>,
     // Per-run simulation state.
     flights: Vec<Flight>,
@@ -374,7 +375,7 @@ pub struct FluidSim<'a> {
     busy_pos: Vec<u32>,
     /// Flights currently consuming bandwidth (swap-remove list).
     transferring: Vec<u32>,
-    /// Back-pointer arena for `Flight::lp_start` ranges.
+    /// Back-pointer arena, parallel to `path_arena`.
     link_pos: Vec<u32>,
     /// Minimum predicted finish over `transferring`, maintained by
     /// [`resolve`](Self::resolve); infinite when nothing transfers.
@@ -418,7 +419,6 @@ impl<'a> FluidSim<'a> {
             local_rate: net.calibrated_local_rate(),
             table,
             lstate,
-            path_cache: HashMap::new(),
             path_arena: Vec::new(),
             flights: Vec::new(),
             flights_hot: Vec::new(),
@@ -508,6 +508,7 @@ impl<'a> FluidSim<'a> {
         self.solo.clear();
         self.solo_cap_min = f64::INFINITY;
         self.transferring.clear();
+        self.path_arena.clear();
         self.link_pos.clear();
         self.next_completion = f64::INFINITY;
         self.outstanding.clear();
@@ -695,16 +696,25 @@ impl<'a> FluidSim<'a> {
             }
             let mut joined = false;
             for (seq, m) in round.messages.iter().enumerate() {
-                let (crossing, path_start, path_len) = self.intern_path(m.src, m.dst);
+                let path_start = self.path_arena.len() as u32;
+                let crossing = match self.table.path(m.src, m.dst) {
+                    None => -1,
+                    Some(path) => {
+                        let crossing = path.crossing() as i32;
+                        for hop in path {
+                            self.path_arena.extend([hop.up, hop.down]);
+                        }
+                        crossing
+                    }
+                };
+                let path_len = self.path_arena.len() as u32 - path_start;
                 let latency = if crossing >= 0 {
                     self.net.links()[crossing as usize].crossing_latency
                 } else {
                     0.0
                 };
                 let id = self.flights.len() as u32;
-                let lp_start = self.link_pos.len() as u32;
-                self.link_pos
-                    .resize(lp_start as usize + path_len as usize, NO_POS);
+                self.link_pos.resize(self.path_arena.len(), NO_POS);
                 let mut flight = Flight {
                     job: job as u32,
                     round: round_idx as u32,
@@ -714,7 +724,6 @@ impl<'a> FluidSim<'a> {
                     bytes: m.bytes,
                     crossing,
                     injected: now,
-                    lp_start,
                     tpos: NO_POS,
                     in_latency: false,
                     alive: true,
@@ -764,46 +773,17 @@ impl<'a> FluidSim<'a> {
         false
     }
 
-    /// Memoized `(src, dst) → (crossing, path arena range)`.
-    fn intern_path(&mut self, src: usize, dst: usize) -> (i32, u32, u32) {
-        let key = (src as u32, dst as u32);
-        if let Some(&entry) = self.path_cache.get(&key) {
-            return entry;
-        }
-        let entry = if src == dst {
-            (-1, 0, 0)
-        } else {
-            let strides = self.table.strides();
-            let k = strides.len();
-            let j = strides
-                .iter()
-                .position(|&s| src / s != dst / s)
-                .expect("distinct cores differ at some level");
-            let start = self.path_arena.len() as u32;
-            for level in j..k {
-                for up in [true, false] {
-                    self.path_arena
-                        .push(self.table.message_link(level, src, dst, up));
-                }
-            }
-            (j as i32, start, (2 * (k - j)) as u32)
-        };
-        self.path_cache.insert(key, entry);
-        entry
-    }
-
     fn join_links(&mut self, flight: u32) {
         let fi = flight as usize;
-        let (start, len, lp) = (
+        let (start, len) = (
             self.flights_hot[fi].path_start as usize,
             self.flights_hot[fi].path_len as usize,
-            self.flights[fi].lp_start as usize,
         );
         for slot in 0..len {
             let l = self.path_arena[start + slot] as usize;
             let pos = self.link_flows[l].len() as u32;
             self.link_flows[l].push((flight, slot as u32));
-            self.link_pos[lp + slot] = pos;
+            self.link_pos[start + slot] = pos;
             let ls = &mut self.lstate[l];
             ls.nflows += 1;
             let (nf, cap) = (ls.nflows, ls.capacity);
@@ -843,18 +823,17 @@ impl<'a> FluidSim<'a> {
 
     fn leave_links(&mut self, flight: u32) {
         let fi = flight as usize;
-        let (start, len, lp) = (
+        let (start, len) = (
             self.flights_hot[fi].path_start as usize,
             self.flights_hot[fi].path_len as usize,
-            self.flights[fi].lp_start as usize,
         );
         for slot in 0..len {
             let l = self.path_arena[start + slot] as usize;
-            let pos = self.link_pos[lp + slot] as usize;
+            let pos = self.link_pos[start + slot] as usize;
             self.link_flows[l].swap_remove(pos);
             if let Some(&(moved, moved_slot)) = self.link_flows[l].get(pos) {
-                let moved = &self.flights[moved as usize];
-                self.link_pos[moved.lp_start as usize + moved_slot as usize] = pos as u32;
+                let moved_start = self.flights_hot[moved as usize].path_start as usize;
+                self.link_pos[moved_start + moved_slot as usize] = pos as u32;
             }
             let ls = &mut self.lstate[l];
             ls.nflows -= 1;
@@ -1076,7 +1055,7 @@ impl<'a> FluidSim<'a> {
 /// delivered.
 ///
 /// This is the incremental [`FluidSim`] engine; use it directly to reuse
-/// link/path caches across many evaluations.
+/// its link state across many evaluations.
 pub fn fluid_time(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
     FluidSim::new(net).run(schedules)
 }

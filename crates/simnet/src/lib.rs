@@ -59,7 +59,7 @@ pub use fluid::{
 };
 pub use memory::MemoryModel;
 pub use network::{ContentionMode, LinkParams, NetworkModel, RoundProfile};
-pub use rail::{assign_rail, RailLinkTable, RailPolicy};
+pub use rail::{assign_rail, LinkPath, PathHop, RailLinkTable, RailPolicy};
 pub use schedule::{CacheStats, Message, Round, Schedule, SharedCostCache};
 pub use symbolic::{PayloadEnvelope, SymbolicScheduleCost};
 pub use timeline::{MessageTiming, RoundTimeline, ScheduleTimeline};

@@ -287,8 +287,6 @@ impl NetworkModel {
         }
         ws.begin_round();
         let table = &self.link_table;
-        let strides = table.strides();
-        let k = strides.len();
         // Intern each traversed rail-link the first time the round touches
         // it: its dense model id selects a stamped slot, and the slot
         // records the link's position in first-seen order. At one rail per
@@ -303,28 +301,23 @@ impl NetworkModel {
         let mut crossing: Vec<Option<usize>> = Vec::with_capacity(messages.len());
         for m in messages {
             debug_assert!(m.src < self.hierarchy.size() && m.dst < self.hierarchy.size());
-            if m.src == m.dst {
+            let Some(path) = table.path(m.src, m.dst) else {
                 ws.flow_offsets.push(ws.flow_links.len());
                 crossing.push(None);
                 continue;
-            }
-            let j = strides
-                .iter()
-                .position(|&s| m.src / s != m.dst / s)
-                .expect("distinct cores differ at some level");
-            for level in j..k {
-                for up in [true, false] {
-                    let id = table.message_link(level, m.src, m.dst, up);
+            };
+            crossing.push(Some(path.crossing()));
+            for hop in path {
+                for id in [hop.up, hop.down] {
                     let next = ws.capacities.len() as u32;
                     let idx = ws.links.slot_or_insert(id, next);
                     if idx == next {
-                        ws.capacities.push(self.links[level].uplink_bandwidth);
+                        ws.capacities.push(self.links[hop.level].uplink_bandwidth);
                     }
                     ws.flow_links.push(idx as usize);
                 }
             }
             ws.flow_offsets.push(ws.flow_links.len());
-            crossing.push(Some(j));
         }
         match self.mode {
             ContentionMode::MaxMinFair => max_min_rates_csr(

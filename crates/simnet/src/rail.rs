@@ -20,12 +20,19 @@
 //! geometry** — no round index, no arrival order, no randomness. That is
 //! what keeps the subsystem composable with the rest of the stack:
 //!
-//! * path interning (`(src, dst) → links`) stays valid across rounds and
-//!   runs ([`crate::FluidSim`]'s memoized paths, [`crate::SharedCostCache`]'s
-//!   endpoint-keyed profiles);
+//! * a core's rail part can be precomputed once per model (the
+//!   [`RailLinkTable`] rows), and endpoint-keyed memos stay valid across
+//!   rounds and runs ([`crate::SharedCostCache`]'s profiles);
 //! * rail assignment is deterministic across threads (property-tested);
 //! * the admissible bounds of [`crate::bound`] can count distinct
 //!   `(instance, rail)` links without simulating anything.
+//!
+//! [`RailLinkTable`] turns a message into link ids for every costing
+//! kernel. Besides the level-major id arithmetic it keeps one core-major
+//! row per core — per level, the core's instance link base and its part
+//! of the rail choice, two `u32`s, so `size × depth × 8` bytes per model —
+//! from which [`RailLinkTable::path`] reads a message's crossing level
+//! and its up/down link ids with additions only.
 //!
 //! With every level at one rail (the default), assignment is constantly
 //! rail 0 and the whole subsystem vanishes: link tables, water-fills and
@@ -135,6 +142,28 @@ pub fn assign_rail(
 /// sit in the same dense cache-hot prefix the single-rail table had, and
 /// with every `rails[level] = 1` the ids are **bit-identical** to the
 /// pre-rail layout.
+///
+/// # Per-core rows
+///
+/// The costing kernels walk every message's path, so the table also keeps
+/// one core-major row per core, built once at construction from
+/// [`link_id`](Self::link_id) and [`assign_rail`]. Entry `level` of core
+/// `c`'s row holds two `u32`s:
+///
+/// * `base = level_offset[level] + 2·instance·rails[level]` — the id of the
+///   rail-0 down link of `c`'s level-`level` instance (`instance = c /
+///   stride`);
+/// * the core's part of the rail choice — `c mod rails` under
+///   [`RailPolicy::RoundRobin`], whose rail `(src + dst) mod rails` is the
+///   sum of both parts folded once, and the whole rail under the two
+///   policies that depend on the owning side only.
+///
+/// [`path`](Self::path) then needs no division: the crossing level is the
+/// first level whose bases differ, and the link ids are additions (`up =
+/// base(src) + rails + rail`, `down = base(dst) + rail`). The rows cost
+/// `size × depth × 8` bytes per model — 64 KiB for 2048 cores on four
+/// levels. [`message_link`](Self::message_link) remains the rule the rows
+/// are built from, and the oracle the path kernel is tested against.
 #[derive(Debug, Clone)]
 pub struct RailLinkTable {
     strides: Vec<usize>,
@@ -142,6 +171,81 @@ pub struct RailLinkTable {
     policy: RailPolicy,
     level_offset: Vec<u32>,
     num_links: usize,
+    /// `size × depth` row entries, core-major (see the type docs).
+    rows: Vec<RowEntry>,
+}
+
+/// One core's entry for one level in [`RailLinkTable`]'s rows.
+#[derive(Debug, Clone, Copy)]
+struct RowEntry {
+    /// Id of the core's level instance's rail-0 down link.
+    base: u32,
+    /// The core's part of the rail choice.
+    rail: u32,
+}
+
+/// One traversed level of a message's path: the directed rail-links it
+/// occupies going up (sender side) and coming down (receiver side), and
+/// the rail each one is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathHop {
+    /// The hierarchy level (outermost is 0).
+    pub level: usize,
+    /// Id of the sender-side up link.
+    pub up: u32,
+    /// Id of the receiver-side down link.
+    pub down: u32,
+    /// Rail of the up link.
+    pub up_rail: usize,
+    /// Rail of the down link.
+    pub down_rail: usize,
+}
+
+/// The levels a `src → dst` message traverses, from its crossing level
+/// inwards — returned by [`RailLinkTable::path`].
+#[derive(Debug, Clone)]
+pub struct LinkPath<'a> {
+    src: &'a [RowEntry],
+    dst: &'a [RowEntry],
+    rails: &'a [usize],
+    round_robin: bool,
+    crossing: usize,
+    level: usize,
+}
+
+impl LinkPath<'_> {
+    /// The crossing level: the outermost level at which the endpoints sit
+    /// in different instances.
+    pub fn crossing(&self) -> usize {
+        self.crossing
+    }
+}
+
+impl Iterator for LinkPath<'_> {
+    type Item = PathHop;
+
+    #[inline]
+    fn next(&mut self) -> Option<PathHop> {
+        let level = self.level;
+        let (s, d) = (*self.src.get(level)?, self.dst[level]);
+        self.level += 1;
+        let rails = self.rails[level] as u32;
+        let (up_rail, down_rail) = if self.round_robin {
+            // `(src + dst) mod rails` from two parts below `rails`.
+            let sum = s.rail + d.rail;
+            let rail = if sum >= rails { sum - rails } else { sum };
+            (rail, rail)
+        } else {
+            (s.rail, d.rail)
+        };
+        Some(PathHop {
+            level,
+            up: s.base + rails + up_rail,
+            down: d.base + down_rail,
+            up_rail: up_rail as usize,
+            down_rail: down_rail as usize,
+        })
+    }
 }
 
 impl RailLinkTable {
@@ -155,13 +259,27 @@ impl RailLinkTable {
             level_offset.push(total as u32);
             total += 2 * (size / stride) * rails[level];
         }
-        Self {
+        let mut table = Self {
             strides: strides.to_vec(),
             rails: rails.to_vec(),
             policy,
             level_offset,
             num_links: total,
+            rows: Vec::with_capacity(size * strides.len()),
+        };
+        for core in 0..size {
+            for (level, &stride) in strides.iter().enumerate() {
+                // Under round-robin `assign_rail(.., core, 0)` is
+                // `core mod rails`; the other policies ignore the peer.
+                let rail = assign_rail(policy, rails[level], stride, core, 0);
+                let base = table.link_id(level, core / stride, false, 0);
+                table.rows.push(RowEntry {
+                    base,
+                    rail: rail as u32,
+                });
+            }
         }
+        table
     }
 
     /// Total number of directed rail-links.
@@ -204,6 +322,34 @@ impl RailLinkTable {
         let stride = self.strides[level];
         let rail = assign_rail(self.policy, self.rails[level], stride, side, peer);
         self.link_id(level, side / stride, up, rail)
+    }
+
+    /// The path of a `src → dst` message: its crossing level and, per
+    /// traversed level from there inwards, the up and down rail-links it
+    /// occupies — [`message_link`](Self::message_link) for every level and
+    /// direction, read from the per-core rows with no division. `None`
+    /// for a self-message, which occupies no link.
+    #[inline]
+    pub fn path(&self, src: usize, dst: usize) -> Option<LinkPath<'_>> {
+        if src == dst {
+            return None;
+        }
+        let depth = self.strides.len();
+        let src = &self.rows[src * depth..][..depth];
+        let dst = &self.rows[dst * depth..][..depth];
+        let crossing = src
+            .iter()
+            .zip(dst)
+            .position(|(s, d)| s.base != d.base)
+            .expect("distinct cores differ at some level");
+        Some(LinkPath {
+            src,
+            dst,
+            rails: &self.rails,
+            round_robin: self.policy == RailPolicy::RoundRobin,
+            crossing,
+            level: crossing,
+        })
     }
 
     /// Decodes a link id back into `(level, instance, up, rail)` — for

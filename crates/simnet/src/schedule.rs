@@ -41,6 +41,12 @@ impl Round {
         Self::default()
     }
 
+    /// An empty round with room for `messages` messages, so a generator
+    /// that knows the round's final size allocates it once.
+    pub fn with_capacity(messages: usize) -> Self {
+        Self::with(Vec::with_capacity(messages))
+    }
+
     /// A round holding the given messages.
     pub fn with(messages: Vec<Message>) -> Self {
         Self { messages }
@@ -249,7 +255,12 @@ impl Schedule {
             .unwrap_or(0);
         let mut rounds = Vec::with_capacity(max_rounds);
         for i in 0..max_rounds {
-            let mut round = Round::new();
+            let len = schedules
+                .iter()
+                .filter_map(|s| s.rounds.get(i))
+                .map(|r| r.messages.len())
+                .sum();
+            let mut round = Round::with_capacity(len);
             for s in schedules {
                 if let Some(r) = s.rounds.get(i) {
                     round.merge(r);
@@ -520,7 +531,7 @@ impl SharedCostCache {
 
     /// Counts one round resolved from a memo tier (`solved == false`) or
     /// by a contention solve, in the counters and the telemetry sink.
-    fn count_round(&self, solved: bool) {
+    pub(crate) fn count_round(&self, solved: bool) {
         use std::sync::atomic::Ordering::Relaxed;
         let (counter, name) = if solved {
             (&self.round_misses, "core.cost_cache.misses")
@@ -559,10 +570,24 @@ impl SharedCostCache {
             }
             return t;
         }
+        // A round equal to its predecessor would hit the time tier the
+        // predecessor just filled; reuse its time without hashing the
+        // round again, counting the same round hit.
+        let mut previous: Option<(&Round, f64)> = None;
         let t: f64 = schedule
             .rounds
             .iter()
-            .map(|r| self.round_time_memo(net, r))
+            .map(|r| {
+                let t = match previous {
+                    Some((prev, t)) if prev == r => {
+                        self.count_round(false);
+                        t
+                    }
+                    _ => self.round_time_memo(net, r),
+                };
+                previous = Some((r, t));
+                t
+            })
             .sum();
         self.misses.fetch_add(1, Relaxed);
         shard.lock().unwrap().insert(key, t);

@@ -40,7 +40,7 @@
 //!    (property-tested at 1e-12 relative agreement).
 
 use crate::network::{NetworkModel, RoundProfile};
-use crate::schedule::{Schedule, SharedCostCache};
+use crate::schedule::{Round, Schedule, SharedCostCache};
 use std::sync::Arc;
 
 /// A convex piecewise-linear function of payload bytes on `[0, ∞)`:
@@ -160,10 +160,24 @@ impl SymbolicScheduleCost {
             return None;
         }
         let inv_ref = reference_payload as f64;
-        let mut rounds = Vec::with_capacity(schedule.rounds.len());
+        let mut rounds: Vec<SymbolicRound> = Vec::with_capacity(schedule.rounds.len());
         let mut lines: Vec<(f64, f64)> = Vec::new();
         let mut hulls: Vec<Vec<HullPiece>> = Vec::with_capacity(schedule.rounds.len());
+        let mut previous: Option<&Round> = None;
         for round in &schedule.rounds {
+            // A round equal to its predecessor would hit the profile tier
+            // the predecessor just filled and rebuild the same hull: reuse
+            // both, counting the same round hit.
+            let repeat = previous == Some(round);
+            previous = Some(round);
+            if repeat {
+                cache.count_round(false);
+                if !round.messages.is_empty() {
+                    hulls.push(hulls.last().expect("the predecessor's hull").clone());
+                }
+                rounds.push(rounds.last().expect("the predecessor").clone());
+                continue;
+            }
             let profile = cache.round_profile_memo(net, round);
             lines.clear();
             lines.extend(

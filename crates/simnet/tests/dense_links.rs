@@ -11,15 +11,27 @@
 //! field for field and bit for bit. A second test checks that one
 //! thread's workspace, reused across models of different sizes, gives
 //! exactly what a fresh workspace gives.
+//!
+//! The kernels now read a message's crossing level and link ids from the
+//! table's per-core rows (`RailLinkTable::path`). A property test checks
+//! that path against the division formula (`src / stride`, `assign_rail`,
+//! `link_id`) for every ordered core pair of random 2–5-level machines
+//! with 1, 2 or 4 rails on any level, under every policy. The engines
+//! that route through it are pinned elsewhere too: the fluid engine
+//! against its message-link oracle (`railed_engine_matches_reference_randomized`
+//! in `fluid.rs`), the congestion probe's per-link bytes against a
+//! message-link ledger on 1/2/4-rail fabrics
+//! (`congestion_probe_conserves_routed_bytes` in `tests/proptests.rs`),
+//! and both bit for bit by the last test here.
 
 use std::collections::{HashMap, HashSet};
 
 use mre_core::Hierarchy;
 use mre_rng::{propcheck, SmallRng};
 use mre_simnet::{
-    fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates, schedule_lower_bound,
-    schedule_lower_bound_aggregate, LinkParams, Message, NetworkModel, RailPolicy, Round,
-    RoundLoad, Schedule,
+    assign_rail, fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates,
+    schedule_lower_bound, schedule_lower_bound_aggregate, CongestionProbe, FluidSim, LinkParams,
+    Message, NetworkModel, PathHop, RailPolicy, Round, RoundLoad, Schedule,
 };
 
 /// A 3–4-level machine with random per-level calibration; `nics` rails on
@@ -298,4 +310,139 @@ fn reused_workspace_across_model_sizes_is_bit_identical_to_fresh() {
         .join()
         .unwrap()
     });
+}
+
+/// A 2–5-level machine of up to 243 cores whose every level draws 1, 2
+/// or 4 rails.
+fn arb_railed_model(rng: &mut SmallRng, policy: RailPolicy) -> NetworkModel {
+    let depth = rng.gen_range(2usize..6);
+    let levels: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..4)).collect();
+    let h = Hierarchy::new(levels).expect("non-zero levels");
+    let links = (0..depth)
+        .map(|_| LinkParams {
+            uplink_bandwidth: rng.gen_range(1.0f64..100.0),
+            crossing_latency: rng.gen_range(0.0f64..1e-3),
+        })
+        .collect();
+    let rails = (0..depth)
+        .map(|_| *rng.choose(&[1usize, 2, 4]).expect("three counts"))
+        .collect();
+    NetworkModel::new(h, links, 100.0).with_rails(rails, policy)
+}
+
+#[test]
+fn path_kernel_matches_the_division_formula() {
+    propcheck(24, 0xD15E_0004, |rng| {
+        for policy in RailPolicy::ALL {
+            let net = arb_railed_model(rng, policy);
+            let table = net.link_table();
+            let strides = net.hierarchy().strides();
+            let rails = net.rail_counts();
+            let size = net.hierarchy().size();
+            for src in 0..size {
+                for dst in 0..size {
+                    let Some(path) = table.path(src, dst) else {
+                        assert_eq!(src, dst, "only a self-message has no path");
+                        continue;
+                    };
+                    assert_ne!(src, dst, "a self-message occupies no link");
+                    let j = strides
+                        .iter()
+                        .position(|&s| src / s != dst / s)
+                        .expect("distinct cores differ at some level");
+                    assert_eq!(path.crossing(), j, "{policy} {src}->{dst}");
+                    let expected: Vec<PathHop> = (j..strides.len())
+                        .map(|level| {
+                            let stride = strides[level];
+                            let up_rail = assign_rail(policy, rails[level], stride, src, dst);
+                            let down_rail = assign_rail(policy, rails[level], stride, dst, src);
+                            PathHop {
+                                level,
+                                up: table.link_id(level, src / stride, true, up_rail),
+                                down: table.link_id(level, dst / stride, false, down_rail),
+                                up_rail,
+                                down_rail,
+                            }
+                        })
+                        .collect();
+                    let hops: Vec<PathHop> = path.collect();
+                    assert_eq!(hops, expected, "{policy} rails {rails:?}: {src}->{dst}");
+                    for hop in &hops {
+                        assert_eq!(hop.up, table.message_link(hop.level, src, dst, true));
+                        assert_eq!(hop.down, table.message_link(hop.level, src, dst, false));
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Folds `bits` into one 64-bit FNV-1a digest.
+fn digest(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fluid makespan, the lockstep time of the first job, and every
+/// link's probed bytes under both engines, on three multi-rail fabrics —
+/// pinned bit for bit, so a path kernel that moved any byte to another
+/// link, or changed any solve, fails here.
+#[test]
+fn multi_rail_fluid_and_probe_bits_are_pinned() {
+    let mut rng = SmallRng::seed_from_u64(0xD15E_0005);
+    let mut bits = Vec::new();
+    for (rails, policy) in [
+        (vec![2, 1, 2, 1], RailPolicy::RoundRobin),
+        (vec![4, 2, 1, 1], RailPolicy::Affinity),
+        (vec![2, 2, 2, 2], RailPolicy::SrcHash),
+    ] {
+        let net = NetworkModel::new(
+            Hierarchy::new(vec![4, 2, 2, 4]).expect("non-zero levels"),
+            (0..4)
+                .map(|l| LinkParams {
+                    uplink_bandwidth: 10.0 * (l + 1) as f64,
+                    crossing_latency: 1e-5 / (l + 1) as f64,
+                })
+                .collect(),
+            200.0,
+        )
+        .with_rails(rails, policy);
+        let size = net.hierarchy().size();
+        let jobs: Vec<Schedule> = (0..3)
+            .map(|_| {
+                Schedule::with(
+                    (0..3)
+                        .map(|_| Round::with(arb_round(&mut rng, size)))
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut probe = CongestionProbe::new(&net);
+        bits.push(FluidSim::new(&net).run_probed(&jobs, &mut probe).to_bits());
+        bits.push(digest(
+            (0..probe.num_links() as u32).map(|l| probe.link_bytes(l).to_bits()),
+        ));
+        let mut probe = CongestionProbe::new(&net);
+        bits.push(net.schedule_time_probed(&jobs[0], &mut probe).to_bits());
+        bits.push(digest(
+            (0..probe.num_links() as u32).map(|l| probe.link_bytes(l).to_bits()),
+        ));
+    }
+    // Recorded before the path kernel read the per-core rows.
+    let pinned: [u64; 12] = [
+        0x4129_5874_999a_e925,
+        0xfadd_9b4b_7204_54b4,
+        0x4124_738e_0003_eea2,
+        0xfee3_bc06_2762_23e7,
+        0x412c_2e46_eb88_8723,
+        0xf2eb_7f03_6c09_cdd8,
+        0x412a_1118_0003_eea2,
+        0x43b5_ceb1_62d2_8cc5,
+        0x412b_0eb7_4cd0_56c4,
+        0xae37_8770_813a_79a6,
+        0x4125_6f36_ccd0_bb6f,
+        0xa736_98ae_fa85_52d3,
+    ];
+    assert_eq!(bits, pinned, "got {bits:#018x?}");
 }
