@@ -27,7 +27,8 @@
 //! parallel test harness cannot pollute the count) then asserts the
 //! steady-state claim: after warm-up, costing a candidate through the
 //! memo, evaluating the symbolic envelope and bounding a round or a whole
-//! schedule with either rung perform **zero** heap allocations, and the
+//! schedule with either rung perform **zero** heap allocations, a warm
+//! round profile allocates only the profile's two vectors, and the
 //! schedule generators and the lockstep merge allocate each round once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,7 +43,8 @@ use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{
     schedule_lower_bound, schedule_lower_bound_aggregate, thread_workspace_rounds, ContentionMode,
-    Message, NetworkModel, RailPolicy, Round, Schedule, SharedCostCache, SymbolicScheduleCost,
+    Message, NetworkModel, RailPolicy, Round, RoundProfile, RoundWorkspace, Schedule,
+    SharedCostCache, SymbolicScheduleCost,
 };
 use mre_workloads::microbench::{Collective, Microbench};
 
@@ -478,6 +480,35 @@ fn warm_schedule_bounds_are_allocation_free() {
         assert_eq!(
             allocs, 0,
             "warm tight schedule bound must not allocate ({collective:?})"
+        );
+    }
+}
+
+#[test]
+fn warm_round_profile_allocates_only_the_profile() {
+    // Pairwise rounds on a 2-rail fabric: every core's leaf links carry one
+    // flow (the solver's sorted solo list) and the rails and inner links
+    // are shared (its heap), so every solver buffer is exercised.
+    let net = fabric(2, RailPolicy::RoundRobin, ContentionMode::MaxMinFair);
+    let m = merged(
+        net.hierarchy(),
+        Collective::Alltoall(AlltoallAlg::Pairwise),
+        REF_PAYLOAD,
+        2,
+    );
+    let mut ws = RoundWorkspace::new();
+    let warm: Vec<RoundProfile> = m
+        .rounds
+        .iter()
+        .map(|r| net.round_profile_with(&mut ws, &r.messages))
+        .collect();
+    for (round, expected) in m.rounds.iter().zip(&warm) {
+        let (allocs, profile) =
+            count_allocations(|| net.round_profile_with(&mut ws, &round.messages));
+        assert_eq!(&profile, expected);
+        assert_eq!(
+            allocs, 2,
+            "a warm round profile allocates its entries and crossings only"
         );
     }
 }

@@ -14,13 +14,14 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A heap candidate: link `link` offered share `share` at state `version`.
-/// Ordered by share (then link index for determinism); stale versions are
-/// discarded on pop.
+/// A bottleneck candidate: link `link` offered share `share`, computed
+/// right after freeze step `version` touched it (0: the initial share).
+/// Ordered by share (then link index for determinism); a heap entry whose
+/// version is not its link's latest stamp is stale and discarded on pop.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     share: f64,
-    version: u64,
+    version: usize,
     link: usize,
 }
 
@@ -43,19 +44,25 @@ impl Ord for Candidate {
     }
 }
 
-/// Reusable scratch for [`max_min_rates_csr`]: every per-solve vector and
-/// the candidate heap's backing buffer. After the first few solves the
-/// buffers reach their high-water marks and subsequent solves perform no
-/// heap allocation — the property the sweep loops' steady state relies on.
+/// Reusable scratch for [`max_min_rates_csr`]: every per-solve vector, the
+/// candidate heap's backing buffer and the sorted solo-link list. After
+/// the first few solves the buffers reach their high-water marks and
+/// subsequent solves perform no heap allocation — the property the sweep
+/// loops' steady state relies on.
 #[derive(Debug, Default)]
 pub(crate) struct ContentionWorkspace {
     count: Vec<usize>,
     offsets: Vec<usize>,
     link_flows: Vec<usize>,
     remaining: Vec<f64>,
-    version: Vec<u64>,
+    /// Per link, the last freeze step that touched it: deduplicates the
+    /// step's refreshes and versions the heap entries.
+    stamp: Vec<usize>,
     frozen: Vec<bool>,
     heap_buf: Vec<Reverse<Candidate>>,
+    /// Links that carry exactly one flow when the solve starts, sorted by
+    /// `(share, link)`; their share is fixed until that flow freezes.
+    solo: Vec<Candidate>,
     touched: Vec<usize>,
 }
 
@@ -73,15 +80,26 @@ pub(crate) struct ContentionWorkspace {
 /// * **symmetry** — flows with identical link sets get identical rates
 ///   (exactly: they freeze together on the same bottleneck link).
 ///
-/// This is the incremental solver: per-link flow lists plus a lazy
-/// min-heap of link shares. Each freezing iteration pops the bottleneck
-/// link, freezes only *its* flows, and updates only the links those flows
-/// traverse — `O((Σ|flows[f]| + #links) · log #links)` total, versus the
-/// reference solver's full rescan of every flow per iteration. The lazy
-/// heap is sound because a link's equal share never decreases as other
-/// flows freeze (water-filling monotonicity), so a popped up-to-date entry
-/// is the true minimum. No tie tolerance is needed at all: links tied with
-/// the bottleneck simply pop next with an unchanged share.
+/// This is the incremental solver: per-link flow lists, a lazy min-heap
+/// of shared links' shares and a pre-sorted list of solo links. Each
+/// freezing step takes the smallest `(share, link)` among the live links,
+/// freezes only *its* flows and refreshes only the links those flows
+/// traverse — `O(S log S + Σ|flows[f]| · log H)` total for `S` solo and
+/// `H` shared links, versus the reference solver's full rescan of every
+/// flow per iteration. A link carries at most one up-to-date candidate,
+/// so the freezing sequence is the order of `(share, link)` alone,
+/// whatever order candidates were pushed in; no tie tolerance is needed,
+/// since links tied with the bottleneck pop next.
+///
+/// * A per-solve stamp (`stamp[l] == step`) marks each link the first time
+///   a step touches it: one refreshed candidate per touched link, and the
+///   stamp doubles as the candidate's version.
+/// * A **solo** link — exactly one flow when the solve starts, such as a
+///   core's leaf uplink — keeps the share `capacity.max(0) / 1` until that
+///   flow freezes, when it dies. Solo links are therefore sorted once into
+///   a side list instead of entering the heap; each step takes the smaller
+///   of the heap's first up-to-date entry and the side list's first live
+///   entry.
 ///
 /// This is the public format adapter over the crate's one solver: it
 /// packs `flows` into CSR form and solves with a throwaway workspace. The
@@ -160,33 +178,65 @@ pub(crate) fn max_min_rates_csr(
     }
     ws.remaining.clear();
     ws.remaining.extend_from_slice(capacities);
-    ws.version.clear();
-    ws.version.resize(nl, 0);
+    ws.stamp.clear();
+    ws.stamp.resize(nl, 0);
     ws.frozen.clear();
     ws.frozen.resize(nf, false);
+    // Every live link's initial candidate: solo links into the side list,
+    // shared links into the heap.
     ws.heap_buf.clear();
-    ws.heap_buf
-        .extend((0..nl).filter(|&l| ws.count[l] > 0).map(|l| {
-            Reverse(Candidate {
-                share: ws.remaining[l].max(0.0) / ws.count[l] as f64,
-                version: 0,
-                link: l,
-            })
-        }));
+    ws.solo.clear();
+    for l in 0..nl {
+        let n = ws.count[l];
+        if n == 0 {
+            continue;
+        }
+        let candidate = Candidate {
+            share: ws.remaining[l].max(0.0) / n as f64,
+            version: 0,
+            link: l,
+        };
+        if n == 1 {
+            ws.solo.push(candidate);
+        } else {
+            ws.heap_buf.push(Reverse(candidate));
+        }
+    }
+    ws.solo.sort_unstable();
     // Heapify the reused buffer; its allocation returns to `ws` below.
     let mut heap = BinaryHeap::from(std::mem::take(&mut ws.heap_buf));
-    let mut freeze_iterations = 0u64;
+    let mut next_solo = 0usize;
+    let mut step = 0usize;
     while active > 0 {
-        let Reverse(candidate) = heap.pop().expect("active flows imply a candidate link");
-        let l = candidate.link;
-        if candidate.version != ws.version[l] || ws.count[l] == 0 {
-            continue; // superseded by a later state change
+        // The smallest up-to-date candidate of either list.
+        while let Some(&Reverse(top)) = heap.peek() {
+            if top.version == ws.stamp[top.link] {
+                break;
+            }
+            heap.pop(); // superseded by a later refresh
         }
-        freeze_iterations += 1;
+        while next_solo < ws.solo.len() && ws.count[ws.solo[next_solo].link] == 0 {
+            next_solo += 1; // its flow froze on another link
+        }
+        let solo = ws.solo.get(next_solo).copied();
+        let candidate = match heap.peek() {
+            Some(&Reverse(shared)) if solo.is_none_or(|solo| shared < solo) => {
+                heap.pop();
+                shared
+            }
+            _ => {
+                next_solo += 1;
+                solo.expect("active flows imply a candidate link")
+            }
+        };
+        step += 1;
+        let l = candidate.link;
         let bottleneck_share = candidate.share;
         debug_assert!(bottleneck_share.is_finite());
         // Freeze every still-active flow through the bottleneck link and
-        // return its rate to the links it traverses.
+        // return its rate to the links it traverses. Stamping the
+        // bottleneck first keeps it out of the refresh list.
+        ws.stamp[l] = step;
         ws.touched.clear();
         for idx in ws.offsets[l]..ws.offsets[l + 1] {
             let f = ws.link_flows[idx];
@@ -199,22 +249,22 @@ pub(crate) fn max_min_rates_csr(
             for &l2 in flow(f) {
                 ws.remaining[l2] -= bottleneck_share;
                 ws.count[l2] -= 1;
-                ws.version[l2] += 1;
-                if l2 != l {
+                if ws.stamp[l2] != step {
+                    ws.stamp[l2] = step;
                     ws.touched.push(l2);
                 }
             }
         }
         debug_assert_eq!(ws.count[l], 0, "bottleneck link fully drained");
         // One refreshed candidate per touched link, reflecting all of this
-        // round's freezes at once (per-update pushes would all be stale).
-        ws.touched.sort_unstable();
-        ws.touched.dedup();
+        // step's freezes at once (per-update pushes would all be stale). A
+        // touched solo link has just lost its only flow, so only shared
+        // links are pushed.
         for &l2 in &ws.touched {
             if ws.count[l2] > 0 {
                 heap.push(Reverse(Candidate {
                     share: ws.remaining[l2].max(0.0) / ws.count[l2] as f64,
-                    version: ws.version[l2],
+                    version: step,
                     link: l2,
                 }));
             }
@@ -227,9 +277,9 @@ pub(crate) fn max_min_rates_csr(
     // collector is installed).
     if mre_core::telemetry::enabled() {
         mre_core::telemetry::counter_add("simnet.maxmin.solves", 1);
-        mre_core::telemetry::counter_add("simnet.maxmin.iterations", freeze_iterations);
+        mre_core::telemetry::counter_add("simnet.maxmin.iterations", step as u64);
         mre_core::telemetry::counter_add("simnet.maxmin.flows", nf as u64);
-        mre_core::telemetry::observe("simnet.maxmin.iterations.hist", freeze_iterations as f64);
+        mre_core::telemetry::observe("simnet.maxmin.iterations.hist", step as f64);
     }
 }
 
@@ -570,6 +620,158 @@ mod tests {
             let total: f64 = rates.iter().sum();
             assert!(total <= nic * (1.0 + 1e-9), "NIC oversubscribed: {total}");
         }
+    }
+
+    /// Capacities for the digest corpus. Few distinct values, so that
+    /// shares of links with different flow counts tie exactly (`4/2 = 2/1`,
+    /// `12/4 = 3/1`), plus a zero and non-dyadic values whose subtractions
+    /// round.
+    const CORPUS_CAPACITIES: [f64; 9] = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 12.0, 0.3];
+
+    /// A seeded corpus of 2000 instances: 1000 of the random shape
+    /// `incremental_matches_reference_random` uses, and 1000 tree-shaped
+    /// populations in which every flow has a private first and last link
+    /// (solo links: one flow each) around a few shared middle links, with
+    /// link ids shuffled so solo and shared links interleave.
+    fn digest_corpus() -> Vec<(Vec<Vec<usize>>, Vec<f64>)> {
+        use mre_rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x50_10_D1_6E);
+        let cap = |rng: &mut SmallRng| {
+            if rng.gen_bool(0.03) {
+                0.0
+            } else {
+                *rng.choose(&CORPUS_CAPACITIES[1..]).expect("non-empty")
+            }
+        };
+        let mut corpus = Vec::with_capacity(2000);
+        for _ in 0..1000 {
+            let nl = rng.gen_range(1usize..10);
+            let nf = rng.gen_range(1usize..60);
+            let caps: Vec<f64> = (0..nl).map(|_| cap(&mut rng)).collect();
+            let flows: Vec<Vec<usize>> = (0..nf)
+                .map(|_| {
+                    let mut path: Vec<usize> = (0..nl).filter(|_| rng.gen_bool(0.4)).collect();
+                    if path.is_empty() && rng.gen_bool(0.8) {
+                        path.push(rng.gen_range(0..nl));
+                    }
+                    path
+                })
+                .collect();
+            corpus.push((flows, caps));
+        }
+        for _ in 0..1000 {
+            let nf = rng.gen_range(1usize..40);
+            let shared = rng.gen_range(0usize..6);
+            // Ids 0..shared are the middle links; each flow then takes a
+            // fresh first link (or, now and then, its predecessor's, which
+            // makes that link shared) and a fresh last link.
+            let mut next = shared;
+            let mut flows: Vec<Vec<usize>> = Vec::with_capacity(nf);
+            for f in 0..nf {
+                let first = if f > 0 && rng.gen_bool(0.15) {
+                    flows[f - 1][0]
+                } else {
+                    next += 1;
+                    next - 1
+                };
+                let mut path = vec![first];
+                path.extend((0..shared).filter(|_| rng.gen_bool(0.5)));
+                path.push(next);
+                next += 1;
+                flows.push(path);
+            }
+            let mut ids: Vec<usize> = (0..next).collect();
+            rng.shuffle(&mut ids);
+            for path in &mut flows {
+                for l in path.iter_mut() {
+                    *l = ids[*l];
+                }
+            }
+            let caps: Vec<f64> = (0..next).map(|_| cap(&mut rng)).collect();
+            corpus.push((flows, caps));
+        }
+        corpus
+    }
+
+    /// FNV-1a over the rate count and every rate's bits, instance by
+    /// instance.
+    fn rates_digest(corpus: &[(Vec<Vec<usize>>, Vec<f64>)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (flows, caps) in corpus {
+            let rates = max_min_rates(flows, caps);
+            word(rates.len() as u64);
+            for r in rates {
+                word(r.to_bits());
+            }
+        }
+        h
+    }
+
+    /// Every rate bit of the corpus, pinned: the freezing sequence (pops
+    /// ordered by `(share, link)`) decides the bits where solo and shared
+    /// shares tie, so any change to it shows here. Recorded from the
+    /// heap-only solver that sorted and deduplicated each step's touched
+    /// links.
+    #[test]
+    fn rate_bits_match_the_pinned_digest() {
+        let corpus = digest_corpus();
+        assert_eq!(corpus.len(), 2000);
+        assert_eq!(rates_digest(&corpus), 0xa3ff_045c_98db_95b8);
+    }
+
+    #[test]
+    fn all_solo_links_need_no_heap() {
+        // Every link carries one flow, so no candidate is ever pushed.
+        assert_eq!(
+            max_min_rates(&[vec![0], vec![1], vec![2]], &[3.0, 1.0, 2.0]),
+            vec![3.0, 1.0, 2.0]
+        );
+        assert_eq!(
+            max_min_rates(&[vec![3, 0], vec![1, 2]], &[5.0, 2.0, 1.0, 4.0]),
+            vec![4.0, 1.0]
+        );
+    }
+
+    #[test]
+    fn solo_link_as_the_first_bottleneck() {
+        // Link 0 (solo, share 1) freezes flow 0 before shared link 1
+        // (share 3), which then splits its remaining 8 between two flows.
+        assert_eq!(
+            max_min_rates(&[vec![0, 1], vec![1], vec![1]], &[1.0, 9.0]),
+            vec![1.0, 4.0, 4.0]
+        );
+        // Same with the solo link behind the shared one in id order.
+        assert_eq!(
+            max_min_rates(&[vec![1, 0], vec![0], vec![0]], &[9.0, 1.0]),
+            vec![1.0, 4.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn solo_and_shared_tie_breaks_on_link_index() {
+        // Shared link S (capacity 1, three flows) and flow 0's solo link
+        // (capacity 1/3) offer the same share s. If S pops first, all
+        // three flows freeze at s; if the solo link does, flows 1 and 2
+        // split S's remainder, `(1 - s) / 2`, which rounds differently.
+        let s = 1.0f64 / 3.0;
+        let split = (1.0 - s) / 2.0;
+        assert_ne!(split.to_bits(), s.to_bits());
+        // S = link 0 wins the tie.
+        assert_eq!(
+            max_min_rates(&[vec![0, 1], vec![0], vec![0]], &[1.0, s]),
+            vec![s, s, s]
+        );
+        // Solo = link 0 wins the tie.
+        assert_eq!(
+            max_min_rates(&[vec![1, 0], vec![1], vec![1]], &[s, 1.0]),
+            vec![s, split, split]
+        );
     }
 
     #[test]

@@ -879,8 +879,10 @@ impl<'a> FluidSim<'a> {
         self.flights[fi].tpos = NO_POS;
     }
 
-    /// Water-fills the active flow set (lazy candidate heap over busy
-    /// links, exactly the incremental `max_min_rates` discipline),
+    /// Water-fills the active flow set (a lazy candidate heap over busy
+    /// links popped in `(share, link)` order, like `max_min_rates`, but
+    /// with stale entries revalidated on pop instead of versioned, and
+    /// solo links seeded only when the fast fill cannot rule them out),
     /// re-predicts only the flights whose rate changed, and tracks the
     /// minimum predicted finish while freezing — the freeze pass visits
     /// every transferring flight exactly once, so [`next_completion`]

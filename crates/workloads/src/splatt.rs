@@ -553,6 +553,12 @@ pub fn estimate_cpd_time_cached(
         compute: 0.0,
     };
     let smallest_mode = (0..3).max_by_key(|&m| g[m]).expect("three modes");
+    // λ normalization + fit pieces: one world allreduce per mode. Its
+    // schedule does not depend on the mode, so it is built once and costed
+    // once per mode (the cache serves the repeats).
+    let world_members: Vec<usize> = (0..p).map(|r| reordering.old_rank(r)).collect();
+    let ar_bytes = (cfg.rank * 8) as u64;
+    let ar = schedules::allreduce_recursive_doubling(&world_members, ar_bytes);
     for m in 0..3 {
         let n_layers = g[m];
         let comm_size = p / n_layers;
@@ -576,10 +582,6 @@ pub fn estimate_cpd_time_cached(
         } else {
             cost.large_comm_alltoallv += t * cfg.iterations as f64;
         }
-        // λ normalization + fit pieces: one world allreduce per mode.
-        let world_members: Vec<usize> = (0..p).map(|r| reordering.old_rank(r)).collect();
-        let ar = schedules::allreduce_recursive_doubling(&world_members, (cfg.rank * 8) as u64);
-        let ar_bytes = (cfg.rank * 8) as u64;
         cost.allreduce += cache.schedule_time_rounds(net, &ar, ar_bytes) * cfg.iterations as f64;
     }
     // MTTKRP compute: 3 modes × 5·nnz·rank/p flops per iteration.
