@@ -63,6 +63,8 @@ cargo run -q -p mre-bench --bin trace_diff -- \
   --metrics-csv target/trace_diff_metrics.csv > target/trace_diff_smoke.out
 grep -q "fidelity score:" target/trace_diff_smoke.out
 grep -q "^counter,mpi.send.count," target/trace_diff_metrics.csv
+# The telemetry bridge's remaining feed: the contention solver's counters.
+grep -q "^counter,simnet.maxmin.solves," target/trace_diff_metrics.csv
 
 echo "== trace_diff stencil smoke (streamed metrics)"
 cargo run -q -p mre-bench --bin trace_diff -- \
@@ -115,6 +117,9 @@ cmp target/ladder_best_a target/ladder_best_b
 costed_per_rail=$(sed -n 's/^branch-and-bound: \([0-9]*\) costed.*/\1/p' target/ladder_per_rail.out)
 costed_aggregate=$(sed -n 's/^branch-and-bound: \([0-9]*\) costed.*/\1/p' target/ladder_aggregate.out)
 test "$costed_per_rail" -lt "$costed_aggregate"
+# The pruned sweep times its own rungs and reports the bound-vs-cost split.
+grep -Eq "^time split: bound_ns=[0-9]+ cost_ns=[0-9]+ \(bound share [0-9.]+%\)$" \
+  target/ladder_per_rail.out
 
 echo "== round-memo smoke (warm-cache rail sweep reports round_hits > 0, same recommendation)"
 # The ring allreduce's reduce-scatter and allgather phases reuse the same

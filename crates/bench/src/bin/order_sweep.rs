@@ -65,8 +65,9 @@ use mre_simnet::{
     FluidSim, NetworkModel, RailPolicy, Schedule, SharedCostCache,
 };
 use mre_slurm::Distribution;
-use mre_trace::MetricsRegistry;
 use mre_workloads::microbench::{Collective, Microbench};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 fn network_for(machine: &Hierarchy, nics: usize, policy: RailPolicy) -> Option<NetworkModel> {
     let base = match machine.levels() {
@@ -218,11 +219,6 @@ fn main() {
                 .simultaneous_duration
         }
     };
-    // With --pruned the search core emits its pruning counters through
-    // the telemetry bridge; collect them so the end-of-run summary can
-    // report them alongside the in-band stats.
-    let registry = MetricsRegistry::new();
-    let telemetry_guard = pruned_mode.then(|| registry.install_telemetry());
     let ranked = if pruned_mode {
         // Per candidate: build the schedules once, bound them with the
         // cheap aggregate rung (which orders the frontier), re-check the
@@ -241,6 +237,11 @@ fn main() {
         // payload) so the --congestion re-probes and repeated patterns
         // never re-solve contention.
         let cache = SharedCostCache::new();
+        // The ladder-vs-cost time split: wall time in the bound rungs
+        // (schedule construction + both bounds) vs in full contention
+        // solves, summed across workers.
+        let bound_ns = AtomicU64::new(0);
+        let cost_ns = AtomicU64::new(0);
         let fluid_key = |all: &[Schedule]| -> u64 {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -253,42 +254,51 @@ fn main() {
             &machine,
             subcomm,
             |sigma| {
-                let all = schedules_for(sigma);
-                let merged = if fluid_mode {
-                    Schedule::new() // the fluid rungs work on the job set
-                } else {
-                    Schedule::lockstep(&all)
-                };
-                Prepared { all, merged }
+                timed(&bound_ns, || {
+                    let all = schedules_for(sigma);
+                    let merged = if fluid_mode {
+                        Schedule::new() // the fluid rungs work on the job set
+                    } else {
+                        Schedule::lockstep(&all)
+                    };
+                    Prepared { all, merged }
+                })
             },
             |_, p| {
-                if fluid_mode {
-                    fluid_lower_bound_aggregate(&net, &p.all)
-                } else {
-                    schedule_lower_bound_aggregate(&net, &p.merged)
-                }
+                timed(&bound_ns, || {
+                    if fluid_mode {
+                        fluid_lower_bound_aggregate(&net, &p.all)
+                    } else {
+                        schedule_lower_bound_aggregate(&net, &p.merged)
+                    }
+                })
             },
             |_, p| {
-                if !per_rail_bound {
-                    // No second rung: an always-true lower bound that can
-                    // never prune, leaving the aggregate rung alone.
-                    f64::NEG_INFINITY
-                } else if fluid_mode {
-                    fluid_lower_bound(&net, &p.all)
-                } else {
-                    schedule_lower_bound(&net, &p.merged)
-                }
+                timed(&bound_ns, || {
+                    if !per_rail_bound {
+                        // No second rung: an always-true lower bound that
+                        // can never prune, leaving the aggregate rung alone.
+                        f64::NEG_INFINITY
+                    } else if fluid_mode {
+                        fluid_lower_bound(&net, &p.all)
+                    } else {
+                        schedule_lower_bound(&net, &p.merged)
+                    }
+                })
             },
             |_, p| {
-                if fluid_mode {
-                    cache.time_keyed(&net, fluid_key(&p.all), size, || fluid_time(&net, &p.all))
-                } else {
-                    // Round-interned costing: rounds shared between
-                    // candidate patterns (and across repeated patterns)
-                    // resolve from the per-round memo without a new
-                    // contention solve — bit-identical to schedule_time.
-                    cache.schedule_time_rounds(&net, &p.merged, size)
-                }
+                timed(&cost_ns, || {
+                    if fluid_mode {
+                        cache.time_keyed(&net, fluid_key(&p.all), size, || fluid_time(&net, &p.all))
+                    } else {
+                        // Round-interned costing: rounds shared between
+                        // candidate patterns (and across repeated
+                        // patterns) resolve from the per-round memo
+                        // without a new contention solve — bit-identical
+                        // to schedule_time.
+                        cache.schedule_time_rounds(&net, &p.merged, size)
+                    }
+                })
             },
         )
         .expect("valid configuration");
@@ -302,8 +312,13 @@ fn main() {
         let cs = cache.cache_stats();
         println!(
             "cost cache: core.cost_cache.pattern_hits={} core.cost_cache.round_hits={} \
-             core.cost_cache.misses={}\n",
+             core.cost_cache.misses={}",
             cs.pattern_hits, cs.round_hits, cs.misses
+        );
+        let (bound_ns, cost_ns) = (bound_ns.into_inner(), cost_ns.into_inner());
+        println!(
+            "time split: bound_ns={bound_ns} cost_ns={cost_ns} (bound share {:.1}%)\n",
+            100.0 * bound_ns as f64 / (bound_ns + cost_ns).max(1) as f64,
         );
         result.ranked
     } else {
@@ -332,34 +347,6 @@ fn main() {
         "\nrecommended order: [{}] — apply with world.split(0, reordered_rank) or a rankfile",
         best.order
     );
-    if let Some(guard) = telemetry_guard {
-        drop(guard);
-        let snap = registry.snapshot();
-        println!(
-            "telemetry: core.order_search.bound.evaluated={} core.order_search.bound.pruned={} \
-             core.order_search.bound.tight_pruned={}",
-            snap.counter("core.order_search.bound.evaluated"),
-            snap.counter("core.order_search.bound.pruned"),
-            snap.counter("core.order_search.bound.tight_pruned"),
-        );
-        println!(
-            "telemetry: core.cost_cache.pattern_hits={} core.cost_cache.round_hits={} \
-             core.cost_cache.misses={}",
-            snap.counter("core.cost_cache.pattern_hits"),
-            snap.counter("core.cost_cache.round_hits"),
-            snap.counter("core.cost_cache.misses"),
-        );
-        // The ladder-vs-cost time split: how long the search spent in
-        // bound rungs (schedule construction + both bounds) vs in full
-        // contention solves, summed across workers.
-        let bound_ns = snap.counter("core.order_search.bound.bound_ns");
-        let cost_ns = snap.counter("core.order_search.bound.cost_ns");
-        println!(
-            "telemetry: core.order_search.bound.bound_ns={bound_ns} \
-             core.order_search.bound.cost_ns={cost_ns} (bound share {:.1}%)",
-            100.0 * bound_ns as f64 / (bound_ns + cost_ns).max(1) as f64,
-        );
-    }
     if congestion_mode {
         if let Some((runner, _)) = ranked.get(1) {
             print_congestion_comparison(
@@ -373,6 +360,14 @@ fn main() {
             println!("\ncongestion: only one equivalence class — nothing to compare");
         }
     }
+}
+
+/// Runs `f`, adding its wall time to `ns`.
+fn timed<R>(ns: &AtomicU64, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let r = f();
+    ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    r
 }
 
 /// Probes one order's concurrent run and returns its per-level bound gaps

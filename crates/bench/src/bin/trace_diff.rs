@@ -135,8 +135,12 @@ fn parse_args() -> Options {
             "--collective" => opts.collective = value("--collective"),
             "--bytes" => opts.bytes = parse_usize("--bytes", value("--bytes")) as u64,
             "--snapshot-every" => {
-                opts.snapshot_every =
-                    Some(parse_usize("--snapshot-every", value("--snapshot-every")) as u64)
+                let every = parse_usize("--snapshot-every", value("--snapshot-every"));
+                if every == 0 {
+                    eprintln!("bad --snapshot-every (need an integer >= 1)");
+                    std::process::exit(2);
+                }
+                opts.snapshot_every = Some(every as u64);
             }
             "--csv" => opts.csv_out = Some(value("--csv")),
             "--metrics-csv" => opts.metrics_out = Some(value("--metrics-csv")),

@@ -137,6 +137,13 @@ fn network_for(machine: &str, nodes: usize) -> Option<NetworkModel> {
 
 fn main() {
     let opts = parse_args();
+    if opts.autotune && opts.bytes >= AlgorithmSelector::MAX_TOTAL_BYTES {
+        eprintln!(
+            "bad --bytes {}: autotuning needs a payload below 2^61 bytes",
+            opts.bytes
+        );
+        std::process::exit(2);
+    }
     let Some(net) = network_for(&opts.machine, opts.nodes) else {
         eprintln!("unknown machine {:?} (hydra|lumi)", opts.machine);
         std::process::exit(2);

@@ -52,3 +52,32 @@ fn zero_nodes_exit_2_without_panicking() {
         assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
     }
 }
+
+#[test]
+fn out_of_range_trace_options_exit_2_without_panicking() {
+    let trace = env!("CARGO_BIN_EXE_trace_report");
+    let diff = env!("CARGO_BIN_EXE_trace_diff");
+    // 2^61 bytes once overflowed the autotuner's tagged cache key, and a
+    // zero snapshot period once tripped the metrics registry's assertion.
+    let too_large = "2305843009213693952";
+    for (bin, args) in [
+        (trace, &["--autotune", "--bytes", too_large][..]),
+        (trace, &["--fluid", "--bytes", too_large]),
+        (
+            diff,
+            &[
+                "--workload",
+                "stencil",
+                "--dims",
+                "2x4",
+                "--snapshot-every",
+                "0",
+            ],
+        ),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
+    }
+}

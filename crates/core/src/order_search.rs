@@ -43,7 +43,8 @@
 //! interleaving. [`PruneStats`]'s evaluated/pruned split is exact and
 //! repeatable on one worker (`MRE_PAR_THREADS=1` or
 //! [`crate::par::set_threads`]`(1)`); on more it may vary, its total never
-//! does.
+//! does. The returned [`PruneStats`] are the only channel for these counts:
+//! the search emits nothing into [`crate::telemetry`] and measures no time.
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
@@ -237,9 +238,9 @@ where
 /// exhaustive path. A non-admissible bound can prune the true optimum.
 /// `tight` need not dominate `cheap` for correctness — only for the second
 /// rung to ever pay off; `|_, _| f64::NEG_INFINITY` disables it.
-/// [`PruneStats::tight_pruned`] counts its wins; the
-/// `core.order_search.bound.{bound_ns,cost_ns}` telemetry counters expose
-/// the ladder-vs-cost time split.
+/// [`PruneStats::tight_pruned`] counts its wins. The search measures no
+/// time: a caller that wants the ladder-vs-cost split times its own
+/// closures, as `order_sweep --pruned` does.
 pub fn rank_orders_pruned_ladder<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     subcomm_size: usize,
@@ -316,9 +317,8 @@ where
 ///
 /// Both rungs must be admissible pointwise, now also in `payload`; then
 /// every cell's [`SweepCell::best`] is byte-identical to the exhaustive
-/// [`sweep`]'s, in every thread interleaving. Emits
-/// `core.order_search.bound.{evaluated, pruned, tight_pruned, bound_ns,
-/// cost_ns}` telemetry counters aggregated over all distinct cells.
+/// [`sweep`]'s, in every thread interleaving. Each cell's
+/// [`SweepCell::stats`] returns its prune counts.
 pub fn sweep_pruned_axis<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     spec: &SweepSpec,
@@ -394,20 +394,16 @@ where
 {
     let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
     let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let timing = SearchTiming::default();
-    let mut total = PruneStats::default();
     let mut unique_cells: Vec<SweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
     for &s in &sizes {
         let reps = representatives(h, s)?;
         let (prepared, cheap_bounds): (Vec<P>, Vec<Vec<f64>>) = par::map(&reps, |_, c| {
-            timing.bound(|| {
-                let p = prepare(&c.order, s);
-                let bounds = payloads
-                    .iter()
-                    .map(|&x| cheap(&c.order, s, x, &p))
-                    .collect();
-                (p, bounds)
-            })
+            let p = prepare(&c.order, s);
+            let bounds = payloads
+                .iter()
+                .map(|&x| cheap(&c.order, s, x, &p))
+                .collect();
+            (p, bounds)
         })
         .into_iter()
         .unzip();
@@ -417,12 +413,9 @@ where
             let bounds: Vec<f64> = cheap_bounds.iter().map(|b| b[pi]).collect();
             let (evaluated, stats) = drain(
                 &bounds,
-                &|i| timing.bound(|| tight(&reps[i].order, s, payload, &prepared[i])),
-                &|i| timing.cost(|| cost(&reps[i].order, s, payload, &prepared[i])),
+                &|i| tight(&reps[i].order, s, payload, &prepared[i]),
+                &|i| cost(&reps[i].order, s, payload, &prepared[i]),
             );
-            total.evaluated += stats.evaluated;
-            total.pruned += stats.pruned;
-            total.tight_pruned += stats.tight_pruned;
             let ranked: Vec<(OrderCharacterization, f64)> = evaluated
                 .into_iter()
                 .map(|(i, c)| (reps[i].clone(), c))
@@ -439,7 +432,6 @@ where
             });
         }
     }
-    timing.emit(total);
     if unique_cells.len() == size_pos.len() * payload_pos.len() {
         // No duplicates: the distinct cells already are the spec order.
         return Ok(unique_cells);
@@ -567,53 +559,6 @@ fn cas_min_f64(current: &AtomicU64, candidate: f64) {
         ) {
             Ok(_) => return,
             Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Wall-time accumulators of one search, split by ladder stage: `bound`
-/// covers prepare + cheap + tight rungs, `cost` the full evaluations.
-/// Summed across workers, so the two are comparable CPU-time shares even
-/// when the frontier runs in parallel.
-#[derive(Debug, Default)]
-struct SearchTiming {
-    bound_ns: AtomicU64,
-    cost_ns: AtomicU64,
-}
-
-impl SearchTiming {
-    fn timed<R>(ns: &AtomicU64, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
-        let r = f();
-        ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
-    }
-
-    fn bound<R>(&self, f: impl FnOnce() -> R) -> R {
-        Self::timed(&self.bound_ns, f)
-    }
-
-    fn cost<R>(&self, f: impl FnOnce() -> R) -> R {
-        Self::timed(&self.cost_ns, f)
-    }
-
-    /// Emits the search's `core.order_search.bound.*` telemetry counters.
-    fn emit(&self, stats: PruneStats) {
-        if crate::telemetry::enabled() {
-            crate::telemetry::counter_add("core.order_search.bound.evaluated", stats.evaluated);
-            crate::telemetry::counter_add("core.order_search.bound.pruned", stats.pruned);
-            crate::telemetry::counter_add(
-                "core.order_search.bound.tight_pruned",
-                stats.tight_pruned,
-            );
-            crate::telemetry::counter_add(
-                "core.order_search.bound.bound_ns",
-                self.bound_ns.load(Ordering::Relaxed),
-            );
-            crate::telemetry::counter_add(
-                "core.order_search.bound.cost_ns",
-                self.cost_ns.load(Ordering::Relaxed),
-            );
         }
     }
 }

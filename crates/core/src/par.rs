@@ -264,10 +264,6 @@ where
     drop(done_tx);
     BROADCASTS.fetch_add(1, Ordering::Relaxed);
     JOBS.fetch_add(workers as u64, Ordering::Relaxed);
-    if crate::telemetry::enabled() {
-        crate::telemetry::counter_add("core.par.pool.broadcasts", 1);
-        crate::telemetry::counter_add("core.par.pool.jobs", workers as u64);
-    }
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
     for _ in 0..workers {
         match done_rx.recv().expect("pool worker died before completing") {

@@ -1,21 +1,33 @@
-//! A process-wide telemetry sink for low-frequency instrumentation.
+//! A process-wide telemetry sink with two remaining feeds.
 //!
 //! Crates below `mre-trace` in the dependency graph (this crate and
 //! `mre-simnet`) cannot hold a `mre_trace::MetricsRegistry` directly, so
-//! they publish through this indirection instead: a global [`Collector`]
-//! that is `None` by default. Every emission site is guarded by one
-//! relaxed atomic load — the same "single `Option` check" contract the
-//! traced runtime makes — so uninstrumented runs pay nothing measurable.
+//! the counts that no API returns are published through this indirection:
+//! a global [`Collector`] that is `None` by default. Every emission site is
+//! guarded by one relaxed atomic load, so uninstrumented runs pay nothing
+//! measurable.
 //!
-//! Emission is expected to be *coarse*: one call per contention solve, per
-//! timeline reconstruction, per order-search pruning pass — never per
-//! message or per heap operation. The collector itself may take a lock.
+//! Exactly two sites in `mre-simnet` feed it, one call per contention
+//! solve or timeline reconstruction:
+//!
+//! * the lockstep water-fill's `simnet.maxmin.{solves,iterations,flows}`
+//!   counters and `simnet.maxmin.iterations.hist` (`contention.rs`);
+//! * the timeline byte accounting, `simnet.timelines` and
+//!   `simnet.bytes.*` (`timeline.rs`).
+//!
+//! Every other count reaches callers through the value its API returns:
+//! [`crate::order_search::PruneStats`] (bound pruning),
+//! `mre_simnet::CacheStats` (memo tiers), `mre_simnet::FluidStats` (fluid
+//! events and solves), `mre_mpi::AlgorithmChoice` (autotune candidates),
+//! [`crate::par::pool_stats`] (worker pool) and
+//! `mre_simnet::thread_workspace_rounds` (round workspace trips). No code
+//! in this crate emits into the sink.
 //!
 //! `mre-trace` installs its metrics registry here via
 //! [`install`]/[`uninstall`] (wrapped in a guard on its side). The sink is
-//! process-global: concurrent tests sharing a binary can observe each
-//! other's counts, so assertions on collected values should be lower
-//! bounds, not equalities.
+//! process-global: tests in one binary that run the contention solver or
+//! reconstruct timelines while a collector is installed see each other's
+//! counts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -24,8 +36,6 @@ use std::sync::{Arc, RwLock};
 pub trait Collector: Send + Sync {
     /// Adds `value` to the monotonic counter `name`.
     fn counter_add(&self, name: &str, value: u64);
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge_set(&self, name: &str, value: f64);
     /// Records one observation of `value` into the histogram `name`.
     fn observe(&self, name: &str, value: f64);
 }
@@ -66,19 +76,6 @@ pub fn counter_add(name: &str, value: u64) {
     }
 }
 
-/// Sets gauge `name` to `value` if a collector is installed.
-#[inline]
-pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Ok(sink) = SINK.read() {
-        if let Some(c) = sink.as_ref() {
-            c.gauge_set(name, value);
-        }
-    }
-}
-
 /// Records one histogram observation of `value` under `name` if a
 /// collector is installed.
 #[inline]
@@ -109,14 +106,13 @@ mod tests {
                 .unwrap()
                 .push((name.to_string(), value));
         }
-        fn gauge_set(&self, _name: &str, _value: f64) {}
         fn observe(&self, _name: &str, _value: f64) {}
     }
 
     #[test]
     fn disabled_sink_swallows_and_installed_sink_receives() {
-        // Note: the sink is process-global; this test is the only one in
-        // this crate installing it, and it restores the disabled state.
+        // The sink is process-global, but nothing in this crate emits
+        // into it, so the other tests of this binary cannot add counts.
         counter_add("t.before", 1); // no sink: must not panic
         let cap = Arc::new(Capture {
             counters: Mutex::new(Vec::new()),

@@ -26,6 +26,11 @@
 //! (per-process contribution = `total_bytes / p`, alltoall pairs get
 //! `per_process / p`), so a selector choice plugs directly into the
 //! figure pipeline.
+//!
+//! Each selection's counts come back in its [`AlgorithmChoice`]
+//! (`evaluated`, `skipped`) and the shared cache's in
+//! [`SharedCostCache::cache_stats`]; the selector emits nothing into the
+//! `mre_core::telemetry` sink.
 
 use crate::algorithm::{AllgatherAlg, AllreduceAlg, AllreduceAlg::RecursiveDoubling, AlltoallAlg};
 use crate::schedules;
@@ -92,6 +97,10 @@ pub struct AlgorithmSelector<'a> {
 }
 
 impl<'a> AlgorithmSelector<'a> {
+    /// Exclusive upper bound on the `total_bytes` of [`select`](Self::select):
+    /// the top three bits of its cache key hold the collective tag.
+    pub const MAX_TOTAL_BYTES: u64 = 1 << 61;
+
     /// A selector costing on `net`, memoizing in `cache`. The cache may
     /// be shared with other selectors and sweeps over the same model.
     pub fn new(net: &'a NetworkModel, cache: &'a SharedCostCache) -> Self {
@@ -182,7 +191,7 @@ impl<'a> AlgorithmSelector<'a> {
             CollectiveKind::Allgather => 3,
         };
         assert!(
-            total_bytes < 1 << 61,
+            total_bytes < Self::MAX_TOTAL_BYTES,
             "payload too large to tag the cache key"
         );
         total_bytes | (tag << 61)
@@ -201,8 +210,12 @@ impl<'a> AlgorithmSelector<'a> {
 
     /// Tunes one subcommunicator: returns the algorithm minimizing the
     /// costed schedule for this `members` list at `total_bytes`.
+    /// [`AlgorithmChoice::evaluated`] and [`AlgorithmChoice::skipped`]
+    /// return how many candidates were costed and bound-pruned.
     ///
-    /// Emits `mpi.autotune.{evaluated, skipped}` telemetry counters.
+    /// # Panics
+    ///
+    /// Panics if `total_bytes` is at least [`Self::MAX_TOTAL_BYTES`].
     pub fn select(
         &self,
         kind: CollectiveKind,
@@ -247,10 +260,6 @@ impl<'a> AlgorithmSelector<'a> {
             }
         }
         let (alg, cost) = best.expect("every collective kind has at least one candidate");
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("mpi.autotune.evaluated", evaluated as u64);
-            mre_core::telemetry::counter_add("mpi.autotune.skipped", skipped as u64);
-        }
         AlgorithmChoice {
             alg,
             cost,
@@ -270,8 +279,6 @@ impl<'a> AlgorithmSelector<'a> {
     /// Fluid costs are not memoized in the shared cache (its round
     /// profiles describe the lockstep model); the fluid engine's own
     /// path/link caches carry the reuse instead.
-    ///
-    /// Emits `mpi.autotune.fluid.{evaluated, skipped}` telemetry.
     pub fn select_fluid(
         &self,
         kind: CollectiveKind,
@@ -310,10 +317,6 @@ impl<'a> AlgorithmSelector<'a> {
             }
         }
         let (alg, cost) = best.expect("every collective kind has at least one candidate");
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("mpi.autotune.fluid.evaluated", evaluated as u64);
-            mre_core::telemetry::counter_add("mpi.autotune.fluid.skipped", skipped as u64);
-        }
         AlgorithmChoice {
             alg,
             cost,

@@ -508,7 +508,6 @@ impl NetworkModel {
             probe.record_round(&r.messages, &profile, t, duration);
             t += duration;
         }
-        crate::network::record_lockstep_run(schedule);
         t
     }
 }

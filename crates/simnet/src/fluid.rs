@@ -493,7 +493,6 @@ impl<'a> FluidSim<'a> {
         mut record: Option<&mut Vec<FluidMessageSpan>>,
         mut probe: Option<&mut CongestionProbe>,
     ) -> f64 {
-        let before = self.stats;
         // Reset per-run state; caches persist.
         self.flights.clear();
         self.flights_hot.clear();
@@ -583,21 +582,6 @@ impl<'a> FluidSim<'a> {
             p.fluid_finish(now);
         }
         debug_assert!(self.flights.iter().all(|f| !f.alive));
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("simnet.fluid.runs", 1);
-            mre_core::telemetry::counter_add(
-                "simnet.fluid.events",
-                self.stats.events - before.events,
-            );
-            mre_core::telemetry::counter_add(
-                "simnet.fluid.solves",
-                self.stats.solves - before.solves,
-            );
-            mre_core::telemetry::counter_add(
-                "simnet.fluid.flights",
-                self.stats.flights - before.flights,
-            );
-        }
         now
     }
 

@@ -350,13 +350,11 @@ impl NetworkModel {
     /// Time for a schedule: the sum of its round times (rounds are
     /// synchronized).
     pub fn schedule_time(&self, schedule: &Schedule) -> f64 {
-        let t = schedule
+        schedule
             .rounds
             .iter()
             .map(|r| self.round_time(&r.messages))
-            .sum();
-        record_lockstep_run(schedule);
-        t
+            .sum()
     }
 
     /// Time for several schedules executing concurrently in lockstep —
@@ -473,19 +471,6 @@ fn equal_share_rates_csr(
             .map(|&l| capacities[l] / counts[l] as f64)
             .fold(f64::INFINITY, f64::min)
     }));
-}
-
-/// Counts one lockstep costing of `schedule` in the `simnet.lockstep.*`
-/// work counters, which mirror the fluid engine's `simnet.fluid.*` family;
-/// a relaxed-atomic check when telemetry is off.
-pub(crate) fn record_lockstep_run(schedule: &Schedule) {
-    if !mre_core::telemetry::enabled() {
-        return;
-    }
-    let messages = schedule.rounds.iter().map(|r| r.messages.len() as u64);
-    mre_core::telemetry::counter_add("simnet.lockstep.runs", 1);
-    mre_core::telemetry::counter_add("simnet.lockstep.rounds", schedule.rounds.len() as u64);
-    mre_core::telemetry::counter_add("simnet.lockstep.messages", messages.sum());
 }
 
 #[cfg(test)]

@@ -328,8 +328,9 @@ type ProfileShard = std::sync::Mutex<
     std::collections::HashMap<(u64, u64), std::sync::Arc<crate::network::RoundProfile>>,
 >;
 
-/// Snapshot of the round-granular counters of a [`SharedCostCache`] —
-/// the `core.cost_cache.{pattern_hits,round_hits,misses}` telemetry.
+/// Snapshot of the round-granular counters of a [`SharedCostCache`],
+/// returned by [`SharedCostCache::cache_stats`]. This is the only channel
+/// for these counts: the cache emits nothing into `mre_core::telemetry`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Whole-schedule costs served from the pattern memo.
@@ -530,18 +531,14 @@ impl SharedCostCache {
     }
 
     /// Counts one round resolved from a memo tier (`solved == false`) or
-    /// by a contention solve, in the counters and the telemetry sink.
+    /// by a contention solve.
     pub(crate) fn count_round(&self, solved: bool) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let (counter, name) = if solved {
-            (&self.round_misses, "core.cost_cache.misses")
+        let counter = if solved {
+            &self.round_misses
         } else {
-            (&self.round_hits, "core.cost_cache.round_hits")
+            &self.round_hits
         };
-        counter.fetch_add(1, Relaxed);
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add(name, 1);
-        }
+        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// [`NetworkModel::schedule_time`] memoized at **both** pattern and
@@ -565,9 +562,6 @@ impl SharedCostCache {
         if let Some(&t) = shard.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Relaxed);
             self.pattern_hits.fetch_add(1, Relaxed);
-            if mre_core::telemetry::enabled() {
-                mre_core::telemetry::counter_add("core.cost_cache.pattern_hits", 1);
-            }
             return t;
         }
         // A round equal to its predecessor would hit the time tier the

@@ -133,9 +133,6 @@ impl RoundWorkspace {
 
     pub(crate) fn begin_round(&mut self) {
         self.rounds += 1;
-        if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("simnet.workspace.rounds", 1);
-        }
     }
 }
 

@@ -26,7 +26,10 @@
 //! * **Live metrics** — a [`MetricsRegistry`] collects lock-cheap
 //!   counters, gauges and log₂ histograms from the runtime's rank
 //!   threads and (through the [`mre_core::telemetry`] bridge) from the
-//!   contention solver, timeline byte accounting and order search.
+//!   contention solver (`simnet.maxmin.*`) and the timeline byte
+//!   accounting (`simnet.timelines`, `simnet.bytes.*`). Search counts are
+//!   not among them: each search API returns its own (`PruneStats`,
+//!   `CacheStats`, `FluidStats`, `AlgorithmChoice`).
 //!
 //! Either kind of trace exports to Chrome `trace_event` JSON
 //! ([`chrome_trace_json`], loadable in Perfetto or `chrome://tracing`) or
