@@ -89,6 +89,20 @@ grep "recommended order:" target/fluid_sweep_exhaustive.out > target/fluid_best_
 grep "recommended order:" target/fluid_sweep_pruned.out > target/fluid_best_b
 cmp target/fluid_best_a target/fluid_best_b
 
+echo "== worker-count smoke (the pruned recommendation is the same on 1, 2 and 4 workers)"
+# The search seeds each cell with ceil(W/C) candidates at once (W workers,
+# C payload cells), so on this 1 x 1 grid 4 workers cost 4 seeds before
+# any pruning; the recommendation must not move, lockstep or fluid.
+for mode in "" --fluid; do
+  for t in 1 2 4; do
+    cargo run -q --release -p mre-bench --bin order_sweep -- \
+      16,2,2,8 16 alltoall 1048576 --pruned $mode --threads "$t" \
+      | grep "recommended order:" > "target/threads_best_$t"
+  done
+  cmp target/threads_best_1 target/threads_best_2
+  cmp target/threads_best_1 target/threads_best_4
+done
+
 echo "== rail sweep smoke (asserts --nics 2 pruned fluid best == exhaustive best)"
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --nics 2 --fluid > target/rail_sweep_exhaustive.out

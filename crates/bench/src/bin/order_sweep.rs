@@ -48,7 +48,10 @@
 //! comparison of the winner against the runner-up: both orders are
 //! re-run with a [`mre_simnet::CongestionProbe`] attached and their
 //! per-level bound gaps and rail-imbalance indices printed side by side
-//! — *why* the winner wins, in link-capacity terms.
+//! — *why* the winner wins, in link-capacity terms. Under `--pruned` the
+//! second order is the *best costed alternative*: which candidates get
+//! costed depends on the worker count, and when the ladder pruned every
+//! other class the run says so instead of comparing.
 //!
 //! `HIERARCHY` must be one of the calibrated machines (a Hydra-shaped
 //! `nodes,2,2,8` or a LUMI-shaped `nodes,2,4,2,8`); `COLLECTIVE` is
@@ -219,7 +222,7 @@ fn main() {
                 .simultaneous_duration
         }
     };
-    let ranked = if pruned_mode {
+    let (ranked, prune_stats) = if pruned_mode {
         // Per candidate: build the schedules once, bound them with the
         // cheap aggregate rung (which orders the frontier), re-check the
         // survivors with the per-rail histogram rung, and pay the full
@@ -320,9 +323,10 @@ fn main() {
             "time split: bound_ns={bound_ns} cost_ns={cost_ns} (bound share {:.1}%)\n",
             100.0 * bound_ns as f64 / (bound_ns + cost_ns).max(1) as f64,
         );
-        result.ranked
+        (result.ranked, Some(result.stats))
     } else {
-        rank_orders_by_par(&machine, subcomm, cost).expect("valid configuration")
+        let ranked = rank_orders_by_par(&machine, subcomm, cost).expect("valid configuration");
+        (ranked, None)
     };
 
     println!(
@@ -348,16 +352,31 @@ fn main() {
         best.order
     );
     if congestion_mode {
-        if let Some((runner, _)) = ranked.get(1) {
-            print_congestion_comparison(
+        // A pruned ranking lists only the costed candidates, and which ones
+        // get costed depends on the worker count: its second row is the
+        // best costed alternative, not necessarily the runner-up.
+        let (rival, column) = match prune_stats {
+            Some(_) => ("best costed alternative", "alt"),
+            None => ("runner-up", "r-up"),
+        };
+        match (ranked.get(1), prune_stats) {
+            (Some((second, _)), _) => print_congestion_comparison(
                 &net,
                 &best.order,
-                &runner.order,
+                &second.order,
+                (rival, column),
                 &schedules_for,
                 fluid_mode,
-            );
-        } else {
-            println!("\ncongestion: only one equivalence class — nothing to compare");
+            ),
+            (None, Some(stats)) if stats.pruned > 0 => println!(
+                "\ncongestion: the bound ladder pruned {} of {} classes, so the runner-up \
+                 was not costed — nothing to compare",
+                stats.pruned,
+                stats.candidates()
+            ),
+            (None, _) => {
+                println!("\ncongestion: only one equivalence class — nothing to compare")
+            }
         }
     }
 }
@@ -392,25 +411,31 @@ fn probe_order(
     (gaps, imbalance)
 }
 
-/// Re-runs winner and runner-up with a congestion probe attached and
-/// prints their per-level bound gaps and rail imbalance side by side —
-/// the link-capacity explanation of the ranking.
+/// Re-runs the winner and another order with a congestion probe attached
+/// and prints their per-level bound gaps and rail imbalance side by side —
+/// the link-capacity explanation of the ranking. `(rival, column)` name
+/// the other order in the heading and in the column headings.
 fn print_congestion_comparison(
     net: &NetworkModel,
     winner: &Permutation,
-    runner_up: &Permutation,
+    other: &Permutation,
+    (rival, column): (&str, &str),
     schedules_for: &impl Fn(&Permutation) -> Vec<Schedule>,
     fluid_mode: bool,
 ) {
     let (w_gaps, w_imb) = probe_order(net, &schedules_for(winner), fluid_mode);
-    let (r_gaps, r_imb) = probe_order(net, &schedules_for(runner_up), fluid_mode);
+    let (r_gaps, r_imb) = probe_order(net, &schedules_for(other), fluid_mode);
     println!(
-        "\ncongestion: winner [{winner}] vs runner-up [{runner_up}] \
+        "\ncongestion: winner [{winner}] vs {rival} [{other}] \
          (per-level bound gap, rail imbalance)"
     );
     println!(
         "  {:<10} {:>13} {:>13} {:>12} {:>12}",
-        "level", "winner gap%", "r-up gap%", "winner imb", "r-up imb"
+        "level",
+        "winner gap%",
+        format!("{column} gap%"),
+        "winner imb",
+        format!("{column} imb")
     );
     let names = net.hierarchy().names();
     for level in 0..net.hierarchy().depth() {

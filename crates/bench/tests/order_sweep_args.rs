@@ -81,3 +81,36 @@ fn out_of_range_trace_options_exit_2_without_panicking() {
         assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
     }
 }
+
+#[test]
+fn pruned_congestion_says_the_runner_up_was_pruned_not_missing() {
+    // On one worker the ladder costs only the winner of the Hydra default;
+    // the other 7 classes exist but were pruned, so the comparison must not
+    // claim there is only one class.
+    let out = Command::new(env!("CARGO_BIN_EXE_order_sweep"))
+        .args([
+            "16,2,2,8",
+            "16",
+            "alltoall",
+            "1048576",
+            "--pruned",
+            "--congestion",
+            "--threads",
+            "1",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("branch-and-bound: 1 costed, 7 pruned"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "congestion: the bound ladder pruned 7 of 8 classes, so the runner-up was not costed"
+        ),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("only one equivalence class"), "{stdout}");
+}

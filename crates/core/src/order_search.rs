@@ -27,24 +27,30 @@
 //! | [`sweep_pruned_axis`] | sizes × payloads | cheap and tight bound rungs |
 //!
 //! Per distinct subcommunicator size the engine computes the
-//! representatives once and runs **one** fan-out on the [`crate::par`]
-//! pool that builds each candidate's `prepare` artifact together with its
-//! cheap bound at every payload. Each grid cell then drains its frontier —
-//! the candidates in ascending `(cheap bound, enumeration index)` order —
-//! with one claim loop against a shared CAS-min incumbent: a candidate
-//! whose cheap bound exceeds the incumbent ends the cell, one whose lazily
+//! representatives once and runs three fan-outs on the [`crate::par`]
+//! pool. The first builds each candidate's `prepare` artifact together
+//! with its cheap bound at every payload; each grid cell's frontier is its
+//! candidates in ascending `(cheap bound, enumeration index)` order. The
+//! second costs the first `⌈W/C⌉` candidates of every cell's frontier as
+//! seeds (`W` = [`crate::par::threads`], `C` = the size's payload cells),
+//! so no worker idles while the incumbents are seeded. Each cell then
+//! drains the rest of its frontier with one claim loop against a shared
+//! CAS-min incumbent, starting from its seeds' minimum: a candidate whose
+//! cheap bound exceeds the incumbent ends the cell, one whose lazily
 //! evaluated tight bound does is skipped, and only the rest pay the full
-//! cost (DESIGN.md §7e, §7g). The loop runs inline on one worker and on
-//! the pool otherwise. An exhaustive search is the same engine with both
-//! rungs at `f64::NEG_INFINITY`, which never prune.
+//! cost (DESIGN.md §7e, §7g). The third frees the prepared artifacts.
+//! Every fan-out runs inline on one worker, where the engine is exactly
+//! the serial incumbent loop. An exhaustive search is the same engine with
+//! both rungs at `f64::NEG_INFINITY`, which never prune.
 //!
 //! With admissible bounds (`bound ≤ cost` pointwise) every cell's winner
 //! and its cost bits equal the exhaustive search's in every thread
-//! interleaving. [`PruneStats`]'s evaluated/pruned split is exact and
-//! repeatable on one worker (`MRE_PAR_THREADS=1` or
-//! [`crate::par::set_threads`]`(1)`); on more it may vary, its total never
-//! does. The returned [`PruneStats`] are the only channel for these counts:
-//! the search emits nothing into [`crate::telemetry`] and measures no time.
+//! interleaving and for every seed set. [`PruneStats`]'s evaluated/pruned
+//! split is exact and repeatable on one worker (`MRE_PAR_THREADS=1` or
+//! [`crate::par::set_threads`]`(1)`); on more it may vary — the seeds add
+//! at most `⌈W/C⌉ − 1` costed candidates per cell — its total never does.
+//! The returned [`PruneStats`] are the only channel for these counts: the
+//! search emits nothing into [`crate::telemetry`] and measures no time.
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
@@ -373,10 +379,12 @@ where
     Ok(cells.pop().expect("a 1 x 1 grid has one cell"))
 }
 
-/// The search engine behind every entry point: deduplicates both axes,
-/// computes the representatives and one prepare-plus-cheap-bounds fan-out
-/// per distinct size, drains each distinct cell with [`drain`], and
-/// expands the cells back to `spec` order.
+/// The search engine behind every entry point: deduplicates both axes and,
+/// per distinct size, computes the representatives and runs three
+/// fan-outs on the pool — prepare-plus-cheap-bounds over the candidates,
+/// the seeds of every cell, and freeing the prepared artifacts — around
+/// one [`drain`] per distinct cell; then expands the cells back to `spec`
+/// order.
 fn search<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     spec: &SweepSpec,
@@ -407,12 +415,36 @@ where
         })
         .into_iter()
         .unzip();
-        // Cells run in sequence — the pool drains each cell's frontier,
+        // Each cell's frontier: its candidates in (cheap bound, index) order.
+        let frontiers: Vec<(Vec<f64>, Vec<usize>)> = (0..payloads.len())
+            .map(|pi| {
+                let bounds: Vec<f64> = cheap_bounds.iter().map(|b| b[pi]).collect();
+                let mut visit: Vec<usize> = (0..bounds.len()).collect();
+                visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+                (bounds, visit)
+            })
+            .collect();
+        // Seed every cell's incumbent in one fan-out: the first ⌈W/C⌉
+        // positions of each frontier, so all W workers cost seeds at once.
+        // One worker costs exactly each cell's bound-minimal candidate.
+        let per_cell = par::threads()
+            .div_ceil(payloads.len().max(1))
+            .min(reps.len());
+        let seed_jobs: Vec<(usize, usize)> = frontiers
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, (_, visit))| visit[..per_cell].iter().map(move |&i| (pi, i)))
+            .collect();
+        let seed_costs = par::map(&seed_jobs, |_, &(pi, i)| {
+            cost(&reps[i].order, s, payloads[pi], &prepared[i])
+        });
+        // Cells drain in sequence — the pool drains each cell's frontier,
         // so a second fan-out across cells would only oversubscribe.
-        for (pi, &payload) in payloads.iter().enumerate() {
-            let bounds: Vec<f64> = cheap_bounds.iter().map(|b| b[pi]).collect();
+        for (pi, (&payload, (bounds, visit))) in payloads.iter().zip(&frontiers).enumerate() {
             let (evaluated, stats) = drain(
-                &bounds,
+                bounds,
+                visit,
+                &seed_costs[pi * per_cell..(pi + 1) * per_cell],
                 &|i| tight(&reps[i].order, s, payload, &prepared[i]),
                 &|i| cost(&reps[i].order, s, payload, &prepared[i]),
             );
@@ -431,6 +463,9 @@ where
                 stats,
             });
         }
+        // Free the artifacts (typically every candidate's schedules) on
+        // the pool rather than one by one on the caller.
+        par::map_into(prepared, |_, p| drop(p));
     }
     if unique_cells.len() == size_pos.len() * payload_pos.len() {
         // No duplicates: the distinct cells already are the spec order.
@@ -465,50 +500,61 @@ fn dedup_axis<T: Copy + Eq + std::hash::Hash>(values: &[T]) -> (Vec<T>, Vec<usiz
 /// Drains one cell's bound-ordered frontier: the claim loop of every
 /// search.
 ///
-/// The bound-minimal candidate is costed first to seed the incumbent —
-/// without it, `threads ≥ candidates` would cost the whole frontier
-/// speculatively before any pruning could act. Workers then claim
-/// positions from a shared cursor in `(cheap bound, enumeration index)`
-/// order. A claim whose cheap bound *strictly* exceeds the incumbent
-/// proves every later position prunable too (cheap bounds ascend along
-/// the visit order and the incumbent only decreases), so the worker
+/// `visit` lists the cell's candidates in `(cheap bound, enumeration
+/// index)` order, and `seeds` holds the costs of its first `seeds.len()`
+/// positions — at least one when `visit` is not empty. Their minimum seeds
+/// the incumbent; without it, `threads ≥
+/// candidates` would cost the whole frontier speculatively before any
+/// pruning could act. Workers then claim the remaining positions from a
+/// shared cursor. A claim whose cheap bound *strictly* exceeds the
+/// incumbent proves every later position prunable too (cheap bounds ascend
+/// along the visit order and the incumbent only decreases), so the worker
 /// forwards the cursor past the end and retires. A claim the cheap rung
 /// admits is re-checked against its `tight` bound, whose rejection skips
 /// only that candidate (tight bounds are not sorted). Everything else is
-/// costed and lowers the incumbent by CAS on the cost's f64 bits. With
-/// one worker [`par::broadcast`] runs the loop inline, which makes it the
-/// serial incumbent loop with an exact, repeatable evaluated/pruned split.
+/// costed and lowers the incumbent by CAS on the cost's f64 bits. With one
+/// worker the engine passes one seed and [`par::broadcast`] runs the loop
+/// inline, which makes it the serial incumbent loop with an exact,
+/// repeatable evaluated/pruned split.
 ///
 /// Strict inequality is what keeps the winner byte-identical to the
 /// exhaustive search: a candidate whose bound *equals* the incumbent could
 /// still tie it with a smaller enumeration index, so it must be costed;
 /// and a candidate whose true cost equals the final minimum has (by
 /// admissibility of both rungs) bounds ≤ that cost ≤ every incumbent, so
-/// no interleaving skips it.
+/// no interleaving and no seed set skips it.
 ///
 /// Returns the evaluated `(enumeration index, cost)` pairs sorted by
 /// `(cost, enumeration index)` — position 0 is the provable optimum —
 /// plus the prune counters.
 fn drain(
     bounds: &[f64],
+    visit: &[usize],
+    seeds: &[f64],
     tight: &(dyn Fn(usize) -> f64 + Sync),
     cost: &(dyn Fn(usize) -> f64 + Sync),
 ) -> (Vec<(usize, f64)>, PruneStats) {
-    let mut visit: Vec<usize> = (0..bounds.len()).collect();
-    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-    let Some(&seed) = visit.first() else {
+    let Some((&first, rest)) = seeds.split_first() else {
         return (Vec::new(), PruneStats::default());
     };
-    let seed_cost = cost(seed);
-    let incumbent = AtomicU64::new(seed_cost.to_bits());
-    let evaluated = std::sync::Mutex::new(vec![(seed, seed_cost)]);
+    let incumbent = AtomicU64::new(first.to_bits());
+    for &c in rest {
+        cas_min_f64(&incumbent, c);
+    }
+    let cursor = AtomicUsize::new(seeds.len());
+    let workers = par::threads().min(visit.len() - seeds.len());
+    let evaluated = std::sync::Mutex::new(
+        visit
+            .iter()
+            .copied()
+            .zip(seeds.iter().copied())
+            .collect::<Vec<_>>(),
+    );
     let tight_pruned = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(1);
     let exceeds_incumbent = |b: f64| {
         b.total_cmp(&f64::from_bits(incumbent.load(Ordering::Acquire)))
             .is_gt()
     };
-    let workers = par::threads().min(visit.len() - 1);
     par::broadcast(workers, |_| loop {
         let pos = cursor.fetch_add(1, Ordering::SeqCst);
         if pos >= visit.len() {

@@ -276,14 +276,40 @@ where
     }
 }
 
-/// [`map`] over owned items, consuming the input.
+/// [`map`] over owned items: each item moves into `f` by value on the
+/// worker that claims it, so whatever `f` leaves of it — all of it, for a
+/// closure that just drops the item — is freed on that worker, not by the
+/// caller after the fan-out. Results come back in input order.
+///
+/// ```
+/// use mre_core::par;
+/// let lens = par::map_into(vec![String::from("a"), String::from("bb")], |_, s| s.len());
+/// assert_eq!(lens, vec![1, 2]);
+/// ```
 pub fn map_into<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Sync,
+    T: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
-    map(&items, f)
+    if threads().min(items.len()) <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    // One slot per item, so the claiming worker can take its item out of
+    // a shared slice. Each slot is taken exactly once.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    map(&slots, |i, slot| {
+        let item = slot
+            .lock()
+            .expect("taking a slot never panics while holding it")
+            .take()
+            .expect("every index is claimed exactly once");
+        f(i, item)
+    })
 }
 
 #[cfg(test)]
@@ -323,10 +349,38 @@ mod tests {
         assert_eq!(map(&items, slow), serial);
     }
 
+    /// Each item moves into `f` on the worker that claims it: it is
+    /// dropped exactly once, on a pool worker when there are two or more,
+    /// and the results stay in input order.
     #[test]
     fn map_into_consumes() {
-        let out = map_into(vec![String::from("a"), String::from("bb")], |_, s| s.len());
-        assert_eq!(out, vec![1, 2]);
+        use std::sync::Arc;
+        /// Records, per item, the name of every thread that dropped it.
+        struct Tracked(usize, Arc<Mutex<Vec<Vec<String>>>>);
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                let name = std::thread::current().name().unwrap_or("").to_string();
+                self.1.lock().unwrap()[self.0].push(name);
+            }
+        }
+        let n = 64;
+        let drops = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        let items: Vec<Tracked> = (0..n).map(|i| Tracked(i, Arc::clone(&drops))).collect();
+        let out = map_into(items, |i, item| {
+            assert_eq!(i, item.0);
+            i * 2
+        });
+        assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+        for (i, threads_seen) in drops.lock().unwrap().iter().enumerate() {
+            assert_eq!(threads_seen.len(), 1, "item {i} dropped {threads_seen:?}");
+            if threads() >= 2 {
+                assert!(
+                    threads_seen[0].starts_with("mre-par-"),
+                    "item {i} dropped on {:?}, not on a pool worker",
+                    threads_seen[0]
+                );
+            }
+        }
     }
 
     #[test]
