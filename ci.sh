@@ -80,9 +80,10 @@ cargo run -q -p mre-bench --bin trace_report -- \
   --out target/trace_autotune_smoke.json > target/trace_autotune_smoke.out
 grep -q "cost cache:" target/trace_autotune_smoke.out
 
-echo "== order_sweep --fluid smoke (asserts pruned best == exhaustive best)"
+echo "== order_sweep --fluid golden and smoke (full ranking pinned; pruned best == exhaustive best)"
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --fluid > target/fluid_sweep_exhaustive.out
+cmp target/fluid_sweep_exhaustive.out results/order_sweep_fluid.txt
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --fluid --pruned > target/fluid_sweep_pruned.out
 grep "recommended order:" target/fluid_sweep_exhaustive.out > target/fluid_best_a
@@ -103,9 +104,10 @@ for mode in "" --fluid; do
   cmp target/threads_best_1 target/threads_best_4
 done
 
-echo "== rail sweep smoke (asserts --nics 2 pruned fluid best == exhaustive best)"
+echo "== rail sweep golden and smoke (--nics 2 fluid ranking pinned; pruned best == exhaustive best)"
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --nics 2 --fluid > target/rail_sweep_exhaustive.out
+cmp target/rail_sweep_exhaustive.out results/order_sweep_fluid_nics2.txt
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --nics 2 --fluid --pruned > target/rail_sweep_pruned.out
 grep "recommended order:" target/rail_sweep_exhaustive.out > target/rail_best_a

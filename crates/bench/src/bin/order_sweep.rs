@@ -145,6 +145,19 @@ fn main() {
         _ => None,
     })
     .unwrap_or(true);
+    // Whatever is left must be positional: a misspelt flag (`--policy`
+    // for `--rail-policy`, `--flud`) must not silently run the defaults.
+    if let Some(flag) = args[1..].iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag:?}");
+        std::process::exit(1);
+    }
+    if args.len() > 5 {
+        eprintln!(
+            "unexpected argument {:?}: at most HIERARCHY SUBCOMM COLLECTIVE SIZE_BYTES",
+            args[5]
+        );
+        std::process::exit(1);
+    }
     let hierarchy_text = args.get(1).map(String::as_str).unwrap_or("16,2,2,8");
     let subcomm = positional(&args, 2, "subcommunicator size", 16usize);
     let collective_name = args.get(3).map(String::as_str).unwrap_or("alltoall");

@@ -34,6 +34,25 @@ fn bad_positional_arguments_exit_1_without_panicking() {
 }
 
 #[test]
+fn unknown_flags_and_surplus_arguments_exit_1() {
+    for args in [
+        // A typo for --rail-policy once ran the round-robin default.
+        &[
+            "16,2,2,8", "16", "alltoall", "1048576", "--nics", "2", "--policy", "src-hash",
+        ][..],
+        // A typo for --fluid once ran the lockstep engine.
+        &["16,2,2,8", "16", "alltoall", "1048576", "--flud"],
+        &["--flud"],
+        &["16,2,2,8", "16", "alltoall", "1048576", "extra"],
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_order_sweep"), args);
+        assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{args:?}: no message");
+    }
+}
+
+#[test]
 fn zero_nodes_exit_2_without_panicking() {
     // A zero node count once panicked building the machine presets.
     let congestion = env!("CARGO_BIN_EXE_congestion_report");

@@ -53,6 +53,47 @@
 //!   instant are drained as one batch with a single re-solve, which
 //!   collapses the per-message event storm of symmetric rounds.
 //!
+//! # One flight per symmetry class
+//!
+//! The paper's protocol runs the same collective in every subcommunicator
+//! at once, and on digit-box layouts those communicators are translates of
+//! each other. [`FluidSim`] then simulates one flight per *class* — the
+//! messages with the same `(round, seq)` in every job — instead of one per
+//! message. At the start of a run, the engine accepts that grouping only
+//! when it is an *equitable partition*: every job has job 0's round
+//! shapes, payloads and crossing levels, and for every job `c`, message
+//! `i` and path slot `k` the link under slot `k` of `c`'s message `i`
+//! carries the same multiset of `(message, slot)` flows as job 0's link
+//! under that slot. One pass over every job's paths certifies it exactly:
+//! each job's map from job 0's links to its own must be well defined and
+//! injective, every link must have a single job-0 preimage, and each link
+//! must be hit by as many jobs as its preimage.
+//!
+//! *Soundness.* Give every member of a class the class's rate. A link's
+//! load is then a function of its flow multiset, so links with equal
+//! multisets carry equal loads, and each member of a class is bottlenecked
+//! exactly where job 0's member is: a max-min fair allocation of job 0's
+//! flights on job 0's links, with each slot counted `m(i, k)` times (the
+//! occurrences of `(i, k)` on job 0's link under that slot), is max-min
+//! fair for the whole set, and max-min allocations are unique. So the
+//! water-fill runs over job 0's flights only: `nflows` and `wcount` move
+//! by `m`, and a freeze replays `remaining -= share` `m` times — never
+//! `m · share` — so each link sees the full solve's subtractions, value
+//! for value. That the floating-point bits match as well is tested rather
+//! than proven: every rate, prediction, event time and counter equals the
+//! full solve's on random box layouts (a unit test against the trivial
+//! partition) and on a corpus digest recorded before the reduction
+//! (`tests/fluid_classes.rs`).
+//! [`FluidStats`] scales events, flights and repredictions by the class
+//! size, and [`run_timeline`](FluidSim::run_timeline) expands each class
+//! back into its member messages' spans.
+//!
+//! A set that fails the check — source-hash railing, ragged Alltoallv
+//! volumes, non-box layouts — runs on the trivial partition (every
+//! `m = 1`), which is the same engine, one flight per message.
+//! [`run_probed`](FluidSim::run_probed) always does: the probe sums rates
+//! per link in the full engine's flow order.
+//!
 //! Tolerances are **relative**: a flight's residual byte count is snapped
 //! to zero only below `payload × 1e-12`, and latency is tracked as an
 //! absolute expiry time rather than a decremented remainder — the old
@@ -68,7 +109,9 @@
 //! * work conservation: no traversed link is ever oversubscribed
 //!   ([`FluidStats::peak_link_utilization`]);
 //! * the engine agrees with the `fluid_time_reference` oracle to 1e-9
-//!   relative, also on the paper's 1024-core Splatt-like instance.
+//!   relative, also on the paper's 1024-core Splatt-like instance;
+//! * a class-quotient run equals the trivial-partition run bit for bit:
+//!   makespan, counters and every span.
 
 use crate::congestion::CongestionProbe;
 use crate::network::NetworkModel;
@@ -86,8 +129,11 @@ const NO_POS: u32 = u32::MAX;
 /// than `seed_cands`. `NO_POS` also has the bit set — test it first.
 const SOLO_TAG: u32 = 1 << 31;
 
-/// Counters of one or more [`FluidSim`] runs — how much work the engine
-/// actually did, for benchmarks and regression attribution.
+/// Counters of one or more [`FluidSim`] runs — how much work the full
+/// solve does, for benchmarks and regression attribution. A run solved
+/// on a class quotient (see the module docs) reports the full job set's
+/// counts, so they do not depend on whether the reduction was taken;
+/// [`reduced_runs`](Self::reduced_runs) says whether it was.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FluidStats {
     /// Completion / latency-expiry events processed.
@@ -104,6 +150,11 @@ pub struct FluidStats {
     /// Largest observed `allocated / capacity` over all links and solves —
     /// feasibility demands this never meaningfully exceeds 1.
     pub peak_link_utilization: f64,
+    /// Runs solved on a class quotient: one flight per class of
+    /// translated messages instead of one per message (see the module
+    /// docs). `events`, `flights` and `repredictions` still count every
+    /// member message, so they equal the full solve's counts.
+    pub reduced_runs: u64,
 }
 
 /// One message's span in a fluid execution.
@@ -281,9 +332,6 @@ struct Flight {
     job: u32,
     round: u32,
     seq: u32,
-    src: u32,
-    dst: u32,
-    bytes: u64,
     /// Crossing level, or -1 for a self-message.
     crossing: i32,
     /// Injection time (the owning round's start), for the timeline.
@@ -314,8 +362,9 @@ struct FlightHot {
     /// Absolute byte-snap threshold, `bytes * REL_BYTES_EPS` precomputed.
     snap: f64,
     /// Range into the per-run path arena (dense directed-link ids) and,
-    /// at the same offsets, into the `link_pos` back-pointer arena: the
-    /// flight's position in `link_flows[path[k]]` for each path slot `k`.
+    /// at the same offsets, into the `link_pos` back-pointer arena (the
+    /// flight's position in `link_flows[path[k]]` for each path slot `k`)
+    /// and the `path_mult` multiplicity arena.
     path_start: u32,
     path_len: u32,
     /// Solve epoch that froze this flight last (the visited-mark of the
@@ -323,6 +372,30 @@ struct FlightHot {
     /// cache line per flight. `u32` with a clear-on-wrap guard in
     /// [`FluidSim::fill`].
     epoch: u32,
+}
+
+/// Scratch of the class check ([`FluidSim::check_classes`]), kept across
+/// runs. The per-link arrays are sized on first use; `pre` and `jobs` are
+/// left reset between checks, `image` and `hit` hold stamps.
+#[derive(Default)]
+struct ClassCheck {
+    /// Job 0's path slots in `(round, seq, hop)` order.
+    paths: Vec<u32>,
+    /// Job 0's path end offset per flight, in `(round, seq)` order.
+    ends: Vec<u32>,
+    /// Per job-0 link: `(stamp, image)` under the current job's link map.
+    image: Vec<(u32, u32)>,
+    /// Per link: the stamp of the last job whose map hit it.
+    hit: Vec<u32>,
+    /// Per link: the job-0 link that every job's map sends onto it
+    /// ([`NO_POS`] while no map has hit it).
+    pre: Vec<u32>,
+    /// Per link: how many jobs' maps hit it.
+    jobs: Vec<u32>,
+    /// Links whose `pre` is set.
+    touched: Vec<u32>,
+    /// The current job's stamp, unique across checks.
+    stamp: u32,
 }
 
 /// The persistent incremental fluid engine. Construct once per network
@@ -348,6 +421,15 @@ pub struct FluidSim<'a> {
     lstate: Vec<LinkState>,
     /// Per-run arena of flight paths (see [`FlightHot::path_start`]).
     path_arena: Vec<u32>,
+    /// Multiplicity of every path slot, parallel to `path_arena`: how
+    /// many member flows of the flight's class cross that link at that
+    /// slot. All ones under the trivial partition.
+    path_mult: Vec<u32>,
+    /// Messages per flight class in the current run: the job count when
+    /// the run is solved on the class quotient, 1 otherwise.
+    class_size: usize,
+    /// Scratch of the class check, kept across runs.
+    check: ClassCheck,
     // Per-run simulation state.
     flights: Vec<Flight>,
     /// Hot freeze-pass fields, parallel to `flights`.
@@ -420,6 +502,9 @@ impl<'a> FluidSim<'a> {
             table,
             lstate,
             path_arena: Vec::new(),
+            path_mult: Vec::new(),
+            class_size: 1,
+            check: ClassCheck::default(),
             flights: Vec::new(),
             flights_hot: Vec::new(),
             events: BinaryHeap::new(),
@@ -449,7 +534,7 @@ impl<'a> FluidSim<'a> {
     /// returns the makespan. Semantics are identical to the test-only
     /// `fluid_time_reference` oracle up to floating-point reassociation.
     pub fn run(&mut self, schedules: &[Schedule]) -> f64 {
-        self.execute(schedules, None, None)
+        self.execute(schedules, None, None, true)
     }
 
     /// Like [`run`](Self::run), but feeds `probe` a piecewise-constant
@@ -458,20 +543,29 @@ impl<'a> FluidSim<'a> {
     /// zero-allocation snapshot when the last flow drains) reproduces the
     /// engine's exact byte flow per link. The returned makespan is
     /// bit-identical to the unprobed [`run`](Self::run).
+    ///
+    /// A probed run always uses the trivial partition: the probe sums the
+    /// rates on each link in the full engine's flow order, and
+    /// reproducing that order from a quotient would cost as much as the
+    /// full solve.
     pub fn run_probed(&mut self, schedules: &[Schedule], probe: &mut CongestionProbe) -> f64 {
         debug_assert_eq!(
             probe.num_links(),
             self.table.num_links(),
             "probe built for a different network model"
         );
-        self.execute(schedules, None, Some(probe))
+        self.execute(schedules, None, Some(probe), false)
     }
 
     /// Like [`run`](Self::run), but records every message's span.
     pub fn run_timeline(&mut self, schedules: &[Schedule]) -> FluidTimeline {
+        self.timeline(schedules, true)
+    }
+
+    fn timeline(&mut self, schedules: &[Schedule], reduce: bool) -> FluidTimeline {
         let before = self.stats;
         let mut spans = Vec::new();
-        let makespan = self.execute(schedules, Some(&mut spans), None);
+        let makespan = self.execute(schedules, Some(&mut spans), None, reduce);
         spans.sort_by_key(|a| (a.job, a.round, a.seq));
         let after = self.stats;
         FluidTimeline {
@@ -483,16 +577,23 @@ impl<'a> FluidSim<'a> {
                 flights: after.flights - before.flights,
                 repredictions: after.repredictions - before.repredictions,
                 peak_link_utilization: after.peak_link_utilization,
+                reduced_runs: after.reduced_runs - before.reduced_runs,
             },
         }
     }
 
+    /// One run. With `reduce`, a job set that passes the class check
+    /// ([`check_classes`](Self::check_classes)) is solved on job 0's flights
+    /// with per-slot multiplicities; any other set runs on the trivial
+    /// partition, one flight per message.
     fn execute(
         &mut self,
         schedules: &[Schedule],
         mut record: Option<&mut Vec<FluidMessageSpan>>,
         mut probe: Option<&mut CongestionProbe>,
+        reduce: bool,
     ) -> f64 {
+        let before = self.stats;
         // Reset per-run state; caches persist.
         self.flights.clear();
         self.flights_hot.clear();
@@ -509,14 +610,25 @@ impl<'a> FluidSim<'a> {
         self.transferring.clear();
         self.path_arena.clear();
         self.link_pos.clear();
+        self.path_mult.clear();
+        self.class_size = if reduce {
+            self.check_classes(schedules)
+        } else {
+            1
+        };
+        let jobs = if self.class_size > 1 {
+            1
+        } else {
+            schedules.len()
+        };
         self.next_completion = f64::INFINITY;
         self.outstanding.clear();
-        self.outstanding.resize(schedules.len(), 0);
+        self.outstanding.resize(jobs, 0);
         self.next_round.clear();
-        self.next_round.resize(schedules.len(), 0);
+        self.next_round.resize(jobs, 0);
 
         let mut needs = false;
-        for job in 0..schedules.len() {
+        for job in 0..jobs {
             needs |= self.start_round(job, schedules, 0.0);
         }
         if needs && !self.transferring.is_empty() {
@@ -582,7 +694,71 @@ impl<'a> FluidSim<'a> {
             p.fluid_finish(now);
         }
         debug_assert!(self.flights.iter().all(|f| !f.alive));
+        if self.class_size > 1 {
+            // Every member message of a class had its own events,
+            // flight and repredictions in the full solve.
+            let k = self.class_size as u64;
+            let s = &mut self.stats;
+            s.events = before.events + (s.events - before.events) * k;
+            s.flights = before.flights + (s.flights - before.flights) * k;
+            s.repredictions = before.repredictions + (s.repredictions - before.repredictions) * k;
+            s.reduced_runs += 1;
+        }
         now
+    }
+
+    /// Messages per flight class of `schedules`: the job count when
+    /// grouping the jobs' messages by `(round, seq)` is an equitable
+    /// partition, else 1 (the trivial partition). On success the
+    /// multiplicity of each of job 0's path slots is appended to the
+    /// (emptied) `path_mult`.
+    ///
+    /// Slot `q` of job `c` is hop link `k` of `c`'s message `i`, numbered
+    /// in job 0's `(round, seq, hop)` order. The grouping is accepted when,
+    /// checked exactly:
+    /// 1. every job has job 0's round shapes, payloads and crossing levels;
+    /// 2. each job `c` induces a link map `φ_c` (job 0's link at slot `q`
+    ///    ↦ `c`'s link at `q`) that is well defined and injective;
+    /// 3. every link hit by any map is hit only as the image of one job-0
+    ///    link `pre(l)` — job 0's own links are their own preimages — and
+    ///    by as many maps as `pre(l)` is.
+    ///
+    /// Then the flows on any link `l` are `n(l)` copies of job 0's slots on
+    /// `pre(l)` (`n` counting the maps that hit `l`), so link `c`'s slot
+    /// `q` carries the same multiset of slots as job 0's, and the
+    /// multiplicity of slot `q` is `n` of job 0's link at `q`. One pass
+    /// over every job's paths decides it, and the first mismatch — a
+    /// payload, a shape, a link that two maps disagree on — rejects.
+    fn check_classes(&mut self, schedules: &[Schedule]) -> usize {
+        let jobs = schedules.len();
+        if jobs < 2 {
+            return 1;
+        }
+        let links = self.table.num_links();
+        let x = &mut self.check;
+        if x.pre.len() != links {
+            x.image = vec![(0, 0); links];
+            x.hit = vec![0; links];
+            x.pre = vec![NO_POS; links];
+            x.jobs = vec![0; links];
+        }
+        let equitable = map_jobs(x, self.table, schedules)
+            && x.touched
+                .iter()
+                .all(|&l| x.jobs[l as usize] == x.jobs[x.pre[l as usize] as usize]);
+        if equitable {
+            self.path_mult
+                .extend(x.paths.iter().map(|&l| x.jobs[l as usize]));
+        }
+        for &l in &x.touched {
+            x.pre[l as usize] = NO_POS;
+            x.jobs[l as usize] = 0;
+        }
+        if equitable {
+            jobs
+        } else {
+            1
+        }
     }
 
     /// Snapshots the current per-link allocation into `probe` at `now`:
@@ -642,19 +818,29 @@ impl<'a> FluidSim<'a> {
         f.alive = false;
         let job = f.job as usize;
         if let Some(rec) = record.as_deref_mut() {
-            let (src, dst, crossing) = (f.src as usize, f.dst as usize, f.crossing);
-            rec.push(FluidMessageSpan {
-                job,
-                round: f.round as usize,
-                seq: f.seq as usize,
-                src,
-                dst,
-                bytes: f.bytes,
-                start: f.injected,
-                finish: now,
-                crossing: (crossing >= 0).then_some(crossing as usize),
-                rail: (crossing >= 0).then(|| net.message_rail(crossing as usize, src, dst, true)),
-            });
+            // A class flight stands for the same message of every job.
+            let members = if self.class_size > 1 {
+                0..self.class_size
+            } else {
+                job..job + 1
+            };
+            let (round, seq, crossing) = (f.round as usize, f.seq as usize, f.crossing);
+            for member in members {
+                let m = &schedules[member].rounds[round].messages[seq];
+                rec.push(FluidMessageSpan {
+                    job: member,
+                    round,
+                    seq,
+                    src: m.src,
+                    dst: m.dst,
+                    bytes: m.bytes,
+                    start: f.injected,
+                    finish: now,
+                    crossing: (crossing >= 0).then_some(crossing as usize),
+                    rail: (crossing >= 0)
+                        .then(|| net.message_rail(crossing as usize, m.src, m.dst, true)),
+                });
+            }
         }
         if used_links {
             self.leave_links(flight);
@@ -699,13 +885,15 @@ impl<'a> FluidSim<'a> {
                 };
                 let id = self.flights.len() as u32;
                 self.link_pos.resize(self.path_arena.len(), NO_POS);
+                // A quotient run's multiplicities were laid out for all of
+                // job 0's slots by the class check; trivial runs grow ones.
+                if self.path_mult.len() < self.path_arena.len() {
+                    self.path_mult.resize(self.path_arena.len(), 1);
+                }
                 let mut flight = Flight {
                     job: job as u32,
                     round: round_idx as u32,
                     seq: seq as u32,
-                    src: m.src as u32,
-                    dst: m.dst as u32,
-                    bytes: m.bytes,
                     crossing,
                     injected: now,
                     tpos: NO_POS,
@@ -769,36 +957,20 @@ impl<'a> FluidSim<'a> {
             self.link_flows[l].push((flight, slot as u32));
             self.link_pos[start + slot] = pos;
             let ls = &mut self.lstate[l];
-            ls.nflows += 1;
-            let (nf, cap) = (ls.nflows, ls.capacity);
-            match nf {
-                1 => {
-                    // Idle → solo: tracked outside the seed.
-                    self.busy_pos[l] = SOLO_TAG | self.solo.len() as u32;
-                    self.solo.push(l as u32);
-                    if cap < self.solo_cap_min {
-                        self.solo_cap_min = cap;
-                    }
-                }
-                2 => {
-                    // Solo → shared: move into the seed candidates.
-                    let sp = (self.busy_pos[l] & !SOLO_TAG) as usize;
-                    self.solo.swap_remove(sp);
-                    if let Some(&moved) = self.solo.get(sp) {
-                        self.busy_pos[moved as usize] = SOLO_TAG | sp as u32;
+            let was = ls.nflows;
+            ls.nflows += self.path_mult[start + slot];
+            match (was, ls.nflows) {
+                // Idle → solo: tracked outside the seed.
+                (_, 1) => self.push_solo(l),
+                // Idle or solo → shared: into the seed candidates.
+                (0 | 1, n) => {
+                    if was == 1 {
+                        self.remove_solo(l);
                     }
                     self.busy_pos[l] = self.seed_cands.len() as u32;
-                    self.seed_cands.push(Reverse(Candidate {
-                        share: cap / 2.0,
-                        link: l as u32,
-                    }));
+                    self.seed_cands.push(self.seed_candidate(l, n));
                 }
-                n => {
-                    self.seed_cands[self.busy_pos[l] as usize] = Reverse(Candidate {
-                        share: cap / n as f64,
-                        link: l as u32,
-                    });
-                }
+                (_, n) => self.seed_cands[self.busy_pos[l] as usize] = self.seed_candidate(l, n),
             }
         }
         self.flights[fi].tpos = self.transferring.len() as u32;
@@ -820,38 +992,28 @@ impl<'a> FluidSim<'a> {
                 self.link_pos[moved_start + moved_slot as usize] = pos as u32;
             }
             let ls = &mut self.lstate[l];
-            ls.nflows -= 1;
-            let (nf, cap) = (ls.nflows, ls.capacity);
-            match nf {
-                0 => {
-                    // Solo → idle: swap-remove from the solo list.
-                    let sp = (self.busy_pos[l] & !SOLO_TAG) as usize;
-                    self.solo.swap_remove(sp);
-                    if let Some(&moved) = self.solo.get(sp) {
-                        self.busy_pos[moved as usize] = SOLO_TAG | sp as u32;
-                    }
+            let was = ls.nflows;
+            ls.nflows -= self.path_mult[start + slot];
+            match (was, ls.nflows) {
+                // Solo → idle.
+                (1, _) => {
+                    self.remove_solo(l);
                     self.busy_pos[l] = NO_POS;
                 }
-                1 => {
-                    // Shared → solo: swap-remove from the seed, fixing
-                    // the moved candidate's back-pointer.
+                // Shared → idle or solo: out of the seed.
+                (_, n @ (0 | 1)) => {
                     let bp = self.busy_pos[l] as usize;
                     self.seed_cands.swap_remove(bp);
                     if let Some(&Reverse(moved_c)) = self.seed_cands.get(bp) {
                         self.busy_pos[moved_c.link as usize] = bp as u32;
                     }
-                    self.busy_pos[l] = SOLO_TAG | self.solo.len() as u32;
-                    self.solo.push(l as u32);
-                    if cap < self.solo_cap_min {
-                        self.solo_cap_min = cap;
+                    if n == 1 {
+                        self.push_solo(l);
+                    } else {
+                        self.busy_pos[l] = NO_POS;
                     }
                 }
-                n => {
-                    self.seed_cands[self.busy_pos[l] as usize] = Reverse(Candidate {
-                        share: cap / n as f64,
-                        link: l as u32,
-                    });
-                }
+                (_, n) => self.seed_cands[self.busy_pos[l] as usize] = self.seed_candidate(l, n),
             }
         }
         // Swap-remove from the transferring list, fixing the moved flight.
@@ -861,6 +1023,34 @@ impl<'a> FluidSim<'a> {
             self.flights[moved as usize].tpos = tp as u32;
         }
         self.flights[fi].tpos = NO_POS;
+    }
+
+    /// The up-to-date seed candidate of shared link `l` carrying `nflows`.
+    fn seed_candidate(&self, l: usize, nflows: u32) -> Reverse<Candidate> {
+        Reverse(Candidate {
+            share: self.lstate[l].capacity / nflows as f64,
+            link: l as u32,
+        })
+    }
+
+    /// Tracks link `l`, now carrying one flow, in the solo list.
+    fn push_solo(&mut self, l: usize) {
+        self.busy_pos[l] = SOLO_TAG | self.solo.len() as u32;
+        self.solo.push(l as u32);
+        let cap = self.lstate[l].capacity;
+        if cap < self.solo_cap_min {
+            self.solo_cap_min = cap;
+        }
+    }
+
+    /// Swap-removes link `l` from the solo list, fixing the moved link's
+    /// back-pointer; the caller re-tags `l` itself.
+    fn remove_solo(&mut self, l: usize) {
+        let sp = (self.busy_pos[l] & !SOLO_TAG) as usize;
+        self.solo.swap_remove(sp);
+        if let Some(&moved) = self.solo.get(sp) {
+            self.busy_pos[moved as usize] = SOLO_TAG | sp as u32;
+        }
     }
 
     /// Water-fills the active flow set (a lazy candidate heap over busy
@@ -875,12 +1065,20 @@ impl<'a> FluidSim<'a> {
     /// [`next_completion`]: Self::next_completion
     fn resolve(&mut self, now: f64) {
         self.stats.solves += 1;
-        // Fast path: fill without the solo links. Exact whenever every
-        // assigned share stays below the smallest solo capacity (a solo
-        // link cannot bind below its own capacity); otherwise fall back
-        // to a fill over the full busy set.
-        if !self.fill(now, true) {
-            let ok = self.fill(now, false);
+        if self.class_size > 1 {
+            self.fast_then_full_fill::<true>(now);
+        } else {
+            self.fast_then_full_fill::<false>(now);
+        }
+    }
+
+    /// Fast path: fill without the solo links. Exact whenever every
+    /// assigned share stays below the smallest solo capacity (a solo link
+    /// cannot bind below its own capacity); otherwise fall back to a fill
+    /// over the full busy set.
+    fn fast_then_full_fill<const QUOTIENT: bool>(&mut self, now: f64) {
+        if !self.fill::<QUOTIENT>(now, true) {
+            let ok = self.fill::<QUOTIENT>(now, false);
             debug_assert!(ok, "full-seed fill cannot run dry");
         }
     }
@@ -891,8 +1089,9 @@ impl<'a> FluidSim<'a> {
     /// would freeze — the caller then re-runs with the full seed, which
     /// is idempotent: the aborted attempt only folded byte counts at
     /// their genuine old rates and re-folding over a zero interval is a
-    /// no-op.
-    fn fill(&mut self, now: f64, fast: bool) -> bool {
+    /// no-op. `QUOTIENT` runs replay each subtraction per the path slot's
+    /// multiplicity; trivial-partition runs skip reading it.
+    fn fill<const QUOTIENT: bool>(&mut self, now: f64, fast: bool) -> bool {
         self.epoch += 1;
         if self.epoch as u32 == 0 {
             // The truncated stamp wrapped (once per 2³² solves): clear
@@ -940,6 +1139,7 @@ impl<'a> FluidSim<'a> {
             ref link_flows,
             ref mut flights_hot,
             ref path_arena,
+            ref path_mult,
             ref mut cheap,
             ref mut stats,
             ..
@@ -1003,7 +1203,7 @@ impl<'a> FluidSim<'a> {
                     batch_min = f.predicted;
                 }
                 let (ps, pl) = (f.path_start as usize, f.path_len as usize);
-                for &link in &path_arena[ps..ps + pl] {
+                for (slot, &link) in path_arena[ps..ps + pl].iter().enumerate() {
                     let ls = &mut lstate[link as usize];
                     if fast && ls.nflows == 1 {
                         // Solo links are unseeded in the fast fill, so
@@ -1011,8 +1211,19 @@ impl<'a> FluidSim<'a> {
                         continue;
                     }
                     fresh(ls, epoch);
-                    ls.remaining -= share;
-                    ls.wcount -= 1;
+                    if QUOTIENT {
+                        // One subtraction per member flow, never
+                        // `m · share`: the link sees the full solve's
+                        // subtraction sequence.
+                        let m = path_mult[ps + slot];
+                        for _ in 0..m {
+                            ls.remaining -= share;
+                        }
+                        ls.wcount -= m;
+                    } else {
+                        ls.remaining -= share;
+                        ls.wcount -= 1;
+                    }
                 }
             }
             debug_assert_eq!(lstate[l].wcount, 0, "bottleneck link fully drained");
@@ -1031,6 +1242,82 @@ impl<'a> FluidSim<'a> {
         }
         complete
     }
+}
+
+/// One pass of the class check ([`FluidSim::check_classes`]) over every job's
+/// messages: conditions 1 and 2, and condition 3 up to the map counts.
+/// Fills `x.paths` with job 0's slots and `x.pre`/`x.jobs` for every link
+/// hit (listed in `x.touched`); returns `false` at the first violation.
+fn map_jobs(x: &mut ClassCheck, table: &RailLinkTable, schedules: &[Schedule]) -> bool {
+    x.paths.clear();
+    x.ends.clear();
+    x.touched.clear();
+    let base = &schedules[0];
+    for (c, schedule) in schedules.iter().enumerate() {
+        if x.stamp == u32::MAX {
+            x.image.fill((0, 0));
+            x.hit.fill(0);
+            x.stamp = 0;
+        }
+        x.stamp += 1;
+        let stamp = x.stamp;
+        if schedule.rounds.len() != base.rounds.len() {
+            return false;
+        }
+        let (mut slot, mut flight) = (0, 0);
+        for (round, round0) in schedule.rounds.iter().zip(&base.rounds) {
+            if round.messages.len() != round0.messages.len() {
+                return false;
+            }
+            for (m, m0) in round.messages.iter().zip(&round0.messages) {
+                if m.bytes != m0.bytes {
+                    return false;
+                }
+                let hops = table.path(m.src, m.dst).into_iter().flatten();
+                for l in hops.flat_map(|hop| [hop.up, hop.down]) {
+                    let l0 = if c == 0 {
+                        x.paths.push(l);
+                        l
+                    } else {
+                        match x.paths.get(slot) {
+                            Some(&l0) => l0,
+                            None => return false,
+                        }
+                    };
+                    slot += 1;
+                    let (seen, image) = x.image[l0 as usize];
+                    if seen == stamp {
+                        if image != l {
+                            return false;
+                        }
+                        continue;
+                    }
+                    // First slot of this job on `l0`: `φ_c(l0) = l`.
+                    x.image[l0 as usize] = (stamp, l);
+                    let l = l as usize;
+                    if x.hit[l] == stamp {
+                        return false;
+                    }
+                    x.hit[l] = stamp;
+                    if x.pre[l] == NO_POS {
+                        x.pre[l] = l0;
+                        x.touched.push(l as u32);
+                    } else if x.pre[l] != l0 {
+                        return false;
+                    }
+                    x.jobs[l] += 1;
+                }
+                // Equal path lengths: equal crossing levels.
+                if c == 0 {
+                    x.ends.push(slot as u32);
+                } else if x.ends[flight] != slot as u32 {
+                    return false;
+                }
+                flight += 1;
+            }
+        }
+    }
+    true
 }
 
 /// Simulates `schedules` concurrently without cross-schedule barriers and
@@ -1688,10 +1975,24 @@ mod tests {
     /// where the engine's incremental bookkeeping does the most work.
     #[test]
     fn engine_matches_reference_on_the_1024_core_splatt_instance() {
-        const BYTES: u64 = 4 << 20;
         let net = crate::presets::hydra_network(32, 1);
-        let comms = spread_communicators();
-        let jobs: Vec<Schedule> = comms
+        let jobs = splatt_jobs();
+        let messages = jobs
+            .iter()
+            .flat_map(|s| &s.rounds)
+            .flat_map(|r| &r.messages);
+        assert_eq!(messages.clone().count(), 32768);
+        assert_eq!(messages.filter(|m| m.src == m.dst).count(), 2048);
+        let engine = fluid_time(&net, &jobs);
+        let reference = fluid_time_reference(&net, &jobs);
+        assert_close(engine, reference, 1e-9, "1024-core engine vs reference");
+    }
+
+    /// The Splatt-like instance: the 64 spread communicators' ragged
+    /// pairwise Alltoallvs, each run twice.
+    fn splatt_jobs() -> Vec<Schedule> {
+        const BYTES: u64 = 4 << 20;
+        spread_communicators()
             .iter()
             .enumerate()
             .map(|(c, members)| {
@@ -1716,16 +2017,7 @@ mod tests {
                 schedule.then(exchange);
                 schedule
             })
-            .collect();
-        let messages = jobs
-            .iter()
-            .flat_map(|s| &s.rounds)
-            .flat_map(|r| &r.messages);
-        assert_eq!(messages.clone().count(), 32768);
-        assert_eq!(messages.filter(|m| m.src == m.dst).count(), 2048);
-        let engine = fluid_time(&net, &jobs);
-        let reference = fluid_time_reference(&net, &jobs);
-        assert_close(engine, reference, 1e-9, "1024-core engine vs reference");
+            .collect()
     }
 
     /// The 64 × 16 spread pairwise Alltoall (4 MiB per call) on 32 Hydra
@@ -1811,5 +2103,139 @@ mod tests {
         assert_eq!(first, fluid_time(&net, std::slice::from_ref(&a)));
         assert_eq!(second, fluid_time(&net, std::slice::from_ref(&b)));
         assert_eq!(sim.stats().flights, 4);
+    }
+
+    /// Runs `jobs` on the class quotient (when the check accepts them) and
+    /// on the trivial partition; asserts every makespan, count and span
+    /// bit agrees and returns whether the quotient was taken.
+    fn reduced_matches_trivial(net: &NetworkModel, jobs: &[Schedule]) -> bool {
+        let reduced = FluidSim::new(net).timeline(jobs, true);
+        let trivial = FluidSim::new(net).timeline(jobs, false);
+        assert_eq!(trivial.stats.reduced_runs, 0);
+        assert_eq!(reduced.makespan.to_bits(), trivial.makespan.to_bits());
+        assert_eq!(
+            FluidStats {
+                reduced_runs: 0,
+                ..reduced.stats
+            },
+            trivial.stats
+        );
+        assert_eq!(reduced.spans, trivial.spans);
+        let plain = FluidSim::new(net).run(jobs);
+        assert_eq!(plain.to_bits(), reduced.makespan.to_bits());
+        reduced.stats.reduced_runs == 1
+    }
+
+    /// Every communicator of a random digit-box layout runs the same
+    /// rank-space schedule (pairwise exchange, recursive doubling or random
+    /// rounds with self-messages) on a random 2–4-level machine with random
+    /// link parameters, 1/2/4 node rails and every policy: the class
+    /// quotient reproduces the trivial partition bit for bit.
+    #[test]
+    fn reduced_solve_equals_the_trivial_partition_bit_for_bit() {
+        use crate::rail::RailPolicy;
+        use mre_core::subcomm::{subcommunicators, ColorScheme};
+        let (mut runs, mut reduced) = (0, 0);
+        mre_rng::propcheck(300, 0x0C1A_55E5, |rng| {
+            let depth = rng.gen_range(2usize..5);
+            let levels: Vec<usize> = (0..depth)
+                .map(|_| *rng.choose(&[1usize, 2, 2, 4, 4, 8]).unwrap())
+                .collect();
+            let h = Hierarchy::new(levels).unwrap();
+            let size = h.size();
+            let sizes: Vec<usize> = (2..size).filter(|&d| size.is_multiple_of(d)).collect();
+            let (Some(&s), true) = (rng.choose(&sizes), size <= 512) else {
+                return;
+            };
+            let order: Vec<usize> = {
+                let mut order: Vec<usize> = (0..depth).collect();
+                rng.shuffle(&mut order);
+                order
+            };
+            let order = mre_core::Permutation::new(order).unwrap();
+            let layout = subcommunicators(&h, &order, s, ColorScheme::Quotient).unwrap();
+            let links = (0..depth)
+                .map(|_| LinkParams {
+                    uplink_bandwidth: rng.gen_range(1e9f64..1e11),
+                    crossing_latency: if rng.gen_bool(0.5) {
+                        0.0
+                    } else {
+                        rng.gen_range(1e-7f64..1e-5)
+                    },
+                })
+                .collect();
+            let nics = *rng.choose(&[1usize, 2, 4]).unwrap();
+            let policy = *rng.choose(&RailPolicy::ALL).unwrap();
+            let net = NetworkModel::new(h, links, 1e11).with_node_rails(nics, policy);
+            let rounds: Vec<Vec<(usize, usize, u64)>> = match rng.gen_range(0usize..3) {
+                0 => (1..s)
+                    .map(|r| {
+                        (0..s)
+                            .map(|i| (i, (i + r) % s, 1 << rng.gen_range(10u32..20)))
+                            .collect()
+                    })
+                    .collect(),
+                1 => {
+                    let bytes = rng.gen_range(1u64..1 << 20);
+                    (0..s.ilog2())
+                        .map(|k| (0..s).map(|i| (i, i ^ 1 << k, bytes)).collect())
+                        .collect()
+                }
+                _ => (0..rng.gen_range(1usize..5))
+                    .map(|_| {
+                        (0..rng.gen_range(1..3 * s))
+                            .map(|_| {
+                                let (i, j) = (rng.gen_range(0..s), rng.gen_range(0..s));
+                                (i, j, rng.gen_range(1u64..1 << 20))
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let jobs: Vec<Schedule> = layout
+                .comms()
+                .iter()
+                .map(|m| {
+                    Schedule::with(
+                        rounds
+                            .iter()
+                            .map(|r| {
+                                Round::with(
+                                    r.iter()
+                                        .map(|&(i, j, b)| Message::new(m[i], m[j], b))
+                                        .collect(),
+                                )
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            runs += 1;
+            reduced += reduced_matches_trivial(&net, &jobs) as usize;
+        });
+        // Source-hash railing and some random rounds fail the check.
+        assert!(reduced > runs / 2 && reduced < runs, "{reduced} of {runs}");
+    }
+
+    /// The spread Alltoall's 64 translated communicators, on one rail and
+    /// on two round-robin rails, take the quotient with the same bits; the
+    /// ragged Splatt-like Alltoallvs (per-communicator volumes differ)
+    /// fall back to the trivial partition.
+    #[test]
+    fn spread_alltoall_reduces_and_ragged_alltoallv_falls_back() {
+        use crate::presets::{hydra_network, hydra_network_rails};
+        use crate::rail::RailPolicy;
+        for (net, nics) in [
+            (hydra_network(32, 1), 1),
+            (hydra_network_rails(32, 2, RailPolicy::RoundRobin), 2),
+        ] {
+            let jobs: Vec<Schedule> = spread_communicators()
+                .iter()
+                .map(|m| alltoall_pairwise_railed(m, (4 << 20) / 256, nics))
+                .collect();
+            assert!(reduced_matches_trivial(&net, &jobs), "{nics} rails");
+        }
+        let net = hydra_network(32, 1);
+        assert!(!reduced_matches_trivial(&net, &splatt_jobs()));
     }
 }
