@@ -74,11 +74,19 @@ cargo run -q -p mre-bench --bin trace_diff -- \
 grep -q "fidelity score:" target/trace_diff_stencil_smoke.out
 grep -q "^seq,events,kind,name,key,value" target/trace_diff_stream.csv
 
-echo "== trace_report autotune smoke"
+echo "== trace_report autotune goldens (the selector path, lockstep and fluid, byte for byte)"
 cargo run -q -p mre-bench --bin trace_report -- \
   --machine hydra --collective allgather --order 3-2-1-0 --autotune \
   --out target/trace_autotune_smoke.json > target/trace_autotune_smoke.out
 grep -q "cost cache:" target/trace_autotune_smoke.out
+cargo run -q --release -p mre-bench --bin trace_report -- \
+  --machine hydra --collective allgather --order 3-2-1-0 --autotune \
+  > target/trace_autotune.out
+cmp target/trace_autotune.out results/trace_report_autotune.txt
+cargo run -q --release -p mre-bench --bin trace_report -- \
+  --machine hydra --collective allgather --order 3-2-1-0 --autotune --fluid \
+  > target/trace_autotune_fluid.out
+cmp target/trace_autotune_fluid.out results/trace_report_autotune_fluid.txt
 
 echo "== order_sweep --fluid golden and smoke (full ranking pinned; pruned best == exhaustive best)"
 cargo run -q --release -p mre-bench --bin order_sweep -- \

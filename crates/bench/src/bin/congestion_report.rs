@@ -26,9 +26,8 @@
 //! congestion_report --fluid --subcomm 32 --csv segments.csv
 //! ```
 
-use mre_core::subcomm::{subcommunicators, ColorScheme};
+use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
-use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::{hydra_network, lumi_network};
 use mre_simnet::{
     bound_gap_fluid, bound_gap_lockstep, BoundGap, CongestionProbe, FluidSim, NetworkModel,
@@ -233,14 +232,13 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let collective = match opts.collective.as_str() {
-        "alltoall" => Collective::Alltoall(AlltoallAlg::Auto),
-        "allreduce" => Collective::Allreduce(AllreduceAlg::Auto),
-        "allgather" => Collective::Allgather(AllgatherAlg::Auto),
-        other => {
-            eprintln!("unknown collective {other:?} (alltoall|allreduce|allgather)");
-            std::process::exit(2);
-        }
+    let Some(collective) = Collective::parse(&opts.collective) else {
+        eprintln!(
+            "unknown collective {:?} ({})",
+            opts.collective,
+            Collective::NAMES
+        );
+        std::process::exit(2);
     };
     if opts.subcomm == 0 || !machine.size().is_multiple_of(opts.subcomm) {
         eprintln!(
@@ -251,11 +249,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    let layout = subcommunicators(&machine, &order, opts.subcomm, ColorScheme::Quotient)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build subcommunicators: {e}");
-            std::process::exit(2);
-        });
     let bench = Microbench {
         machine: machine.clone(),
         order: order.clone(),
@@ -266,13 +259,16 @@ fn main() {
     // Every subcommunicator runs concurrently; with --nics > 1 each
     // communicator's rounds are rail-striped exactly as the cost engines
     // assume.
-    let mut schedules = Vec::with_capacity(layout.count());
-    let mut groups = Vec::with_capacity(layout.count());
-    for c in 0..layout.count() {
-        let members = layout.members(c);
-        schedules.push(bench.schedule_for_rails(members, opts.nics).canonicalized());
-        groups.push((format!("comm {c}"), members.to_vec()));
-    }
+    let (layout, schedules) = bench
+        .layout_schedules(ColorScheme::Quotient, opts.nics)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot build subcommunicators: {e}");
+            std::process::exit(2);
+        });
+    let schedules: Vec<Schedule> = schedules.iter().map(Schedule::canonicalized).collect();
+    let groups: Vec<(String, Vec<usize>)> = (0..layout.count())
+        .map(|c| (format!("comm {c}"), layout.members(c).to_vec()))
+        .collect();
     let merged = Schedule::lockstep(&schedules);
 
     let mut probe = CongestionProbe::new(&net);

@@ -58,9 +58,8 @@
 //! `alltoall`, `allreduce` or `allgather`.
 
 use mre_core::order_search::{rank_orders_by_par, rank_orders_pruned_ladder, spreadness};
-use mre_core::subcomm::{subcommunicators, ColorScheme};
+use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
-use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::{hydra_network, lumi_network};
 use mre_simnet::{
     bound_gap_fluid, bound_gap_lockstep, fluid_lower_bound, fluid_lower_bound_aggregate,
@@ -176,14 +175,12 @@ fn main() {
         );
         std::process::exit(1);
     };
-    let collective = match collective_name {
-        "alltoall" => Collective::Alltoall(AlltoallAlg::Auto),
-        "allreduce" => Collective::Allreduce(AllreduceAlg::Auto),
-        "allgather" => Collective::Allgather(AllgatherAlg::Auto),
-        other => {
-            eprintln!("unknown collective {other:?} (alltoall|allreduce|allgather)");
-            std::process::exit(1);
-        }
+    let Some(collective) = Collective::parse(collective_name) else {
+        eprintln!(
+            "unknown collective {collective_name:?} ({})",
+            Collective::NAMES
+        );
+        std::process::exit(1);
     };
     if subcomm == 0 || machine.size() % subcomm != 0 {
         eprintln!(
@@ -218,12 +215,10 @@ fn main() {
         total_bytes: size,
     };
     let schedules_for = |sigma: &Permutation| -> Vec<Schedule> {
-        let bench = bench_for(sigma);
-        let layout = subcommunicators(&machine, sigma, subcomm, ColorScheme::Quotient)
-            .expect("valid configuration");
-        (0..layout.count())
-            .map(|c| bench.schedule_for_rails(layout.members(c), nics))
-            .collect()
+        bench_for(sigma)
+            .layout_schedules(ColorScheme::Quotient, nics)
+            .expect("valid configuration")
+            .1
     };
     let cost = |sigma: &Permutation| {
         if fluid_mode {
@@ -327,8 +322,8 @@ fn main() {
         );
         let cs = cache.cache_stats();
         println!(
-            "cost cache: core.cost_cache.pattern_hits={} core.cost_cache.round_hits={} \
-             core.cost_cache.misses={}",
+            "cost cache: simnet.cost_cache.pattern_hits={} simnet.cost_cache.round_hits={} \
+             simnet.cost_cache.round_misses={}",
             cs.pattern_hits, cs.round_hits, cs.misses
         );
         let (bound_ns, cost_ns) = (bound_ns.into_inner(), cost_ns.into_inner());

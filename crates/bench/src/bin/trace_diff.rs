@@ -22,7 +22,7 @@
 //!   size, `--cp-rank` the CP rank;
 //! * `--workload micro` — `--iters` back-to-back calls of one §4.1
 //!   collective (`--collective`, `--bytes`) on the full world
-//!   ([`mre_workloads::microbench::Microbench::comm_schedule`]).
+//!   ([`mre_workloads::microbench::microbench_comm_schedule`]).
 //!
 //! ```text
 //! trace_diff --machine hydra --nodes 2 --procs 8 --n 1024 --iters 10 \
@@ -38,8 +38,7 @@
 //! normalised per-level skews (does contention bite where the model says
 //! it does?).
 
-use mre_core::{Hierarchy, Permutation};
-use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
+use mre_core::Hierarchy;
 use mre_simnet::presets::{hydra_network, lumi_network};
 use mre_simnet::{NetworkModel, Schedule};
 use mre_trace::{
@@ -47,7 +46,9 @@ use mre_trace::{
     DiffOptions, MetricsRegistry, Recorder,
 };
 use mre_workloads::cg::{cg_comm_schedule, cg_distributed_instrumented, generate_matrix};
-use mre_workloads::microbench::{microbench_collective_instrumented, Collective, Microbench};
+use mre_workloads::microbench::{
+    microbench_collective_instrumented, microbench_comm_schedule, Collective,
+};
 use mre_workloads::splatt::{cpd_comm_schedule, cpd_distributed_instrumented, generate_tensor};
 use mre_workloads::stencil::{stencil_distributed_instrumented, Stencil};
 
@@ -179,7 +180,6 @@ fn network_for(machine: &str, nodes: usize) -> Option<NetworkModel> {
 /// costed-schedule counterpart plus a result line for the final summary.
 fn run_workload(
     opts: &Options,
-    machine: &Hierarchy,
     procs: usize,
     cores: &[usize],
     recorder: &Recorder,
@@ -252,14 +252,13 @@ fn run_workload(
             )
         }
         "micro" => {
-            let collective = match opts.collective.as_str() {
-                "alltoall" => Collective::Alltoall(AlltoallAlg::Auto),
-                "allreduce" => Collective::Allreduce(AllreduceAlg::Auto),
-                "allgather" => Collective::Allgather(AllgatherAlg::Auto),
-                other => {
-                    eprintln!("unknown collective {other:?} (alltoall|allreduce|allgather)");
-                    std::process::exit(2);
-                }
+            let Some(collective) = Collective::parse(&opts.collective) else {
+                eprintln!(
+                    "unknown collective {:?} ({})",
+                    opts.collective,
+                    Collective::NAMES
+                );
+                std::process::exit(2);
             };
             let checksums = microbench_collective_instrumented(
                 collective,
@@ -269,15 +268,7 @@ fn run_workload(
                 Some(recorder),
                 Some(metrics),
             );
-            let depth = machine.levels().len();
-            let bench = Microbench {
-                machine: machine.clone(),
-                order: Permutation::new((0..depth).collect()).expect("identity is a permutation"),
-                subcomm_size: machine.size(),
-                collective,
-                total_bytes: opts.bytes,
-            };
-            let schedule = bench.comm_schedule(cores, opts.iters);
+            let schedule = microbench_comm_schedule(collective, cores, opts.bytes, opts.iters);
             (
                 schedule,
                 format!(
@@ -361,8 +352,7 @@ fn main() {
         // While the guard lives, the contention solver and timeline byte
         // accounting below also feed the registry.
         let _telemetry = metrics.install_telemetry();
-        let (schedule, result_line) =
-            run_workload(&opts, &machine, procs, &cores, &recorder, &metrics);
+        let (schedule, result_line) = run_workload(&opts, procs, &cores, &recorder, &metrics);
 
         // Costed counterpart: the same message sequence, scheduled and
         // priced on the machine model.

@@ -24,9 +24,9 @@
 //! trace_report --nodes 32 --order 0-1-2-3 --subcomm 16 --fluid
 //! ```
 
-use mre_core::subcomm::{subcommunicators, ColorScheme};
+use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
-use mre_mpi::{AlgorithmSelector, AllgatherAlg, AllreduceAlg, AlltoallAlg, CollectiveKind};
+use mre_mpi::AlgorithmSelector;
 use mre_simnet::presets::{hydra_network, lumi_network};
 use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
 use mre_trace::{
@@ -166,14 +166,13 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let collective = match opts.collective.as_str() {
-        "alltoall" => Collective::Alltoall(AlltoallAlg::Auto),
-        "allreduce" => Collective::Allreduce(AllreduceAlg::Auto),
-        "allgather" => Collective::Allgather(AllgatherAlg::Auto),
-        other => {
-            eprintln!("unknown collective {other:?} (alltoall|allreduce|allgather)");
-            std::process::exit(2);
-        }
+    let Some(collective) = Collective::parse(&opts.collective) else {
+        eprintln!(
+            "unknown collective {:?} ({})",
+            opts.collective,
+            Collective::NAMES
+        );
+        std::process::exit(2);
     };
     if opts.subcomm == 0 || !machine.size().is_multiple_of(opts.subcomm) {
         eprintln!(
@@ -184,11 +183,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    let layout = subcommunicators(&machine, &order, opts.subcomm, ColorScheme::Quotient)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build subcommunicators: {e}");
-            std::process::exit(2);
-        });
     let bench = Microbench {
         machine: machine.clone(),
         order: order.clone(),
@@ -196,32 +190,30 @@ fn main() {
         collective,
         total_bytes: opts.bytes,
     };
+    let nics = net.node_rails();
+    let (layout, mut schedules) = bench
+        .layout_schedules(ColorScheme::Quotient, nics)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot build subcommunicators: {e}");
+            std::process::exit(2);
+        });
     // Every subcommunicator runs the collective concurrently: merge the
     // per-communicator schedules round-for-round so they contend for the
     // shared links. With --autotune the size-based Auto policy is replaced
     // by the per-subcommunicator selector, which picks whichever algorithm
     // minimizes the costed schedule on this machine.
-    let mut schedules = Vec::with_capacity(layout.count());
-    let mut groups = Vec::with_capacity(layout.count());
     if opts.autotune {
-        let kind = match opts.collective.as_str() {
-            "alltoall" => CollectiveKind::Alltoall,
-            "allreduce" => CollectiveKind::Allreduce,
-            _ => CollectiveKind::Allgather,
-        };
         let cache = SharedCostCache::new();
         let selector = AlgorithmSelector::new(&net, &cache);
-        let comms: Vec<Vec<usize>> = (0..layout.count())
-            .map(|c| layout.members(c).to_vec())
-            .collect();
-        let barrier_choices = selector.select_layout(kind, &comms, opts.bytes);
+        let comms = layout.comms();
+        let barrier_choices = selector.select_layout(collective, comms, opts.bytes);
         let choices: Vec<_> = if opts.fluid {
             // Re-select under the barrier-free fluid engine: candidate
             // schedules are costed with FluidSim instead of the lockstep
             // round model, so intra-communicator pipelining counts.
             comms
                 .iter()
-                .map(|members| selector.select_fluid(kind, members, opts.bytes))
+                .map(|members| selector.select_fluid(collective, members, opts.bytes))
                 .collect()
         } else {
             barrier_choices.clone()
@@ -243,12 +235,7 @@ fn main() {
                 choice.evaluated,
                 choice.skipped
             );
-            schedules.push(
-                selector
-                    .candidate_schedule(choices[c].alg, &comms[c], opts.bytes)
-                    .canonicalized(),
-            );
-            groups.push((format!("comm {c}"), comms[c].clone()));
+            schedules[c] = choice.alg.schedule(&comms[c], opts.bytes, nics);
         }
         if opts.fluid {
             let flips: Vec<usize> = (0..comms.len())
@@ -276,13 +263,11 @@ fn main() {
         }
         let (hits, misses) = cache.stats();
         println!("  cost cache: {hits} hits, {misses} misses\n");
-    } else {
-        for c in 0..layout.count() {
-            let members = layout.members(c);
-            schedules.push(bench.schedule_for(members).canonicalized());
-            groups.push((format!("comm {c}"), members.to_vec()));
-        }
     }
+    let schedules: Vec<Schedule> = schedules.iter().map(Schedule::canonicalized).collect();
+    let groups: Vec<(String, Vec<usize>)> = (0..layout.count())
+        .map(|c| (format!("comm {c}"), layout.members(c).to_vec()))
+        .collect();
     let schedule = Schedule::lockstep(&schedules);
     let timeline = net
         .schedule_timeline(&schedule)

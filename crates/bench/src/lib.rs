@@ -3,9 +3,10 @@
 //! One binary per table/figure of the paper (see `src/bin/`), built on the
 //! shared sweep-and-format utilities in this library, plus the
 //! `order_sweep`, `trace_report`, `trace_diff` and `congestion_report`
-//! tools and dependency-free micro-benchmarks (see `benches/`, built on
-//! [`tinybench`]). End-to-end timing of the order-search pipeline is the
-//! seeded `perf` benchmark, a package of its own under `src/bin/perf/`.
+//! tools and a dependency-free timing of one point per figure
+//! (`benches/figures.rs`, built on [`tinybench`]). End-to-end timing of
+//! the order-search pipeline is the seeded `perf` benchmark, a package of
+//! its own under `src/bin/perf/`.
 //!
 //! Figure sweeps fan out across orders on the [`mre_core::par`] worker
 //! pool (set `MRE_PAR_THREADS=1` to force serial execution) and share one

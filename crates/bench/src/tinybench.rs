@@ -1,8 +1,12 @@
 //! A dependency-free micro-benchmark harness (offline Criterion stand-in).
 //!
 //! The build environment cannot fetch crates.io, so `criterion` is
-//! unavailable; the `benches/` targets are plain `harness = false`
-//! binaries driving this module instead. The protocol is deliberately
+//! unavailable; `benches/figures.rs` is a plain `harness = false` binary
+//! driving this module instead. It is the only bench target left: the
+//! end-to-end timing of the order search is the seeded `perf` benchmark
+//! (`src/bin/perf/`), and `figures.rs` stays because it is the only
+//! timing of the Fig. 3–7 points until a figure workload joins `perf`,
+//! which is a declared benchmark change. The protocol is deliberately
 //! simple and robust:
 //!
 //! 1. warm up until ~50 ms of wall time has elapsed,
@@ -11,8 +15,7 @@
 //!    nanoseconds per iteration.
 //!
 //! [`Bench::finish`] prints an aligned table; [`Stats`] are also returned
-//! from every [`Bench::bench`] call so callers (e.g. `benches/autotune.rs`)
-//! can post-process timings into JSON.
+//! from every [`Bench::bench`] call.
 //!
 //! Bench binaries accept an optional substring filter argument, mirroring
 //! `cargo bench -- <filter>`, plus `--quick` to cut sample counts for
@@ -96,12 +99,6 @@ impl Bench {
             quick,
             results: Vec::new(),
         }
-    }
-
-    /// True when `--quick` cut the sample counts — benches that persist
-    /// committed `BENCH_*.json` artifacts skip the write in quick mode.
-    pub fn is_quick(&self) -> bool {
-        self.quick
     }
 
     /// Runs `f` repeatedly and records its timing under `name`. Returns

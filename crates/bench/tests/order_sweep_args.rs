@@ -53,6 +53,48 @@ fn unknown_flags_and_surplus_arguments_exit_1() {
 }
 
 #[test]
+fn unknown_collectives_are_rejected_by_every_cli() {
+    // All four CLIs parse the collective through `Collective::parse`;
+    // each keeps its own exit code for the rejection.
+    for (bin, args, exit) in [
+        (
+            env!("CARGO_BIN_EXE_order_sweep"),
+            &["16,2,2,8", "16", "bogus", "1024"][..],
+            1,
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_report"),
+            &["--collective", "bogus"],
+            2,
+        ),
+        (
+            env!("CARGO_BIN_EXE_congestion_report"),
+            &["--collective", "bogus"],
+            2,
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_diff"),
+            &[
+                "--workload",
+                "micro",
+                "--procs",
+                "4",
+                "--collective",
+                "bogus",
+            ],
+            2,
+        ),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(exit), "{bin} {args:?}: stderr {stderr}");
+        assert_eq!(
+            stderr, "unknown collective \"bogus\" (alltoall|allreduce|allgather)\n",
+            "{bin} {args:?}"
+        );
+    }
+}
+
+#[test]
 fn zero_nodes_exit_2_without_panicking() {
     // A zero node count once panicked building the machine presets.
     let congestion = env!("CARGO_BIN_EXE_congestion_report");

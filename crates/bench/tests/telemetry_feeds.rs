@@ -16,7 +16,7 @@ use mre_core::order_search::rank_orders_pruned_ladder;
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::telemetry::{self, Collector};
 use mre_core::{par, Permutation};
-use mre_mpi::{AlgorithmSelector, AllgatherAlg, CollectiveKind};
+use mre_mpi::{AlgorithmSelector, AllgatherAlg};
 use mre_simnet::presets::hydra_network;
 use mre_simnet::{
     schedule_lower_bound, schedule_lower_bound_aggregate, FluidSim, Schedule, SharedCostCache,
@@ -71,7 +71,7 @@ fn only_the_contention_solver_and_timelines_feed_the_sink() {
         };
         let layout = subcommunicators(&machine, sigma, subcomm, ColorScheme::Quotient).unwrap();
         (0..layout.count())
-            .map(|c| bench.schedule_for(layout.members(c)))
+            .map(|c| bench.schedule_for_rails(layout.members(c), 1))
             .collect()
     };
     let cache = SharedCostCache::new();
@@ -96,8 +96,8 @@ fn only_the_contention_solver_and_timelines_feed_the_sink() {
     let selector_cache = SharedCostCache::new();
     let selector = AlgorithmSelector::new(&net, &selector_cache);
     let members: Vec<usize> = (0..subcomm).collect();
-    selector.select(CollectiveKind::Allgather, &members, size);
-    selector.select_fluid(CollectiveKind::Allgather, &members, size);
+    selector.select(Collective::Allgather(AllgatherAlg::Auto), &members, size);
+    selector.select_fluid(Collective::Allgather(AllgatherAlg::Auto), &members, size);
     par::set_threads(2);
     assert_eq!(par::map(&[1u64, 2, 3, 4], |_, x| x * 2), vec![2, 4, 6, 8]);
     assert!(par::pool_stats().is_some_and(|s| s.broadcasts > 0));

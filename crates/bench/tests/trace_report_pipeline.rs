@@ -23,7 +23,9 @@ fn trace_report_pipeline_matches_costed_time() {
             collective: Collective::Alltoall(AlltoallAlg::Auto),
             total_bytes: 4 << 20,
         };
-        let schedule = bench.schedule_for(layout.members(0)).canonicalized();
+        let schedule = bench
+            .schedule_for_rails(layout.members(0), 1)
+            .canonicalized();
         let timeline = net.schedule_timeline(&schedule).unwrap();
         let cp = critical_path(&machine, &timeline);
         let costed = net.schedule_time(&schedule);

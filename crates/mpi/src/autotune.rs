@@ -22,61 +22,27 @@
 //!   repeated selections across payload sweeps and identical
 //!   subcommunicator shapes pay nothing.
 //!
-//! Payload sizing mirrors `mre-workloads`' microbench conventions
-//! (per-process contribution = `total_bytes / p`, alltoall pairs get
-//! `per_process / p`), so a selector choice plugs directly into the
-//! figure pipeline.
+//! Candidates are sized and generated by [`Collective::schedule`] on the
+//! model's node rail count — the same schedules the §4.1 micro-benchmark
+//! (`mre_workloads::microbench`) runs, so a selector choice and its cost
+//! plug directly into the figure pipeline.
 //!
 //! Each selection's counts come back in its [`AlgorithmChoice`]
 //! (`evaluated`, `skipped`) and the shared cache's in
 //! [`SharedCostCache::cache_stats`]; the selector emits nothing into the
 //! `mre_core::telemetry` sink.
 
-use crate::algorithm::{AllgatherAlg, AllreduceAlg, AllreduceAlg::RecursiveDoubling, AlltoallAlg};
-use crate::schedules;
+use crate::algorithm::{AllgatherAlg, AllreduceAlg, AlltoallAlg, Collective};
 use mre_simnet::{
-    fluid_lower_bound, schedule_lower_bound, NetworkModel, Schedule, SharedCostCache,
+    fluid_lower_bound, schedule_lower_bound, FluidSim, NetworkModel, Schedule, SharedCostCache,
 };
 use mre_trace::level_occupancy;
-
-/// Which collective to tune.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveKind {
-    /// `MPI_Alltoall`.
-    Alltoall,
-    /// `MPI_Allreduce`.
-    Allreduce,
-    /// `MPI_Allgather`.
-    Allgather,
-}
-
-/// A concrete (never `Auto`) algorithm picked by the selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChosenAlg {
-    /// An alltoall algorithm.
-    Alltoall(AlltoallAlg),
-    /// An allreduce algorithm.
-    Allreduce(AllreduceAlg),
-    /// An allgather algorithm.
-    Allgather(AllgatherAlg),
-}
-
-impl ChosenAlg {
-    /// Short stable name (the underlying algorithm's span label).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChosenAlg::Alltoall(a) => a.label(),
-            ChosenAlg::Allreduce(a) => a.label(),
-            ChosenAlg::Allgather(a) => a.label(),
-        }
-    }
-}
 
 /// The outcome of tuning one subcommunicator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlgorithmChoice {
-    /// The winning algorithm.
-    pub alg: ChosenAlg,
+    /// The winning algorithm (never `Auto`).
+    pub alg: Collective,
     /// Costed schedule time of the winner (seconds).
     pub cost: f64,
     /// Busy fraction of the outermost (node) level in the probe schedule
@@ -107,67 +73,25 @@ impl<'a> AlgorithmSelector<'a> {
         Self { net, cache }
     }
 
-    /// Builds the sized schedule of one candidate for `members`
-    /// (microbench sizing: per-process contribution = `total_bytes / p`).
-    pub fn candidate_schedule(
-        &self,
-        alg: ChosenAlg,
-        members: &[usize],
-        total_bytes: u64,
-    ) -> Schedule {
-        let p = members.len() as u64;
-        let per_process = total_bytes / p;
-        match alg {
-            ChosenAlg::Alltoall(a) => {
-                let bytes_per_pair = (per_process / p).max(1);
-                match a.resolve(bytes_per_pair, members.len()) {
-                    AlltoallAlg::Pairwise => schedules::alltoall_pairwise(members, bytes_per_pair),
-                    AlltoallAlg::Bruck => schedules::alltoall_bruck(members, bytes_per_pair),
-                    AlltoallAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-            ChosenAlg::Allreduce(a) => {
-                let vector_bytes = per_process.max(1);
-                match a.resolve(vector_bytes, members.len()) {
-                    RecursiveDoubling => {
-                        schedules::allreduce_recursive_doubling(members, vector_bytes)
-                    }
-                    AllreduceAlg::Ring => schedules::allreduce_ring(members, vector_bytes),
-                    AllreduceAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-            ChosenAlg::Allgather(a) => {
-                let block_bytes = per_process.max(1);
-                match a.resolve(block_bytes, members.len()) {
-                    AllgatherAlg::Ring => schedules::allgather_ring(members, block_bytes),
-                    AllgatherAlg::Bruck => schedules::allgather_bruck(members, block_bytes),
-                    AllgatherAlg::RecursiveDoubling => {
-                        schedules::allgather_recursive_doubling(members, block_bytes)
-                    }
-                    AllgatherAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-        }
-    }
-
-    /// Candidate algorithms for `kind`, bandwidth-optimal first when
-    /// `outer_busy` says the probe kept the node uplinks busy most of the
-    /// time, latency-optimal first otherwise.
-    fn candidates(kind: CollectiveKind, outer_busy: f64) -> Vec<ChosenAlg> {
+    /// Candidate algorithms for `collective` (whatever algorithm it
+    /// carries), bandwidth-optimal first when `outer_busy` says the probe
+    /// kept the node uplinks busy most of the time, latency-optimal first
+    /// otherwise.
+    fn candidates(collective: Collective, outer_busy: f64) -> Vec<Collective> {
         let bandwidth_bound = outer_busy >= 0.5;
-        let mut c = match kind {
-            CollectiveKind::Alltoall => vec![
-                ChosenAlg::Alltoall(AlltoallAlg::Pairwise),
-                ChosenAlg::Alltoall(AlltoallAlg::Bruck),
+        let mut c = match collective {
+            Collective::Alltoall(_) => vec![
+                Collective::Alltoall(AlltoallAlg::Pairwise),
+                Collective::Alltoall(AlltoallAlg::Bruck),
             ],
-            CollectiveKind::Allreduce => vec![
-                ChosenAlg::Allreduce(AllreduceAlg::Ring),
-                ChosenAlg::Allreduce(AllreduceAlg::RecursiveDoubling),
+            Collective::Allreduce(_) => vec![
+                Collective::Allreduce(AllreduceAlg::Ring),
+                Collective::Allreduce(AllreduceAlg::RecursiveDoubling),
             ],
-            CollectiveKind::Allgather => vec![
-                ChosenAlg::Allgather(AllgatherAlg::Ring),
-                ChosenAlg::Allgather(AllgatherAlg::RecursiveDoubling),
-                ChosenAlg::Allgather(AllgatherAlg::Bruck),
+            Collective::Allgather(_) => vec![
+                Collective::Allgather(AllgatherAlg::Ring),
+                Collective::Allgather(AllgatherAlg::RecursiveDoubling),
+                Collective::Allgather(AllgatherAlg::Bruck),
             ],
         };
         if !bandwidth_bound {
@@ -176,19 +100,19 @@ impl<'a> AlgorithmSelector<'a> {
         c
     }
 
-    /// Cache payload key for one `(kind, total_bytes)` selection.
+    /// Cache payload key for one `(collective, total_bytes)` selection.
     ///
-    /// The kind tag lives in the top bits because two *different*
+    /// The collective tag lives in the top bits because two *different*
     /// collectives can compile to the same endpoint pattern with
     /// different byte profiles (allreduce and allgather recursive
     /// doubling perform the same pairwise exchanges, but one sends the
     /// full vector each round and the other doubling blocks) — keying on
     /// `total_bytes` alone would let them alias each other's costs.
-    fn payload_key(kind: CollectiveKind, total_bytes: u64) -> u64 {
-        let tag = match kind {
-            CollectiveKind::Alltoall => 1u64,
-            CollectiveKind::Allreduce => 2,
-            CollectiveKind::Allgather => 3,
+    fn payload_key(collective: Collective, total_bytes: u64) -> u64 {
+        let tag = match collective {
+            Collective::Alltoall(_) => 1u64,
+            Collective::Allreduce(_) => 2,
+            Collective::Allgather(_) => 3,
         };
         assert!(
             total_bytes < Self::MAX_TOTAL_BYTES,
@@ -197,76 +121,30 @@ impl<'a> AlgorithmSelector<'a> {
         total_bytes | (tag << 61)
     }
 
-    /// The probe algorithm whose costed timeline seeds the candidate
-    /// order: the size-threshold `Auto` choice — cheap, always sensible,
-    /// and usually close enough to make the incumbent tight immediately.
-    fn probe_alg(kind: CollectiveKind) -> ChosenAlg {
-        match kind {
-            CollectiveKind::Alltoall => ChosenAlg::Alltoall(AlltoallAlg::Auto),
-            CollectiveKind::Allreduce => ChosenAlg::Allreduce(AllreduceAlg::Auto),
-            CollectiveKind::Allgather => ChosenAlg::Allgather(AllgatherAlg::Auto),
-        }
-    }
-
     /// Tunes one subcommunicator: returns the algorithm minimizing the
     /// costed schedule for this `members` list at `total_bytes`.
-    /// [`AlgorithmChoice::evaluated`] and [`AlgorithmChoice::skipped`]
-    /// return how many candidates were costed and bound-pruned.
+    /// `collective` names the collective; the algorithm it carries is
+    /// ignored. [`AlgorithmChoice::evaluated`] and
+    /// [`AlgorithmChoice::skipped`] return how many candidates were
+    /// costed and bound-pruned.
     ///
     /// # Panics
     ///
     /// Panics if `total_bytes` is at least [`Self::MAX_TOTAL_BYTES`].
     pub fn select(
         &self,
-        kind: CollectiveKind,
+        collective: Collective,
         members: &[usize],
         total_bytes: u64,
     ) -> AlgorithmChoice {
-        // Probe: cost the Auto choice and read its per-level occupancy.
-        let probe = self.candidate_schedule(Self::probe_alg(kind), members, total_bytes);
-        let outer_busy = match self.net.schedule_timeline(&probe) {
-            Ok(tl) => level_occupancy(self.net.hierarchy(), &tl).busy_fraction(0),
-            Err(_) => 0.0,
-        };
-        let mut best: Option<(ChosenAlg, f64)> = None;
-        let mut evaluated = 0u32;
-        let mut skipped = 0u32;
-        let mut seen_patterns: Vec<u64> = Vec::new();
-        for alg in Self::candidates(kind, outer_busy) {
-            let schedule = self.candidate_schedule(alg, members, total_bytes);
-            // resolve() can map two candidates to the same concrete
-            // algorithm (recursive doubling → Bruck on non-power-of-two
-            // communicators); don't cost the same pattern twice.
-            let fp = schedule.pattern_fingerprint();
-            if seen_patterns.contains(&fp) {
-                continue;
-            }
-            seen_patterns.push(fp);
-            if let Some((_, best_cost)) = best {
-                let bound = schedule_lower_bound(self.net, &schedule);
-                if bound > best_cost {
-                    skipped += 1;
-                    continue;
-                }
-            }
-            let cost = self.cache.schedule_time_rounds(
-                self.net,
-                &schedule,
-                Self::payload_key(kind, total_bytes),
-            );
-            evaluated += 1;
-            if best.is_none_or(|(_, bc)| cost < bc) {
-                best = Some((alg, cost));
-            }
-        }
-        let (alg, cost) = best.expect("every collective kind has at least one candidate");
-        AlgorithmChoice {
-            alg,
-            cost,
-            outer_busy_fraction: outer_busy,
-            evaluated,
-            skipped,
-        }
+        let key = Self::payload_key(collective, total_bytes);
+        self.tune(
+            collective,
+            members,
+            total_bytes,
+            |s| schedule_lower_bound(self.net, s),
+            |s| self.cache.schedule_time_rounds(self.net, s, key),
+        )
     }
 
     /// Like [`select`](Self::select), but costing candidates under the
@@ -281,42 +159,67 @@ impl<'a> AlgorithmSelector<'a> {
     /// path/link caches carry the reuse instead.
     pub fn select_fluid(
         &self,
-        kind: CollectiveKind,
+        collective: Collective,
         members: &[usize],
         total_bytes: u64,
     ) -> AlgorithmChoice {
-        let probe = self.candidate_schedule(Self::probe_alg(kind), members, total_bytes);
+        let mut sim = FluidSim::new(self.net);
+        self.tune(
+            collective,
+            members,
+            total_bytes,
+            |s| fluid_lower_bound(self.net, std::slice::from_ref(s)),
+            |s| sim.run(std::slice::from_ref(s)),
+        )
+    }
+
+    /// The candidate loop of both engines. A probe of the `Auto` choice —
+    /// cheap, always sensible, and usually close enough to make the
+    /// incumbent tight immediately — is timed on the lockstep timeline,
+    /// and its node-level occupancy orders the candidates. Each distinct
+    /// candidate is then skipped when its `bound` exceeds the incumbent's
+    /// cost, and `cost`ed otherwise.
+    fn tune(
+        &self,
+        collective: Collective,
+        members: &[usize],
+        total_bytes: u64,
+        bound: impl Fn(&Schedule) -> f64,
+        mut cost: impl FnMut(&Schedule) -> f64,
+    ) -> AlgorithmChoice {
+        let nics = self.net.node_rails();
+        let probe = collective.auto().schedule(members, total_bytes, nics);
         let outer_busy = match self.net.schedule_timeline(&probe) {
             Ok(tl) => level_occupancy(self.net.hierarchy(), &tl).busy_fraction(0),
             Err(_) => 0.0,
         };
-        let mut sim = mre_simnet::FluidSim::new(self.net);
-        let mut best: Option<(ChosenAlg, f64)> = None;
+        let mut best: Option<(Collective, f64)> = None;
         let mut evaluated = 0u32;
         let mut skipped = 0u32;
         let mut seen_patterns: Vec<u64> = Vec::new();
-        for alg in Self::candidates(kind, outer_busy) {
-            let schedule = self.candidate_schedule(alg, members, total_bytes);
+        for alg in Self::candidates(collective, outer_busy) {
+            let schedule = alg.schedule(members, total_bytes, nics);
+            // resolve() can map two candidates to the same concrete
+            // algorithm (recursive doubling → Bruck on non-power-of-two
+            // communicators); don't cost the same pattern twice.
             let fp = schedule.pattern_fingerprint();
             if seen_patterns.contains(&fp) {
                 continue;
             }
             seen_patterns.push(fp);
-            let jobs = [schedule];
             if let Some((_, best_cost)) = best {
-                let bound = fluid_lower_bound(self.net, &jobs);
-                if bound > best_cost {
+                if bound(&schedule) > best_cost {
                     skipped += 1;
                     continue;
                 }
             }
-            let cost = sim.run(&jobs);
+            let cost = cost(&schedule);
             evaluated += 1;
             if best.is_none_or(|(_, bc)| cost < bc) {
                 best = Some((alg, cost));
             }
         }
-        let (alg, cost) = best.expect("every collective kind has at least one candidate");
+        let (alg, cost) = best.expect("every collective has at least one candidate");
         AlgorithmChoice {
             alg,
             cost,
@@ -331,13 +234,13 @@ impl<'a> AlgorithmSelector<'a> {
     /// algorithms when their members sit at different hierarchy depths.
     pub fn select_layout(
         &self,
-        kind: CollectiveKind,
+        collective: Collective,
         comms: &[Vec<usize>],
         total_bytes: u64,
     ) -> Vec<AlgorithmChoice> {
         comms
             .iter()
-            .map(|members| self.select(kind, members, total_bytes))
+            .map(|members| self.select(collective, members, total_bytes))
             .collect()
     }
 }
@@ -379,9 +282,9 @@ mod tests {
         let sel = AlgorithmSelector::new(&net, &cache);
         let members: Vec<usize> = (0..8).collect();
         for kind in [
-            CollectiveKind::Alltoall,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Allgather,
+            Collective::Alltoall(AlltoallAlg::Auto),
+            Collective::Allreduce(AllreduceAlg::Auto),
+            Collective::Allgather(AllgatherAlg::Auto),
         ] {
             for total in [1u64 << 10, 1 << 24] {
                 let choice = sel.select(kind, &members, total);
@@ -389,7 +292,7 @@ mod tests {
                 // minimal.
                 let min = AlgorithmSelector::candidates(kind, 1.0)
                     .into_iter()
-                    .map(|a| net.schedule_time(&sel.candidate_schedule(a, &members, total)))
+                    .map(|a| net.schedule_time(&a.schedule(&members, total, 1)))
                     .fold(f64::INFINITY, f64::min);
                 assert_eq!(choice.cost, min, "{kind:?} at {total}");
                 assert!(choice.evaluated >= 1);
@@ -406,8 +309,12 @@ mod tests {
         // recursive doubling (which pushes the full vector log p times
         // through the slow NIC).
         let members: Vec<usize> = (0..16).collect();
-        let choice = sel.select(CollectiveKind::Allreduce, &members, 64 << 20);
-        assert_eq!(choice.alg, ChosenAlg::Allreduce(AllreduceAlg::Ring));
+        let choice = sel.select(
+            Collective::Allreduce(AllreduceAlg::Auto),
+            &members,
+            64 << 20,
+        );
+        assert_eq!(choice.alg, Collective::Allreduce(AllreduceAlg::Ring));
         assert!(choice.outer_busy_fraction > 0.5);
     }
 
@@ -417,9 +324,9 @@ mod tests {
         let cache = SharedCostCache::new();
         let sel = AlgorithmSelector::new(&net, &cache);
         let members: Vec<usize> = (0..8).collect();
-        let a = sel.select(CollectiveKind::Allgather, &members, 1 << 20);
+        let a = sel.select(Collective::Allgather(AllgatherAlg::Auto), &members, 1 << 20);
         let (_, misses_first) = cache.stats();
-        let b = sel.select(CollectiveKind::Allgather, &members, 1 << 20);
+        let b = sel.select(Collective::Allgather(AllgatherAlg::Auto), &members, 1 << 20);
         let (hits, misses) = cache.stats();
         assert_eq!(a, b);
         assert_eq!(misses, misses_first, "second select must re-cost nothing");
@@ -432,7 +339,7 @@ mod tests {
         let cache = SharedCostCache::new();
         let sel = AlgorithmSelector::new(&net, &cache);
         let comms: Vec<Vec<usize>> = vec![(0..8).collect(), (8..16).collect()];
-        let choices = sel.select_layout(CollectiveKind::Alltoall, &comms, 1 << 22);
+        let choices = sel.select_layout(Collective::Alltoall(AlltoallAlg::Auto), &comms, 1 << 22);
         assert_eq!(choices.len(), 2);
         // The two packed subcommunicators are congruent (same shape, one
         // node apart) — same winner.
@@ -446,17 +353,15 @@ mod tests {
         let sel = AlgorithmSelector::new(&net, &cache);
         let members: Vec<usize> = (0..8).collect();
         for kind in [
-            CollectiveKind::Alltoall,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Allgather,
+            Collective::Alltoall(AlltoallAlg::Auto),
+            Collective::Allreduce(AllreduceAlg::Auto),
+            Collective::Allgather(AllgatherAlg::Auto),
         ] {
             for total in [1u64 << 10, 1 << 24] {
                 let choice = sel.select_fluid(kind, &members, total);
                 let min = AlgorithmSelector::candidates(kind, 1.0)
                     .into_iter()
-                    .map(|a| {
-                        mre_simnet::fluid_time(&net, &[sel.candidate_schedule(a, &members, total)])
-                    })
+                    .map(|a| mre_simnet::fluid_time(&net, &[a.schedule(&members, total, 1)]))
                     .fold(f64::INFINITY, f64::min);
                 assert_eq!(choice.cost, min, "{kind:?} at {total}");
                 assert!(choice.evaluated >= 1);
@@ -475,7 +380,7 @@ mod tests {
         let members: Vec<usize> = (0..16).collect();
         let skipped: u32 = (10..=26)
             .map(|e| {
-                sel.select(CollectiveKind::Allreduce, &members, 1 << e)
+                sel.select(Collective::Allreduce(AllreduceAlg::Auto), &members, 1 << e)
                     .skipped
             })
             .sum();

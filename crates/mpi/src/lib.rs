@@ -18,7 +18,12 @@
 //!   member core list, so mappings can be costed at cluster scale (512–2048
 //!   ranks) without spawning threads;
 //! * [`algorithm`] — the size-based auto-selection policy mimicking how
-//!   MPI implementations pick algorithms.
+//!   MPI implementations pick algorithms, and [`Collective`], the one
+//!   home of the §4.1 size rule and of the collective × algorithm →
+//!   generator dispatch ([`Collective::schedule`]);
+//! * [`autotune`] — the per-subcommunicator [`AlgorithmSelector`], which
+//!   costs each candidate [`Collective`] on the simulated machine instead
+//!   of trusting the size thresholds.
 //!
 //! Functional execution verifies *correctness* of the communicator
 //! machinery at modest rank counts; the schedule generators, evaluated by
@@ -38,8 +43,8 @@ pub mod runtime;
 pub mod schedules;
 pub mod split_type;
 
-pub use algorithm::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
-pub use autotune::{AlgorithmChoice, AlgorithmSelector, ChosenAlg, CollectiveKind};
+pub use algorithm::{AllgatherAlg, AllreduceAlg, AlltoallAlg, Collective};
+pub use autotune::{AlgorithmChoice, AlgorithmSelector};
 pub use cart::CartTopology;
 pub use comm::Comm;
 pub use payload::Payload;

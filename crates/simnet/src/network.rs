@@ -204,6 +204,12 @@ impl NetworkModel {
         self.link_table.rails()
     }
 
+    /// Rail count of the outermost (node) level: the `nics` of
+    /// [`Self::with_node_rails`], 1 on single-rail fabrics.
+    pub fn node_rails(&self) -> usize {
+        self.rail_counts().first().copied().unwrap_or(1)
+    }
+
     /// The rail assignment policy.
     pub fn rail_policy(&self) -> RailPolicy {
         self.link_table.policy()

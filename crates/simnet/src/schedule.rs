@@ -307,9 +307,8 @@ pub struct SharedCostCache {
     shards: Vec<CostShard>,
     round_times: Vec<CostShard>,
     round_profiles: Vec<ProfileShard>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
     pattern_hits: std::sync::atomic::AtomicU64,
+    misses: std::sync::atomic::AtomicU64,
     round_hits: std::sync::atomic::AtomicU64,
     round_misses: std::sync::atomic::AtomicU64,
 }
@@ -364,19 +363,20 @@ impl SharedCostCache {
             round_profiles: (0..Self::SHARDS)
                 .map(|_| std::sync::Mutex::new(std::collections::HashMap::new()))
                 .collect(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
             pattern_hits: std::sync::atomic::AtomicU64::new(0),
+            misses: std::sync::atomic::AtomicU64::new(0),
             round_hits: std::sync::atomic::AtomicU64::new(0),
             round_misses: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// `(hits, misses)` — costs served from the cache vs. full schedule
-    /// costings performed.
+    /// `(hits, misses)` — costs served from the pattern memo vs. costs
+    /// computed, through either [`schedule_time_rounds`](Self::schedule_time_rounds)
+    /// or [`time_keyed`](Self::time_keyed). The hits are
+    /// [`CacheStats::pattern_hits`].
     pub fn stats(&self) -> (u64, u64) {
         (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
+            self.pattern_hits.load(std::sync::atomic::Ordering::Relaxed),
             self.misses.load(std::sync::atomic::Ordering::Relaxed),
         )
     }
@@ -411,8 +411,8 @@ impl SharedCostCache {
     /// resolved without a contention solve, and rounds that required one.
     /// These are what [`schedule_time_rounds`](Self::schedule_time_rounds)
     /// and the round memo methods maintain; the flat
-    /// [`stats`](Self::stats) pair keeps its historical meaning (pattern
-    /// memo hits vs. pattern costings).
+    /// [`stats`](Self::stats) pair counts the pattern memo (its hits are
+    /// the same `pattern_hits`, its misses the pattern costings).
     pub fn cache_stats(&self) -> CacheStats {
         use std::sync::atomic::Ordering::Relaxed;
         CacheStats {
@@ -438,7 +438,8 @@ impl SharedCostCache {
         let key = (net.fingerprint(), pattern_key, payload);
         let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.pattern_hits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return t;
         }
         // Cost outside the lock: a duplicate solve on a race is cheaper
@@ -560,7 +561,6 @@ impl SharedCostCache {
         let key = (net.fingerprint(), schedule.pattern_fingerprint(), payload);
         let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Relaxed);
             self.pattern_hits.fetch_add(1, Relaxed);
             return t;
         }
@@ -951,5 +951,17 @@ mod tests {
         assert_eq!(cache.time_keyed(&net, 8, 100, || 2.5), 2.5);
         // Cached per key; the closure is not consulted again.
         assert_eq!(cache.time_keyed(&net, 7, 100, || unreachable!()), 1.5);
+    }
+
+    #[test]
+    fn time_keyed_hits_count_as_pattern_hits() {
+        let net = toy_network();
+        let cache = SharedCostCache::new();
+        cache.time_keyed(&net, 7, 100, || 1.5);
+        cache.time_keyed(&net, 7, 100, || unreachable!());
+        assert_eq!(cache.stats(), (1, 1));
+        let stats = cache.cache_stats();
+        assert_eq!(stats.pattern_hits, 1, "one counter behind both accessors");
+        assert_eq!((stats.round_hits, stats.misses), (0, 0));
     }
 }

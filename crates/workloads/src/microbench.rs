@@ -14,26 +14,21 @@
 //! The measurement here is the simulated duration of the collective's
 //! schedule under the machine's contention model — exactly the quantity
 //! the paper's wall-clock loop estimates on real hardware.
+//!
+//! This module owns the protocol — layouts, runs, the functional twin —
+//! but not the schedules: how a collective splits `total_bytes` and which
+//! generator runs it are decided by [`Collective::schedule`] in
+//! `mre_mpi::algorithm` (re-exported here), the same function the
+//! autotuner costs its candidates with.
 
-use mre_core::subcomm::{subcommunicators, ColorScheme};
+use mre_core::subcomm::{subcommunicators, ColorScheme, SubcommLayout};
 use mre_core::{Error, Hierarchy, Permutation};
-use mre_mpi::schedules;
 use mre_mpi::{run_instrumented, Comm};
-use mre_mpi::{AlgorithmChoice, AlgorithmSelector, CollectiveKind};
-use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
+use mre_mpi::{AlgorithmChoice, AlgorithmSelector};
 use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
 use mre_trace::{MetricsRegistry, Recorder};
 
-/// The non-rooted collectives the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collective {
-    /// `MPI_Alltoall` with a selectable algorithm.
-    Alltoall(AlltoallAlg),
-    /// `MPI_Allreduce` with a selectable algorithm.
-    Allreduce(AllreduceAlg),
-    /// `MPI_Allgather` with a selectable algorithm.
-    Allgather(AllgatherAlg),
-}
+pub use mre_mpi::Collective;
 
 /// One micro-benchmark configuration (one curve point of Figs. 3–7).
 #[derive(Debug, Clone)]
@@ -73,98 +68,35 @@ impl MicrobenchResult {
 }
 
 impl Microbench {
-    /// Builds the schedule one subcommunicator executes.
-    ///
-    /// `members` is the communicator's core list in rank order; the size
-    /// semantics follow the paper: per-process contribution is
-    /// `total_bytes / comm_size`.
-    pub fn schedule_for(&self, members: &[usize]) -> Schedule {
-        let p = members.len() as u64;
-        let per_process = self.total_bytes / p;
-        match self.collective {
-            Collective::Alltoall(alg) => {
-                let bytes_per_pair = (per_process / p).max(1);
-                match alg.resolve(bytes_per_pair, members.len()) {
-                    AlltoallAlg::Pairwise => schedules::alltoall_pairwise(members, bytes_per_pair),
-                    AlltoallAlg::Bruck => schedules::alltoall_bruck(members, bytes_per_pair),
-                    AlltoallAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-            Collective::Allreduce(alg) => {
-                let vector_bytes = per_process.max(1);
-                match alg.resolve(vector_bytes, members.len()) {
-                    AllreduceAlg::RecursiveDoubling => {
-                        schedules::allreduce_recursive_doubling(members, vector_bytes)
-                    }
-                    AllreduceAlg::Ring => schedules::allreduce_ring(members, vector_bytes),
-                    AllreduceAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-            Collective::Allgather(alg) => {
-                let block_bytes = per_process.max(1);
-                match alg.resolve(block_bytes, members.len()) {
-                    AllgatherAlg::Ring => schedules::allgather_ring(members, block_bytes),
-                    AllgatherAlg::Bruck => schedules::allgather_bruck(members, block_bytes),
-                    AllgatherAlg::RecursiveDoubling => {
-                        schedules::allgather_recursive_doubling(members, block_bytes)
-                    }
-                    AllgatherAlg::Auto => unreachable!("resolve() never returns Auto"),
-                }
-            }
-        }
-    }
-
-    /// Builds the schedule one subcommunicator executes on a fabric with
-    /// `nics` node rails.
-    ///
-    /// Pairwise Alltoall rounds are merged in chunks of `nics`: the plain
-    /// rounds are mutually independent, and under round-robin rail
-    /// assignment each of them puts every crossing message on the same
-    /// rail parity — one busy rail, `nics − 1` idle. The merged rounds
-    /// load all rails (see
-    /// [`schedules::alltoall_pairwise_railed`]). Ring-based collectives
-    /// keep their shape: round `k+1` forwards data received in round `k`,
-    /// so their rounds cannot merge. At `nics = 1` this is exactly
-    /// [`schedule_for`](Self::schedule_for).
+    /// The schedule one subcommunicator (`members`, its core list in rank
+    /// order) executes on a fabric with `nics` node rails:
+    /// [`Collective::schedule`] of this configuration's collective and
+    /// size.
     pub fn schedule_for_rails(&self, members: &[usize], nics: usize) -> Schedule {
-        if nics > 1 {
-            if let Collective::Alltoall(alg) = self.collective {
-                let p = members.len() as u64;
-                let bytes_per_pair = (self.total_bytes / p / p).max(1);
-                if alg.resolve(bytes_per_pair, members.len()) == AlltoallAlg::Pairwise {
-                    return schedules::alltoall_pairwise_railed(members, bytes_per_pair, nics);
-                }
-            }
-        }
-        self.schedule_for(members)
+        self.collective.schedule(members, self.total_bytes, nics)
     }
 
-    /// The costed-schedule counterpart of `iterations` back-to-back calls
-    /// of this collective on one communicator — what
-    /// [`microbench_collective_instrumented`] issues on the thread
-    /// runtime. `members[r]` is the global core of MPI rank `r`.
-    /// Generated from the same schedule builders the functional
-    /// collectives mirror, so [`mre_trace::diff_traces`] aligns the two
-    /// span-by-span (`trace_diff --workload micro`).
-    pub fn comm_schedule(&self, members: &[usize], iterations: usize) -> Schedule {
-        let mut s = Schedule::new();
-        for _ in 0..iterations {
-            s.then(self.schedule_for(members));
-        }
-        s
-    }
-
-    /// The node-level rail count of `net` (1 on single-rail fabrics):
-    /// what [`run`](Self::run) and [`run_fluid`](Self::run_fluid) pass to
-    /// [`schedule_for_rails`](Self::schedule_for_rails).
-    fn node_rails(net: &NetworkModel) -> usize {
-        net.rail_counts().first().copied().unwrap_or(1)
+    /// This configuration's subcommunicator layout under `scheme`, and
+    /// the schedule each subcommunicator executes on `nics` node rails
+    /// (indexed like the layout's colors).
+    pub fn layout_schedules(
+        &self,
+        scheme: ColorScheme,
+        nics: usize,
+    ) -> Result<(SubcommLayout, Vec<Schedule>), Error> {
+        let layout = subcommunicators(&self.machine, &self.order, self.subcomm_size, scheme)?;
+        let schedules = layout
+            .comms()
+            .iter()
+            .map(|members| self.schedule_for_rails(members, nics))
+            .collect();
+        Ok((layout, schedules))
     }
 
     /// Runs the protocol on `net` (whose hierarchy must match
     /// `self.machine`) with the paper's quotient coloring. On a
     /// multi-rail `net` the schedules are rail-striped
-    /// ([`schedule_for_rails`](Self::schedule_for_rails)).
+    /// ([`Collective::schedule`]).
     pub fn run(&self, net: &NetworkModel) -> Result<MicrobenchResult, Error> {
         self.run_with_scheme(net, ColorScheme::Quotient)
     }
@@ -199,31 +131,15 @@ impl Microbench {
             &self.machine,
             "network model and benchmark must describe the same machine"
         );
-        let layout = subcommunicators(&self.machine, &self.order, self.subcomm_size, scheme)?;
-        let nics = Self::node_rails(net);
+        let (_, all) = self.layout_schedules(scheme, net.node_rails())?;
         // Round tier only: a figure sweep never repeats a whole schedule,
         // so the pattern tier would only add a fingerprint and a miss.
         let time =
             |s: &Schedule| -> f64 { s.rounds.iter().map(|r| cache.round_time_memo(net, r)).sum() };
-        let single = time(&self.schedule_for_rails(layout.members(0), nics));
-        let all: Vec<Schedule> = (0..layout.count())
-            .map(|c| self.schedule_for_rails(layout.members(c), nics))
-            .collect();
-        let simultaneous = time(&Schedule::lockstep(&all));
         Ok(MicrobenchResult {
-            single_duration: single,
-            simultaneous_duration: simultaneous,
+            single_duration: time(&all[0]),
+            simultaneous_duration: time(&Schedule::lockstep(&all)),
         })
-    }
-
-    /// The [`CollectiveKind`] of this configuration's collective
-    /// (dropping the pinned algorithm — the autotuner picks its own).
-    pub fn collective_kind(&self) -> CollectiveKind {
-        match self.collective {
-            Collective::Alltoall(_) => CollectiveKind::Alltoall,
-            Collective::Allreduce(_) => CollectiveKind::Allreduce,
-            Collective::Allgather(_) => CollectiveKind::Allgather,
-        }
     }
 
     /// Runs the protocol with **per-subcommunicator algorithm
@@ -251,15 +167,16 @@ impl Microbench {
             self.subcomm_size,
             ColorScheme::Quotient,
         )?;
-        let selector = AlgorithmSelector::new(net, cache);
-        let kind = self.collective_kind();
-        let choices: Vec<AlgorithmChoice> = (0..layout.count())
-            .map(|c| selector.select(kind, layout.members(c), self.total_bytes))
-            .collect();
-        let tuned: Vec<Schedule> = (0..layout.count())
-            .map(|c| {
-                selector.candidate_schedule(choices[c].alg, layout.members(c), self.total_bytes)
-            })
+        let choices = AlgorithmSelector::new(net, cache).select_layout(
+            self.collective,
+            layout.comms(),
+            self.total_bytes,
+        );
+        let nics = net.node_rails();
+        let tuned: Vec<Schedule> = choices
+            .iter()
+            .zip(layout.comms())
+            .map(|(choice, members)| choice.alg.schedule(members, self.total_bytes, nics))
             .collect();
         // The winner's schedule time is exactly what the selector already
         // costed (and cached) for the first subcommunicator.
@@ -273,45 +190,36 @@ impl Microbench {
             choices,
         ))
     }
+}
 
-    /// Runs the protocol under the fluid (barrier-free) simulator — the
-    /// round-synchronization ablation: communicators progress
-    /// independently, as real MPI lets them.
-    pub fn run_fluid(&self, net: &NetworkModel) -> Result<MicrobenchResult, Error> {
-        assert_eq!(
-            net.hierarchy(),
-            &self.machine,
-            "network model and benchmark must describe the same machine"
-        );
-        let layout = subcommunicators(
-            &self.machine,
-            &self.order,
-            self.subcomm_size,
-            ColorScheme::Quotient,
-        )?;
-        let nics = Self::node_rails(net);
-        let single =
-            mre_simnet::fluid_time(net, &[self.schedule_for_rails(layout.members(0), nics)]);
-        let all: Vec<Schedule> = (0..layout.count())
-            .map(|c| self.schedule_for_rails(layout.members(c), nics))
-            .collect();
-        let simultaneous = mre_simnet::fluid_time(net, &all);
-        Ok(MicrobenchResult {
-            single_duration: single,
-            simultaneous_duration: simultaneous,
-        })
+/// The costed-schedule counterpart of `iterations` back-to-back calls of
+/// `collective` on one communicator — what
+/// [`microbench_collective_instrumented`] issues on the thread runtime.
+/// `members[r]` is the global core of MPI rank `r`. Generated from the
+/// same schedule builders the functional collectives mirror, so
+/// [`mre_trace::diff_traces`] aligns the two span-by-span (`trace_diff
+/// --workload micro`).
+pub fn microbench_comm_schedule(
+    collective: Collective,
+    members: &[usize],
+    total_bytes: u64,
+    iterations: usize,
+) -> Schedule {
+    let mut s = Schedule::new();
+    for _ in 0..iterations {
+        s.then(collective.schedule(members, total_bytes, 1));
     }
+    s
 }
 
 /// Runs `iterations` calls of `collective` on the full thread-runtime
 /// world, with both instrumentation channels optional — the functional
-/// twin of [`Microbench::comm_schedule`]. Payload sizes follow the
-/// micro-benchmark semantics (`total_bytes / comm_size` per process,
-/// rounded down to whole doubles) and `Auto` algorithms are resolved
-/// with the same byte thresholds the costed schedule uses, so a recorded
-/// run aligns span-by-span with the schedule. Returns each rank's
-/// payload checksum (a pure function of the inputs — instrumentation
-/// must not change it).
+/// twin of [`microbench_comm_schedule`]. Payload sizes and `Auto`
+/// algorithms come from [`Collective::resolve`], the rule the costed
+/// schedule uses (element counts are its unit payload rounded down to
+/// whole doubles), so a recorded run aligns span-by-span with the
+/// schedule. Returns each rank's payload checksum (a pure function of the
+/// inputs — instrumentation must not change it).
 pub fn microbench_collective_instrumented(
     collective: Collective,
     total_bytes: u64,
@@ -324,32 +232,24 @@ pub fn microbench_collective_instrumented(
         let world = Comm::world(proc_);
         let p = world.size();
         let me = world.rank();
-        let per_process = total_bytes / p as u64;
+        let (alg, unit_bytes) = collective.resolve(total_bytes, p);
+        let elems = ((unit_bytes / 8).max(1)) as usize;
         let mut acc = 0.0;
         for _ in 0..iterations {
-            match collective {
+            acc += match alg {
                 Collective::Alltoall(alg) => {
-                    let bytes_per_pair = (per_process / p as u64).max(1);
-                    let alg = alg.resolve(bytes_per_pair, p);
-                    let elems = ((bytes_per_pair / 8).max(1)) as usize;
                     let send: Vec<f64> = (0..p * elems).map(|i| (me * 31 + i) as f64).collect();
-                    acc += world.alltoall(&send, alg).iter().sum::<f64>();
+                    world.alltoall(&send, alg).iter().sum::<f64>()
                 }
                 Collective::Allreduce(alg) => {
-                    let vector_bytes = per_process.max(1);
-                    let alg = alg.resolve(vector_bytes, p);
-                    let elems = ((vector_bytes / 8).max(1)) as usize;
                     let data: Vec<f64> = (0..elems).map(|i| (me + i) as f64).collect();
-                    acc += world.allreduce(data, |a, b| a + b, alg).iter().sum::<f64>();
+                    world.allreduce(data, |a, b| a + b, alg).iter().sum::<f64>()
                 }
                 Collective::Allgather(alg) => {
-                    let block_bytes = per_process.max(1);
-                    let alg = alg.resolve(block_bytes, p);
-                    let elems = ((block_bytes / 8).max(1)) as usize;
                     let mine: Vec<f64> = (0..elems).map(|i| (me * 7 + i) as f64).collect();
-                    acc += world.allgather(mine, alg).iter().flatten().sum::<f64>();
+                    world.allgather(mine, alg).iter().flatten().sum::<f64>()
                 }
-            }
+            };
         }
         acc
     })
@@ -363,7 +263,9 @@ pub fn paper_size_sweep() -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mre_simnet::presets::hydra_network;
+    use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
+    use mre_simnet::presets::{hydra_network, hydra_network_rails};
+    use mre_simnet::RailPolicy;
 
     fn bench(order: &[usize], size: u64) -> Microbench {
         Microbench {
@@ -523,40 +425,66 @@ mod tests {
     #[test]
     fn autotuned_run_never_loseses_to_any_pinned_algorithm() {
         // The selector picks per-subcomm minima of the same candidate
-        // set, so the tuned single-communicator duration can never exceed
-        // the best pinned algorithm's.
-        let net = hydra_network(16, 1);
-        let cache = mre_simnet::SharedCostCache::new();
-        for size in [1u64 << 12, 1 << 24] {
-            let tuned = Microbench {
-                collective: Collective::Allreduce(AllreduceAlg::Auto),
-                ..bench(&[3, 2, 1, 0], size)
-            };
-            let (result, choices) = tuned.run_autotuned(&net, &cache).unwrap();
-            for alg in [AllreduceAlg::RecursiveDoubling, AllreduceAlg::Ring] {
-                let pinned = Microbench {
-                    collective: Collective::Allreduce(alg),
-                    ..tuned.clone()
+        // set, costed on the same rail-striped schedules `run` executes,
+        // so the tuned single-communicator duration can never exceed the
+        // best pinned algorithm's — on one rail and on two.
+        let one_rail = hydra_network(16, 1);
+        let two_rails = hydra_network_rails(16, 2, RailPolicy::RoundRobin);
+        let cases = [
+            (
+                &one_rail,
+                [3, 2, 1, 0],
+                [1u64 << 12, 1 << 24],
+                Collective::Allreduce(AllreduceAlg::Auto),
+                vec![
+                    Collective::Allreduce(AllreduceAlg::RecursiveDoubling),
+                    Collective::Allreduce(AllreduceAlg::Ring),
+                ],
+            ),
+            (
+                &two_rails,
+                [0, 1, 2, 3],
+                [1 << 20, 4 << 20],
+                Collective::Alltoall(AlltoallAlg::Auto),
+                vec![
+                    Collective::Alltoall(AlltoallAlg::Pairwise),
+                    Collective::Alltoall(AlltoallAlg::Bruck),
+                ],
+            ),
+        ];
+        for (net, order, sizes, collective, pinned_algs) in cases {
+            let cache = mre_simnet::SharedCostCache::new();
+            for size in sizes {
+                let tuned = Microbench {
+                    collective,
+                    ..bench(&order, size)
+                };
+                let (result, choices) = tuned.run_autotuned(net, &cache).unwrap();
+                for &alg in &pinned_algs {
+                    let pinned = Microbench {
+                        collective: alg,
+                        ..tuned.clone()
+                    }
+                    .run(net)
+                    .unwrap();
+                    assert!(
+                        result.single_duration <= pinned.single_duration * (1.0 + 1e-12),
+                        "tuned {} vs pinned {:?} {} at {size}",
+                        result.single_duration,
+                        alg,
+                        pinned.single_duration
+                    );
                 }
-                .run(&net)
-                .unwrap();
-                assert!(
-                    result.single_duration <= pinned.single_duration * (1.0 + 1e-12),
-                    "tuned {} vs pinned {:?} {}",
-                    result.single_duration,
-                    alg,
-                    pinned.single_duration
-                );
+                assert_eq!(choices.len(), 512 / 16);
+                // Re-tuning the same configuration re-costs nothing: every
+                // candidate evaluation hits the shared cache.
+                let (_, misses_before) = cache.stats();
+                let (again, _) = tuned.run_autotuned(net, &cache).unwrap();
+                let (hits, misses_after) = cache.stats();
+                assert_eq!(again, result);
+                assert_eq!(misses_after, misses_before);
+                assert!(hits > 0);
             }
-            assert_eq!(choices.len(), 512 / 16);
-            // Re-tuning the same configuration re-costs nothing: every
-            // candidate evaluation hits the shared cache.
-            let (_, misses_before) = cache.stats();
-            let (again, _) = tuned.run_autotuned(&net, &cache).unwrap();
-            let (hits, misses_after) = cache.stats();
-            assert_eq!(again, result);
-            assert_eq!(misses_after, misses_before);
-            assert!(hits > 0);
         }
     }
 
@@ -571,24 +499,18 @@ mod tests {
             Collective::Allreduce(AllreduceAlg::Auto),
             Collective::Allgather(AllgatherAlg::Auto),
         ] {
-            let bench = Microbench {
-                machine: net.hierarchy().clone(),
-                order: Permutation::new(vec![0, 1, 2, 3]).unwrap(),
-                subcomm_size: net.hierarchy().size(),
-                collective,
-                total_bytes: 1 << 16,
-            };
+            let total_bytes = 1 << 16;
             let recorder = Recorder::new();
             microbench_collective_instrumented(
                 collective,
-                bench.total_bytes,
+                total_bytes,
                 3,
                 p,
                 Some(&recorder),
                 None,
             );
             let wall = recorder.take_trace();
-            let schedule = bench.comm_schedule(&cores, 3);
+            let schedule = microbench_comm_schedule(collective, &cores, total_bytes, 3);
             let tl = net.schedule_timeline(&schedule).unwrap();
             let sim = schedule_trace(net.hierarchy(), &tl, "micro");
             let d = diff_traces(

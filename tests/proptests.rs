@@ -703,7 +703,7 @@ fn pruned_sweep_matches_exhaustive_on_hydra_microbench() {
         let layout = subcommunicators(&machine, sigma, s, ColorScheme::Quotient)
             .expect("valid configuration");
         let all: Vec<Schedule> = (0..layout.count())
-            .map(|c| b.schedule_for(layout.members(c)))
+            .map(|c| b.schedule_for_rails(layout.members(c), 1))
             .collect();
         schedule_lower_bound(&net, &Schedule::lockstep(&all))
     };
@@ -932,7 +932,7 @@ fn pruned_fluid_sweep_matches_exhaustive_on_hydra_microbench() {
         let layout = subcommunicators(&machine, sigma, s, ColorScheme::Quotient)
             .expect("valid configuration");
         (0..layout.count())
-            .map(|c| b.schedule_for(layout.members(c)))
+            .map(|c| b.schedule_for_rails(layout.members(c), 1))
             .collect()
     };
     let cost = |sigma: &Permutation, s: usize, bytes: u64| {
