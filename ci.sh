@@ -98,6 +98,22 @@ grep "recommended order:" target/fluid_sweep_exhaustive.out > target/fluid_best_
 grep "recommended order:" target/fluid_sweep_pruned.out > target/fluid_best_b
 cmp target/fluid_best_a target/fluid_best_b
 
+echo "== order_sweep --fluid --pruned goldens (the bound ladder's costed/pruned counts pinned)"
+# On one worker the evaluated/pruned split is deterministic, so these pin
+# how much the fluid bound ladder prunes, not only the winner. The ring
+# allreduce (Auto picks Ring at 4 MiB) repeats each round, so its bound
+# walk sums repeated rounds without re-walking them; the 4-rail alltoall
+# exercises the per-rail histograms. The wall-clock `time split:` line
+# is filtered out.
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  16,2,2,8 16 allreduce 4194304 --fluid --pruned --threads 1 \
+  | grep -v "^time split:" > target/fluid_pruned_allreduce.out
+cmp target/fluid_pruned_allreduce.out results/order_sweep_fluid_pruned_allreduce.txt
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  16,2,2,8 16 alltoall 1048576 --nics 4 --fluid --pruned --threads 1 \
+  | grep -v "^time split:" > target/fluid_pruned_nics4.out
+cmp target/fluid_pruned_nics4.out results/order_sweep_fluid_pruned_nics4.txt
+
 echo "== worker-count smoke (the pruned recommendation is the same on 1, 2 and 4 workers)"
 # The search seeds each cell with ceil(W/C) candidates at once (W workers,
 # C payload cells), so on this 1 x 1 grid 4 workers cost 4 seeds before

@@ -54,11 +54,27 @@
 //! is an addition — no division by level strides per hop. Distinct active
 //! links are counted by marking each traversed link's id in an
 //! epoch-stamped array in the thread's
-//! [`RoundWorkspace`](crate::workspace::RoundWorkspace), so a warm bound
+//! [`RoundWorkspace`], so a warm bound
 //! neither hashes nor allocates. The cheap rung fills only the aggregate
-//! fields of the load, not the per-rail histograms it never reads. The
-//! pooled fluid bounds accumulate every message of every job into that
-//! same load in place.
+//! fields of the load, not the per-rail histograms it never reads.
+//!
+//! The fluid bounds need two loads of one job set: each round's own (for
+//! the per-job term) and every message of every job pooled into one
+//! virtual round (for the aggregate term). Both come from **one walk**:
+//! each message's single path lookup updates the round's load and the
+//! workspace's pooled load, whose active links are marked in a second
+//! stamped array that persists across rounds. A round equal to its
+//! predecessor in the same job reuses the predecessor's bound, as the
+//! schedule bounds do, and adds its byte totals (and per-rail histograms)
+//! to the pooled load in O(levels · rails) without walking its messages:
+//! its links are already marked and its latencies already folded in, and
+//! every other pooled field is an integer sum, a set union or a min/max,
+//! so the pooled load is bit-identical to walking every message. One
+//! exception: a level's minimum latency is taken from its first
+//! *positive-byte* contributor onwards (an earlier zero-byte contributor
+//! is overwritten), so a round holding a zero-byte crossing message may
+//! lower a minimum its first copy did not, and its repeats are walked
+//! again rather than summarised.
 //!
 //! Each rung of the ladder has one public spelling per engine: the free
 //! functions [`schedule_lower_bound`] (tight) and
@@ -68,8 +84,9 @@
 //! one skips the per-rail histogram walk, the tight one prunes more.
 
 use crate::network::NetworkModel;
+use crate::rail::PathHop;
 use crate::schedule::{Message, Schedule};
-use crate::workspace::LinkSlots;
+use crate::workspace::{LinkSlots, RoundWorkspace};
 
 /// Per-level byte totals and activity of one round — everything a bound
 /// evaluation needs, in O(levels) space.
@@ -145,6 +162,71 @@ impl RoundLoad {
         reset_rows(&mut self.rail_active_up, rails, 0);
         reset_rows(&mut self.rail_active_down, rails, 0);
     }
+
+    /// Adds one hop of a `bytes`-byte message crossing at `latency`,
+    /// marking the hop's links in `links`; the per-rail histograms are
+    /// filled only when `PER_RAIL`.
+    #[inline(always)]
+    fn add_hop<const PER_RAIL: bool>(
+        &mut self,
+        links: &mut LinkSlots,
+        hop: &PathHop,
+        bytes: u64,
+        latency: f64,
+    ) {
+        let level = hop.level;
+        self.bytes_through[level] += bytes;
+        // Distinct (instance, rail) pairs: on a multi-rail fabric each rail
+        // of a NIC drains independently at the per-rail bandwidth, so
+        // activity is counted per rail. Single-rail models always yield
+        // rail 0, keeping the counts (and the bound) byte-identical to the
+        // pre-rail engine.
+        if PER_RAIL {
+            self.rail_bytes_up[level][hop.up_rail] += bytes;
+            self.rail_bytes_down[level][hop.down_rail] += bytes;
+        }
+        if links.insert(hop.up) {
+            self.active_up[level] += 1;
+            if PER_RAIL {
+                self.rail_active_up[level][hop.up_rail] += 1;
+            }
+        }
+        if links.insert(hop.down) {
+            self.active_down[level] += 1;
+            if PER_RAIL {
+                self.rail_active_down[level][hop.down_rail] += 1;
+            }
+        }
+        let entry = &mut self.min_latency_through[level];
+        if self.bytes_through[level] == bytes {
+            *entry = latency;
+        } else {
+            *entry = entry.min(latency);
+        }
+    }
+
+    /// Adds another copy of `round`, which this load has already
+    /// accumulated and which holds no zero-byte crossing message: its
+    /// links are already marked and none of its latencies can lower a
+    /// minimum, so only the byte totals grow — O(levels · rails).
+    fn add_repeat<const PER_RAIL: bool>(&mut self, round: &RoundLoad) {
+        fn add(sums: &mut [u64], more: &[u64]) {
+            for (sum, &bytes) in sums.iter_mut().zip(more) {
+                *sum += bytes;
+            }
+        }
+        add(&mut self.bytes_through, &round.bytes_through);
+        if PER_RAIL {
+            for (rows, more) in [
+                (&mut self.rail_bytes_up, &round.rail_bytes_up),
+                (&mut self.rail_bytes_down, &round.rail_bytes_down),
+            ] {
+                for (row, more) in rows.iter_mut().zip(more) {
+                    add(row, more);
+                }
+            }
+        }
+    }
 }
 
 impl NetworkModel {
@@ -160,17 +242,13 @@ impl NetworkModel {
 
     /// Runs `f` on the load of `messages`, accumulated into the
     /// thread-local [`RoundWorkspace`]'s load instead of a fresh one
-    /// (bit-identical — see [`RoundLoad::reset`]). The messages may span
-    /// several rounds: the pooled fluid bounds feed every message of every
-    /// job through here without copying them into one virtual round.
+    /// (bit-identical — see [`RoundLoad::reset`]).
     ///
     /// Without `per_rail` the four per-rail histograms stay zero: the
     /// aggregate rung never reads them, so it skips their updates.
-    ///
-    /// [`RoundWorkspace`]: crate::workspace::RoundWorkspace
-    pub(crate) fn with_round_load<'m, R>(
+    pub(crate) fn with_round_load<R>(
         &self,
-        messages: impl IntoIterator<Item = &'m Message>,
+        messages: &[Message],
         per_rail: bool,
         f: impl FnOnce(&RoundLoad) -> R,
     ) -> R {
@@ -196,55 +274,72 @@ impl NetworkModel {
     /// ids come from the table's per-core rows
     /// ([`RailLinkTable::path`](crate::rail::RailLinkTable::path)). The
     /// per-rail histograms are filled only when `PER_RAIL`.
-    pub(crate) fn round_load_into<'m, const PER_RAIL: bool>(
+    pub(crate) fn round_load_into<const PER_RAIL: bool>(
         &self,
         links: &mut LinkSlots,
         load: &mut RoundLoad,
-        messages: impl IntoIterator<Item = &'m Message>,
+        messages: &[Message],
     ) {
+        self.walk_round::<PER_RAIL>(links, load, messages, |_, _, _| {});
+    }
+
+    /// One round of a fluid job set walked into `ws.load` (reset first,
+    /// exactly as [`round_load_into`](Self::round_load_into) fills it) and
+    /// into the pooled `ws.pooled` at once: each message's one path lookup
+    /// feeds both. Returns whether the round holds a zero-byte crossing
+    /// message, whose repeats must be walked again (see the module docs).
+    fn round_and_pooled_load_into<const PER_RAIL: bool>(
+        &self,
+        ws: &mut RoundWorkspace,
+        messages: &[Message],
+    ) -> bool {
+        let RoundWorkspace {
+            links,
+            load,
+            pooled,
+            pooled_links,
+            ..
+        } = ws;
+        let zero_bytes =
+            self.walk_round::<PER_RAIL>(links, load, messages, |hop, bytes, latency| {
+                pooled.add_hop::<PER_RAIL>(pooled_links, hop, bytes, latency)
+            });
+        pooled.max_latency = pooled.max_latency.max(load.max_latency);
+        pooled.max_local_bytes = pooled.max_local_bytes.max(load.max_local_bytes);
+        zero_bytes
+    }
+
+    /// The message walk behind both: resets `load` and restarts `links`,
+    /// then accumulates every message of the round, handing each hop also
+    /// to `on_hop(hop, bytes, latency)`. Returns whether a crossing message
+    /// carries zero bytes.
+    #[inline(always)]
+    fn walk_round<const PER_RAIL: bool>(
+        &self,
+        links: &mut LinkSlots,
+        load: &mut RoundLoad,
+        messages: &[Message],
+        mut on_hop: impl FnMut(&PathHop, u64, f64),
+    ) -> bool {
         let table = self.link_table();
         let params = self.links();
         load.reset(self.rail_counts());
         links.begin(table.num_links());
+        let mut zero_bytes = false;
         for m in messages {
             let Some(path) = table.path(m.src, m.dst) else {
                 load.max_local_bytes = load.max_local_bytes.max(m.bytes);
                 continue;
             };
+            zero_bytes |= m.bytes == 0;
             let latency = params[path.crossing()].crossing_latency;
             load.max_latency = load.max_latency.max(latency);
             for hop in path {
-                let level = hop.level;
-                load.bytes_through[level] += m.bytes;
-                // Distinct (instance, rail) pairs: on a multi-rail fabric
-                // each rail of a NIC drains independently at the per-rail
-                // bandwidth, so activity is counted per rail. Single-rail
-                // models always yield rail 0, keeping the counts (and the
-                // bound) byte-identical to the pre-rail engine.
-                if PER_RAIL {
-                    load.rail_bytes_up[level][hop.up_rail] += m.bytes;
-                    load.rail_bytes_down[level][hop.down_rail] += m.bytes;
-                }
-                if links.insert(hop.up) {
-                    load.active_up[level] += 1;
-                    if PER_RAIL {
-                        load.rail_active_up[level][hop.up_rail] += 1;
-                    }
-                }
-                if links.insert(hop.down) {
-                    load.active_down[level] += 1;
-                    if PER_RAIL {
-                        load.rail_active_down[level][hop.down_rail] += 1;
-                    }
-                }
-                let entry = &mut load.min_latency_through[level];
-                if load.bytes_through[level] == m.bytes {
-                    *entry = latency;
-                } else {
-                    *entry = entry.min(latency);
-                }
+                load.add_hop::<PER_RAIL>(links, &hop, m.bytes, latency);
+                on_hop(&hop, m.bytes, latency);
             }
         }
+        zero_bytes
     }
 
     /// Admissible lower bound on [`round_time`](Self::round_time) from a
@@ -320,7 +415,7 @@ impl NetworkModel {
     /// Admissible lower bound on [`round_time`](Self::round_time).
     ///
     /// Accumulates into the thread-local
-    /// [`RoundWorkspace`](crate::workspace::RoundWorkspace)'s load instead
+    /// [`RoundWorkspace`]'s load instead
     /// of allocating one per call (bit-identical: the load is reset first).
     pub fn round_lower_bound(&self, messages: &[Message]) -> f64 {
         self.with_round_load(messages, true, |load| self.round_lower_bound_from(load))
@@ -350,7 +445,9 @@ impl NetworkModel {
 /// messages, so reuse changes no bit; repeats that are not adjacent are
 /// simply bounded again.
 pub fn schedule_lower_bound(net: &NetworkModel, schedule: &Schedule) -> f64 {
-    schedule_bound_by(schedule, |msgs| net.round_lower_bound(msgs))
+    schedule_bound_by(schedule, |msgs, repeat| {
+        repeat.unwrap_or_else(|| net.round_lower_bound(msgs))
+    })
 }
 
 /// [`schedule_lower_bound`] built from the cheap aggregate round term
@@ -358,22 +455,28 @@ pub fn schedule_lower_bound(net: &NetworkModel, schedule: &Schedule) -> f64 {
 /// ladder. Still admissible (it is a sum of strictly weaker per-round
 /// terms); equal to the tight bound on single-rail fabrics.
 pub fn schedule_lower_bound_aggregate(net: &NetworkModel, schedule: &Schedule) -> f64 {
-    schedule_bound_by(schedule, |msgs| net.round_lower_bound_aggregate(msgs))
+    schedule_bound_by(schedule, |msgs, repeat| {
+        repeat.unwrap_or_else(|| net.round_lower_bound_aggregate(msgs))
+    })
 }
 
-/// The per-round sum driving both schedule bounds: a round equal to its
-/// predecessor reuses the predecessor's bound.
-fn schedule_bound_by(schedule: &Schedule, round_bound: impl Fn(&[Message]) -> f64) -> f64 {
+/// The per-round sum driving every schedule bound: `round_bound(messages,
+/// repeat)` bounds one round, where `repeat` is the predecessor's bound
+/// when the round equals its predecessor.
+fn schedule_bound_by(
+    schedule: &Schedule,
+    mut round_bound: impl FnMut(&[Message], Option<f64>) -> f64,
+) -> f64 {
     let mut previous: Option<(&[Message], f64)> = None;
     schedule
         .rounds
         .iter()
         .map(|r| {
             let messages = r.messages.as_slice();
-            let t = match previous {
-                Some((prev, t)) if prev == messages => t,
-                _ => round_bound(messages),
-            };
+            let repeat = previous
+                .filter(|&(prev, _)| prev == messages)
+                .map(|(_, t)| t);
+            let t = round_bound(messages, repeat);
             previous = Some((messages, t));
             t
         })
@@ -402,61 +505,68 @@ fn schedule_bound_by(schedule: &Schedule, round_bound: impl Fn(&[Message]) -> f6
 ///   remain valid verbatim (some message must wait its full latency; some
 ///   core must push its largest local copy).
 ///
+/// Both terms come from one walk over the job set: one path lookup per
+/// message of each distinct round, and none for a round repeating its
+/// predecessor (module docs). The result is bit-identical to bounding
+/// each job and then the copied pooled round separately.
+///
 /// This is necessarily looser than [`schedule_lower_bound`] on a single
 /// schedule (it forgets round barriers), but it is valid for the
 /// barrier-free execution, where the per-round sum is **not** — fluid
 /// overlap can beat it. Property-tested against every collective
 /// generator under both contention modes in `tests/proptests.rs`.
 pub fn fluid_lower_bound(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
-    fluid_bound_by(
-        net,
-        schedules,
-        true,
-        schedule_lower_bound,
-        NetworkModel::round_lower_bound_from,
-    )
+    let bound = NetworkModel::round_lower_bound_from;
+    with_pooled_load::<true, _>(net, schedules, bound, |per_job, pooled| {
+        per_job.max(bound(net, pooled))
+    })
 }
 
 /// [`fluid_lower_bound`] built from the cheap aggregate round term — the
 /// fluid counterpart of [`schedule_lower_bound_aggregate`], and the first
 /// rung of the fluid bound ladder. Admissible by the same argument (every
 /// term is weakened, never strengthened); equal to [`fluid_lower_bound`]
-/// on single-rail fabrics.
+/// on single-rail fabrics. Its one walk skips the per-rail histograms.
 pub fn fluid_lower_bound_aggregate(net: &NetworkModel, schedules: &[Schedule]) -> f64 {
-    fluid_bound_by(
-        net,
-        schedules,
-        false,
-        schedule_lower_bound_aggregate,
-        NetworkModel::round_lower_bound_aggregate_from,
-    )
+    let bound = NetworkModel::round_lower_bound_aggregate_from;
+    with_pooled_load::<false, _>(net, schedules, bound, |per_job, pooled| {
+        per_job.max(bound(net, pooled))
+    })
 }
 
-/// The body of both fluid bounds: the max of the per-job schedule bound
-/// and the round bound of every message pooled into one virtual round
-/// (whose load carries the per-rail histograms when `per_rail`).
-fn fluid_bound_by(
+/// The one walk behind the fluid bounds: runs `f` on the max over jobs of
+/// each job's schedule bound (rounds bounded by `round_bound`, repeats
+/// reusing their predecessor's) and on the pooled load of every message
+/// of every job, both accumulated in the thread-local
+/// [`RoundWorkspace`] (per-rail histograms filled when `PER_RAIL`).
+pub(crate) fn with_pooled_load<const PER_RAIL: bool, R>(
     net: &NetworkModel,
     schedules: &[Schedule],
-    per_rail: bool,
-    job_bound: impl Fn(&NetworkModel, &Schedule) -> f64,
     round_bound: impl Fn(&NetworkModel, &RoundLoad) -> f64,
-) -> f64 {
-    let per_job = schedules
-        .iter()
-        .map(|s| job_bound(net, s))
-        .fold(0.0, f64::max);
-    let aggregate = net.with_round_load(pooled(schedules), per_rail, |load| round_bound(net, load));
-    per_job.max(aggregate)
-}
-
-/// Every message of every round of every schedule, in order — one virtual
-/// round, borrowed rather than copied.
-pub(crate) fn pooled(schedules: &[Schedule]) -> impl Iterator<Item = &Message> {
-    schedules
-        .iter()
-        .flat_map(|s| &s.rounds)
-        .flat_map(|r| &r.messages)
+    f: impl FnOnce(f64, &RoundLoad) -> R,
+) -> R {
+    crate::workspace::with_thread_local(|ws| {
+        ws.pooled.reset(net.rail_counts());
+        ws.pooled_links.begin(net.link_table().num_links());
+        let mut zero_bytes = false;
+        let per_job = schedules
+            .iter()
+            .map(|s| {
+                schedule_bound_by(s, |messages, repeat| match repeat {
+                    // `ws.load` still holds the predecessor's load.
+                    Some(t) if !zero_bytes => {
+                        ws.pooled.add_repeat::<PER_RAIL>(&ws.load);
+                        t
+                    }
+                    _ => {
+                        zero_bytes = net.round_and_pooled_load_into::<PER_RAIL>(ws, messages);
+                        round_bound(net, &ws.load)
+                    }
+                })
+            })
+            .fold(0.0, f64::max);
+        f(per_job, &ws.pooled)
+    })
 }
 
 #[cfg(test)]
@@ -720,6 +830,48 @@ mod tests {
             fluid_lower_bound(&one, &jobs).to_bits(),
             fluid_lower_bound_aggregate(&one, &jobs).to_bits()
         );
+    }
+
+    #[test]
+    fn a_zero_byte_message_in_a_repeated_round_lowers_the_pooled_latency() {
+        // The core level is the bottleneck (1 B/s). The first job repeats
+        // a round whose zero-byte same-socket message (latency 0.5) comes
+        // before a cross-node one (latency 2). On the first copy the
+        // zero-byte message is the level's first contributor, so the
+        // cross-node message overwrites its latency; the repeat lowers the
+        // pooled minimum to 0.5. With three more jobs sending the
+        // cross-node message alone, 800 bytes leave through one core link:
+        // 800.5, where summing the repeat without walking it gives 802.
+        let net = NetworkModel::new(
+            Hierarchy::new(vec![2, 2, 4]).unwrap(),
+            vec![
+                LinkParams {
+                    uplink_bandwidth: 1000.0,
+                    crossing_latency: 2.0,
+                },
+                LinkParams {
+                    uplink_bandwidth: 1000.0,
+                    crossing_latency: 1.0,
+                },
+                LinkParams {
+                    uplink_bandwidth: 1.0,
+                    crossing_latency: 0.5,
+                },
+            ],
+            1000.0,
+        );
+        let cross = Message::new(0, 8, 100);
+        let round = Round::with(vec![Message::new(0, 1, 0), cross]);
+        let mut jobs = vec![Schedule::with(vec![Round::with(vec![cross]); 2]); 4];
+        jobs[0] = Schedule::with(vec![round.clone(), round]);
+        let copied: Vec<Message> = jobs
+            .iter()
+            .flat_map(|s| &s.rounds)
+            .flat_map(|r| r.messages.iter().copied())
+            .collect();
+        assert_eq!(net.round_lower_bound(&copied), 800.5);
+        assert_eq!(fluid_lower_bound(&net, &jobs), 800.5);
+        assert_eq!(fluid_lower_bound_aggregate(&net, &jobs), 800.5);
     }
 
     #[test]

@@ -582,8 +582,11 @@ pub fn bound_gap_fluid(
     probe: &CongestionProbe,
 ) -> Vec<BoundGap> {
     let k = net.hierarchy().depth();
-    let mut gaps: Vec<BoundGap> =
-        net.with_round_load(crate::bound::pooled(schedules), true, |load| {
+    let mut gaps: Vec<BoundGap> = crate::bound::with_pooled_load::<false, _>(
+        net,
+        schedules,
+        NetworkModel::round_lower_bound_aggregate_from,
+        |_, load| {
             (0..k)
                 .map(|level| BoundGap {
                     level,
@@ -591,7 +594,8 @@ pub fn bound_gap_fluid(
                     actual: 0.0,
                 })
                 .collect()
-        });
+        },
+    );
     for l in 0..probe.num_links() as u32 {
         let (level, _, _, _) = probe.table().decode(l);
         if let Some(last) = probe.link_segments(l).last() {

@@ -115,6 +115,12 @@ pub struct RoundWorkspace {
     /// Reusable [`RoundLoad`] accumulator for bound evaluations (empty
     /// until the first bound on this thread).
     pub(crate) load: RoundLoad,
+    /// The pooled load of the fluid bounds: every job's messages in one
+    /// virtual round, accumulated alongside each round's own `load`.
+    pub(crate) pooled: RoundLoad,
+    /// Marks of `pooled`'s active links — the union over every round of
+    /// every job, so they persist across the rounds `links` restarts for.
+    pub(crate) pooled_links: LinkSlots,
     rounds: u64,
 }
 
@@ -140,20 +146,16 @@ thread_local! {
     static WORKSPACE: RefCell<RoundWorkspace> = RefCell::new(RoundWorkspace::new());
 }
 
-/// Runs `f` with this thread's [`RoundWorkspace`].
+/// Runs `f` with this thread's [`RoundWorkspace`], borrowed in place.
 ///
-/// The workspace is *moved out* of the thread-local for the duration of
-/// `f` (an empty placeholder takes its place), so a re-entrant call from
-/// inside `f` sees a fresh temporary workspace instead of panicking on a
-/// double borrow; the warmed buffers are put back afterwards. Moving an
-/// idle `RoundWorkspace` is a few pointer copies — its buffers are not
-/// touched.
+/// A re-entrant call from inside `f` finds the workspace borrowed and runs
+/// on a fresh temporary workspace instead of panicking on a double borrow.
+/// Nothing is moved, so a call's fixed cost does not grow with the
+/// workspace (about a kilobyte of buffer headers).
 pub(crate) fn with_thread_local<R>(f: impl FnOnce(&mut RoundWorkspace) -> R) -> R {
-    WORKSPACE.with(|cell| {
-        let mut ws = cell.replace(RoundWorkspace::new());
-        let out = f(&mut ws);
-        cell.replace(ws);
-        out
+    WORKSPACE.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut ws) => f(&mut ws),
+        Err(_) => f(&mut RoundWorkspace::new()),
     })
 }
 
@@ -232,6 +234,29 @@ mod tests {
         net.round_profile(&cross_round());
         net.round_profile(&cross_round());
         assert_eq!(thread_workspace_rounds(), before + 2);
+    }
+
+    #[test]
+    fn a_reentrant_call_gets_a_temporary_workspace() {
+        let net = toy(ContentionMode::MaxMinFair);
+        net.round_profile(&cross_round());
+        let outer = with_thread_local(|ws| {
+            let inner = with_thread_local(|inner| {
+                net.round_profile_with(inner, &cross_round());
+                inner.rounds()
+            });
+            assert_eq!(
+                inner, 1,
+                "the re-entrant call starts from an empty workspace"
+            );
+            ws.rounds()
+        });
+        assert!(outer >= 1, "the outer call borrows the warmed workspace");
+        assert_eq!(
+            thread_workspace_rounds(),
+            outer,
+            "the temporary is not kept"
+        );
     }
 
     #[test]

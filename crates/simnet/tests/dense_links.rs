@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use mre_core::Hierarchy;
 use mre_rng::{propcheck, SmallRng};
 use mre_simnet::{
-    assign_rail, fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates,
+    assign_rail, bound_gap_fluid, fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates,
     schedule_lower_bound, schedule_lower_bound_aggregate, CongestionProbe, FluidSim, LinkParams,
     Message, NetworkModel, PathHop, RailPolicy, Round, RoundLoad, Schedule,
 };
@@ -205,28 +205,98 @@ fn round_load_matches_the_tuple_set_reference() {
     });
 }
 
+/// A `bytes`-byte message between two cores that first differ at a
+/// random level with more than one instance.
+fn crossing_message(rng: &mut SmallRng, net: &NetworkModel, bytes: u64) -> Option<Message> {
+    let h = net.hierarchy();
+    let split: Vec<usize> = (0..h.depth()).filter(|&l| h.levels()[l] > 1).collect();
+    let &level = rng.choose(&split)?;
+    // Move `src`'s digit at `level` to another value.
+    let stride = h.strides()[level];
+    let radix = h.levels()[level];
+    let src = rng.gen_range(0..h.size());
+    let digit = src / stride % radix;
+    let other = (digit + rng.gen_range(1..radix)) % radix;
+    Some(Message::new(
+        src,
+        src - digit * stride + other * stride,
+        bytes,
+    ))
+}
+
+/// A random fluid job of 0–5 rounds: long random rounds with zero-byte
+/// crossing messages planted at the front and anywhere, short rounds of
+/// a zero-byte crossing message followed by 0–2 positive-byte ones,
+/// empty rounds, and adjacent repeats of the round before. Every crossing
+/// message traverses the innermost level, so a zero-byte message at the
+/// front of a round precedes each positive-byte one at a level they
+/// share; in short rounds its latency is often the level's lowest.
+fn arb_job(rng: &mut SmallRng, net: &NetworkModel) -> Schedule {
+    let mut rounds: Vec<Round> = Vec::new();
+    for _ in 0..rng.gen_range(0usize..6) {
+        let round = match (rng.gen_range(0usize..6), rounds.last()) {
+            (0 | 1, Some(previous)) => previous.clone(),
+            (2, _) => Round::new(),
+            (3, _) => {
+                let mut msgs = arb_round(rng, net.hierarchy().size());
+                for at in [0, rng.gen_range(0..msgs.len() + 1)] {
+                    if let Some(m) = crossing_message(rng, net, 0).filter(|_| rng.gen_bool(0.5)) {
+                        msgs.insert(at, m);
+                    }
+                }
+                Round::with(msgs)
+            }
+            _ => Round::with(
+                (0..rng.gen_range(1usize..4))
+                    .filter_map(|i| {
+                        let bytes = if i == 0 {
+                            0
+                        } else {
+                            rng.gen_range(1u64..1 << 20)
+                        };
+                        crossing_message(rng, net, bytes)
+                    })
+                    .collect(),
+            ),
+        };
+        rounds.push(round);
+    }
+    Schedule::with(rounds)
+}
+
+/// The level term `bound_gap_fluid` reports, from a reference load.
+fn level_term(net: &NetworkModel, load: &RoundLoad, level: usize) -> f64 {
+    if load.bytes_through[level] == 0 {
+        return 0.0;
+    }
+    let active = load.active_up[level].min(load.active_down[level]).max(1) as f64;
+    load.min_latency_through[level]
+        + load.bytes_through[level] as f64 / (active * net.links()[level].uplink_bandwidth)
+}
+
+/// The fluid bounds walk each distinct round once and sum adjacent
+/// repeats into the pooled load without walking them; both rungs and
+/// `bound_gap_fluid`'s per-level terms must still equal, bit for bit, the
+/// bounds of every message copied into one virtual round. The jobs are
+/// ragged (0–5 rounds) and hold empty rounds, adjacent repeats and
+/// zero-byte messages — a zero-byte message inside a repeated round can
+/// lower a level's minimum latency on the repeat, which is why such a
+/// round is walked again.
 #[test]
 fn pooled_fluid_bounds_match_the_copied_message_reference() {
     propcheck(32, 0xD15E_0002, |rng| {
         for nics in [1usize, 2, 4] {
             for policy in RailPolicy::ALL {
                 let net = arb_model(rng, nics, policy);
-                let size = net.hierarchy().size();
-                let jobs: Vec<Schedule> = (0..rng.gen_range(1usize..4))
-                    .map(|_| {
-                        Schedule::with(
-                            (0..rng.gen_range(1usize..4))
-                                .map(|_| Round::with(arb_round(rng, size)))
-                                .collect(),
-                        )
-                    })
+                let jobs: Vec<Schedule> = (0..rng.gen_range(1usize..5))
+                    .map(|_| arb_job(rng, &net))
                     .collect();
-                let pooled = reference_load(
-                    &net,
-                    jobs.iter()
-                        .flat_map(|s| &s.rounds)
-                        .flat_map(|r| &r.messages),
-                );
+                let copied: Vec<Message> = jobs
+                    .iter()
+                    .flat_map(|s| &s.rounds)
+                    .flat_map(|r| r.messages.iter().copied())
+                    .collect();
+                let pooled = reference_load(&net, &copied);
                 let tight = jobs
                     .iter()
                     .map(|s| schedule_lower_bound(&net, s))
@@ -237,11 +307,25 @@ fn pooled_fluid_bounds_match_the_copied_message_reference() {
                     .map(|s| schedule_lower_bound_aggregate(&net, s))
                     .fold(0.0, f64::max)
                     .max(net.round_lower_bound_aggregate_from(&pooled));
-                assert_eq!(fluid_lower_bound(&net, &jobs).to_bits(), tight.to_bits());
+                assert_eq!(
+                    fluid_lower_bound(&net, &jobs).to_bits(),
+                    tight.to_bits(),
+                    "{policy} x{nics}"
+                );
                 assert_eq!(
                     fluid_lower_bound_aggregate(&net, &jobs).to_bits(),
-                    cheap.to_bits()
+                    cheap.to_bits(),
+                    "{policy} x{nics}"
                 );
+                let gaps = bound_gap_fluid(&net, &jobs, &CongestionProbe::new(&net));
+                for gap in &gaps {
+                    assert_eq!(
+                        gap.bound.to_bits(),
+                        level_term(&net, &pooled, gap.level).to_bits(),
+                        "{policy} x{nics} level {}",
+                        gap.level
+                    );
+                }
             }
         }
     });

@@ -17,12 +17,20 @@
 //! railing breaks the symmetry (each core hashes its own messages onto
 //! rails); `tests/fluid_classes.rs` at the repository root keeps a
 //! counterexample and checks that the fluid engine refuses to reduce it.
+//!
+//! Packed invariance (the paper's §4.1.3): under the packed order, whose
+//! communicators fill whole subtrees one after another, communicators
+//! share no link, so running any number of them at once costs exactly
+//! what communicator 0 costs alone — under both engines, on one rail and
+//! under round-robin or affinity railing. Source-hash railing breaks it
+//! too (EXPERIMENTS.md, "Packed invariance under source-hash railing").
 
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
 use mre_rng::{propcheck, SmallRng};
 use mre_simnet::{
-    fluid_timeline, max_min_rates, LinkParams, Message, NetworkModel, RailPolicy, Round, Schedule,
+    fluid_time, fluid_timeline, max_min_rates, LinkParams, Message, NetworkModel, RailPolicy,
+    Round, Schedule,
 };
 
 const EXPONENTS: [i32; 4] = [-7, -1, 3, 20];
@@ -253,6 +261,85 @@ fn translated_messages_of_a_merged_lockstep_round_get_bit_equal_rates() {
                 .map(|(m, &(latency, rate))| latency + m.bytes as f64 / rate)
                 .fold(0.0, f64::max);
             assert_eq!(profile.time(&merged).to_bits(), time0.to_bits());
+        });
+    }
+}
+
+/// A random 2–4-level machine of radices 1–5 (at most 512 cores) with
+/// random link parameters and `nics` node rails under `policy`, and the
+/// communicators of the packed order at a size that tiles the machine
+/// with whole subtrees: `d` consecutive instances of one level, `d`
+/// dividing that level's radix.
+fn packed_layout(
+    rng: &mut SmallRng,
+    nics: usize,
+    policy: RailPolicy,
+) -> (NetworkModel, Vec<Vec<usize>>) {
+    loop {
+        let depth = rng.gen_range(2usize..5);
+        let levels: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..6)).collect();
+        let h = Hierarchy::new(levels.clone()).expect("non-zero levels");
+        let strides = h.strides();
+        let sizes: Vec<usize> = (0..depth)
+            .flat_map(|l| {
+                let (radix, stride) = (levels[l], strides[l]);
+                (1..=radix)
+                    .filter(move |d| radix % d == 0)
+                    .map(move |d| d * stride)
+            })
+            .filter(|&s| s >= 2 && s < h.size())
+            .collect();
+        let Some(&s) = rng.choose(&sizes).filter(|_| h.size() <= 512) else {
+            continue;
+        };
+        let packed = Permutation::new((0..depth).rev().collect()).expect("a permutation");
+        let layout =
+            subcommunicators(&h, &packed, s, ColorScheme::Quotient).expect("s divides size");
+        let links = (0..depth)
+            .map(|_| LinkParams {
+                uplink_bandwidth: rng.gen_range(1e9f64..1e11),
+                crossing_latency: rng.gen_range(0.0f64..1e-5),
+            })
+            .collect();
+        let net = NetworkModel::new(h, links, 1e11).with_node_rails(nics, policy);
+        return (net, layout.comms().to_vec());
+    }
+}
+
+#[test]
+fn packed_orders_cost_the_same_at_any_number_of_communicators() {
+    for (nics, policy) in SYMMETRIC_FABRICS {
+        propcheck(60, 0xD0C0_0024 + nics as u64, |rng| {
+            let (net, comms) = packed_layout(rng, nics, policy);
+            let rounds: Vec<_> = (0..rng.gen_range(1usize..4))
+                .map(|_| rank_round(rng, comms[0].len()))
+                .collect();
+            let jobs: Vec<Schedule> = comms
+                .iter()
+                .map(|comm| {
+                    Schedule::with(
+                        rounds
+                            .iter()
+                            .map(|r| Round::with(translate(r, comm)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let lockstep = net.schedule_time(&jobs[0]);
+            let fluid = fluid_time(&net, &jobs[..1]);
+            for n in 2..=jobs.len() {
+                let merged = Schedule::lockstep(&jobs[..n]);
+                assert_eq!(
+                    net.schedule_time(&merged).to_bits(),
+                    lockstep.to_bits(),
+                    "{nics} rails ({policy:?}): lockstep at {n} communicators"
+                );
+                assert_eq!(
+                    fluid_time(&net, &jobs[..n]).to_bits(),
+                    fluid.to_bits(),
+                    "{nics} rails ({policy:?}): fluid at {n} communicators"
+                );
+            }
         });
     }
 }
