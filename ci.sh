@@ -47,7 +47,7 @@ echo "== explore_orders golden (every class and member of LUMI 4,2,4,2,8 at s=16
 cargo run -q --release --example explore_orders -- 4,2,4,2,8 16 > target/golden_explore_orders.out
 cmp target/golden_explore_orders.out results/explore_orders.txt
 
-echo "== trace_report smoke"
+echo "== trace_report smoke and golden"
 cargo run -q -p mre-bench --bin trace_report -- \
   --machine hydra --collective alltoall --order 3-2-1-0 \
   --out target/trace_smoke.json >/dev/null
@@ -56,6 +56,10 @@ if command -v python3 >/dev/null; then
 else
   echo "  (python3 unavailable; skipped JSON parse check)"
 fi
+# The plain report (no --out) is pinned byte for byte.
+cargo run -q --release -p mre-bench --bin trace_report -- \
+  --machine hydra --collective alltoall --order 3-2-1-0 > target/trace_report.out
+cmp target/trace_report.out results/trace_report.txt
 
 echo "== trace_diff smoke"
 cargo run -q -p mre-bench --bin trace_diff -- \
@@ -164,8 +168,9 @@ grep -Eq "^time split: bound_ns=[0-9]+ cost_ns=[0-9]+ \(bound share [0-9.]+%\)$"
 echo "== round-memo smoke (warm-cache rail sweep reports round_hits > 0, same recommendation)"
 # The ring allreduce's reduce-scatter and allgather phases reuse the same
 # endpoint rings, so a single pruned sweep resolves almost every round
-# from the round-level memo — and the memoized path must recommend the
-# byte-identical order the memo-free exhaustive sweep does.
+# from the round-level memo — and the pruned path must recommend the
+# byte-identical order the exhaustive sweep, which costs every class,
+# does.
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   8,2,2,8 64 allreduce 4194304 --pruned --nics 4 > target/round_memo_pruned.out
 cargo run -q --release -p mre-bench --bin order_sweep -- \
@@ -176,13 +181,14 @@ grep "recommended order:" target/round_memo_pruned.out > target/round_memo_best_
 grep "recommended order:" target/round_memo_exhaustive.out > target/round_memo_best_b
 cmp target/round_memo_best_a target/round_memo_best_b
 
-echo "== congestion_report smoke (hot link is the node uplink; 2 NICs halve its byte load)"
+echo "== congestion_report smoke and goldens (hot link is the node uplink; 2 NICs halve its byte load)"
 cargo run -q --release -p mre-bench --bin congestion_report -- \
   --machine hydra --nodes 16 --bytes 4194304 --top-k 3 \
   > target/congestion_1nic.out
 # The concurrent spread alltoall saturates the NIC: the hottest link of the
 # run is a node-level link carrying 7.9 MB.
 grep -q "^   1\. node\[0\]\..*7\.9 MB" target/congestion_1nic.out
+cmp target/congestion_1nic.out results/congestion_report.txt
 cargo run -q --release -p mre-bench --bin congestion_report -- \
   --machine hydra --nodes 16 --bytes 4194304 --top-k 3 \
   --nics 2 --rail-policy affinity > target/congestion_2nic.out
@@ -192,6 +198,7 @@ cargo run -q --release -p mre-bench --bin congestion_report -- \
 grep -q "^   1\. node\[0\]\..*3\.9 MB" target/congestion_2nic.out
 grep -q "rail1" target/congestion_2nic.out
 grep -Eq "^  node +0 .*1\.000$" target/congestion_2nic.out
+cmp target/congestion_2nic.out results/congestion_report_nics2.txt
 # Bound-gap telemetry: the node level is NIC-bound, so its gap is ~0.
 grep -Eq "^  node .* 0\.000 +0\.0%$" target/congestion_1nic.out
 

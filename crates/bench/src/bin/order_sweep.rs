@@ -57,138 +57,78 @@
 //! `nodes,2,2,8` or a LUMI-shaped `nodes,2,4,2,8`); `COLLECTIVE` is
 //! `alltoall`, `allreduce` or `allgather`.
 
+use mre_bench::cli;
 use mre_core::order_search::{rank_orders_by_par, rank_orders_pruned_ladder, spreadness};
 use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
-use mre_simnet::presets::{hydra_network, lumi_network};
 use mre_simnet::{
-    bound_gap_fluid, bound_gap_lockstep, fluid_lower_bound, fluid_lower_bound_aggregate,
-    fluid_time, schedule_lower_bound, schedule_lower_bound_aggregate, BoundGap, CongestionProbe,
-    FluidSim, NetworkModel, RailPolicy, Schedule, SharedCostCache,
+    fluid_lower_bound, fluid_lower_bound_aggregate, fluid_time, schedule_lower_bound,
+    schedule_lower_bound_aggregate, BoundGap, NetworkModel, RailPolicy, Schedule, SharedCostCache,
 };
 use mre_slurm::Distribution;
-use mre_workloads::microbench::{Collective, Microbench};
+use mre_workloads::microbench::Microbench;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-fn network_for(machine: &Hierarchy, nics: usize, policy: RailPolicy) -> Option<NetworkModel> {
-    let base = match machine.levels() {
-        [nodes, 2, 2, 8] => hydra_network(*nodes, 1),
-        [nodes, 2, 4, 2, 8] => lumi_network(*nodes),
-        _ => return None,
-    };
-    Some(if nics > 1 {
-        base.with_node_rails(nics, policy)
-    } else {
-        base
-    })
-}
-
-/// Extracts `--flag VALUE` from `args`, parsing with `parse`.
-fn take_value_flag<T>(
-    args: &mut Vec<String>,
-    flag: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(1);
-    }
-    let Some(v) = parse(&args[i + 1]) else {
-        eprintln!("bad {flag} value {:?}", args[i + 1]);
-        std::process::exit(1);
-    };
-    args.drain(i..=i + 1);
-    Some(v)
-}
-
-/// Positional argument `i` parsed as `T`, or `default` when it is absent;
-/// exits with a message when it does not parse.
-fn positional<T: std::str::FromStr>(args: &[String], i: usize, name: &str, default: T) -> T {
-    let Some(text) = args.get(i) else {
-        return default;
-    };
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("bad {name} {text:?}: expected a non-negative integer");
-        std::process::exit(1);
-    })
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let pruned_mode = args.iter().any(|a| a == "--pruned");
-    args.retain(|a| a != "--pruned");
-    let fluid_mode = args.iter().any(|a| a == "--fluid");
-    args.retain(|a| a != "--fluid");
-    let congestion_mode = args.iter().any(|a| a == "--congestion");
-    args.retain(|a| a != "--congestion");
-    let nics = take_value_flag(&mut args, "--nics", |v| {
-        v.parse::<usize>().ok().filter(|&n| n >= 1)
-    })
-    .unwrap_or(1);
-    let policy = take_value_flag(&mut args, "--rail-policy", RailPolicy::parse).unwrap_or_default();
-    // Explicit worker-pool width: --threads beats MRE_PAR_THREADS beats
-    // the autodetected core count. Must run before the pool's first use.
-    if let Some(n) = take_value_flag(&mut args, "--threads", |v| {
-        v.parse::<usize>().ok().filter(|&n| n >= 1)
-    }) {
-        mre_core::par::set_threads(n);
-    }
+    cli::or_exit(run(), 1)
+}
+
+fn run() -> Result<(), String> {
+    let (mut pruned_mode, mut fluid_mode, mut congestion_mode) = (false, false, false);
+    let (mut nics, mut policy) = (1, RailPolicy::default());
     // Which tight rung the pruned search runs: the per-rail histogram
     // bound (default; dominates on railed fabrics) or none — leaving the
     // cheap aggregate rung alone, for before/after pruning comparisons.
-    let per_rail_bound = take_value_flag(&mut args, "--bound", |v| match v {
-        "aggregate" => Some(false),
-        "per-rail" => Some(true),
-        _ => None,
-    })
-    .unwrap_or(true);
-    // Whatever is left must be positional: a misspelt flag (`--policy`
-    // for `--rail-policy`, `--flud`) must not silently run the defaults.
-    if let Some(flag) = args[1..].iter().find(|a| a.starts_with("--")) {
-        eprintln!("unknown flag {flag:?}");
-        std::process::exit(1);
-    }
-    if args.len() > 5 {
-        eprintln!(
-            "unexpected argument {:?}: at most HIERARCHY SUBCOMM COLLECTIVE SIZE_BYTES",
-            args[5]
-        );
-        std::process::exit(1);
-    }
-    let hierarchy_text = args.get(1).map(String::as_str).unwrap_or("16,2,2,8");
-    let subcomm = positional(&args, 2, "subcommunicator size", 16usize);
-    let collective_name = args.get(3).map(String::as_str).unwrap_or("alltoall");
-    let size = positional(&args, 4, "message size", 4u64 << 20);
-
-    let machine = match Hierarchy::parse(hierarchy_text) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("bad hierarchy {hierarchy_text:?}: {e}");
-            std::process::exit(1);
+    let mut per_rail_bound = true;
+    let mut positionals: Vec<String> = Vec::new();
+    cli::parse_flags(std::env::args().skip(1), None, |flag, rest| {
+        match flag {
+            "--pruned" => pruned_mode = true,
+            "--fluid" => fluid_mode = true,
+            "--congestion" => congestion_mode = true,
+            "--nics" => nics = rest.count(flag)?,
+            "--rail-policy" => policy = cli::rail_policy(&rest.value(flag)?)?,
+            // Explicit worker-pool width: --threads beats MRE_PAR_THREADS
+            // beats the autodetected core count. Must run before the pool's
+            // first use.
+            "--threads" => mre_core::par::set_threads(rest.count(flag)?),
+            "--bound" => {
+                per_rail_bound = match rest.value(flag)?.as_str() {
+                    "aggregate" => false,
+                    "per-rail" => true,
+                    other => return Err(format!("bad --bound value {other:?}")),
+                }
+            }
+            // A misspelt flag (`--policy` for `--rail-policy`, `--flud`)
+            // must not silently run the defaults.
+            _ if flag.starts_with("--") => return Ok(false),
+            _ => positionals.push(flag.to_string()),
         }
-    };
-    let Some(net) = network_for(&machine, nics, policy) else {
-        eprintln!(
-            "no calibrated network for {machine}; use nodes,2,2,8 (Hydra) or nodes,2,4,2,8 (LUMI)"
-        );
-        std::process::exit(1);
-    };
-    let Some(collective) = Collective::parse(collective_name) else {
-        eprintln!(
-            "unknown collective {collective_name:?} ({})",
-            Collective::NAMES
-        );
-        std::process::exit(1);
-    };
-    if subcomm == 0 || machine.size() % subcomm != 0 {
-        eprintln!(
-            "subcommunicator size {subcomm} must divide {}",
-            machine.size()
-        );
-        std::process::exit(1);
+        Ok(true)
+    })?;
+    if let Some(extra) = positionals.get(4) {
+        return Err(format!(
+            "unexpected argument {extra:?}: at most HIERARCHY SUBCOMM COLLECTIVE SIZE_BYTES"
+        ));
     }
+    let hierarchy_text = positionals
+        .first()
+        .map(String::as_str)
+        .unwrap_or("16,2,2,8");
+    let subcomm = positionals
+        .get(1)
+        .map_or(Ok(16), |t| cli::number("subcommunicator size", t))?;
+    let collective_name = positionals.get(2).map(String::as_str).unwrap_or("alltoall");
+    let size = positionals
+        .get(3)
+        .map_or(Ok(4 << 20), |t| cli::number("message size", t))?;
+
+    let machine = Hierarchy::parse(hierarchy_text)
+        .map_err(|e| format!("bad hierarchy {hierarchy_text:?}: {e}"))?;
+    let net = cli::shaped_network(&machine, nics, policy)?;
+    let collective = cli::collective(collective_name)?;
+    cli::check_subcomm(&machine, subcomm)?;
 
     println!(
         "machine {machine} ({} cores), {collective_name}, {} comms x {subcomm} procs, {} bytes",
@@ -207,74 +147,74 @@ fn main() {
             "contended"
         }
     );
-    let bench_for = |sigma: &Permutation| Microbench {
-        machine: machine.clone(),
-        order: sigma.clone(),
-        subcomm_size: subcomm,
-        collective,
-        total_bytes: size,
-    };
     let schedules_for = |sigma: &Permutation| -> Vec<Schedule> {
-        bench_for(sigma)
+        let bench = Microbench {
+            machine: machine.clone(),
+            order: sigma.clone(),
+            subcomm_size: subcomm,
+            collective,
+            total_bytes: size,
+        };
+        bench
             .layout_schedules(ColorScheme::Quotient, nics)
             .expect("valid configuration")
             .1
     };
-    let cost = |sigma: &Permutation| {
-        if fluid_mode {
-            fluid_time(&net, &schedules_for(sigma))
+    // Per candidate, both modes build the schedules once and cost the
+    // concurrent run of all subcommunicators through one memo. The pruned
+    // mode bounds the prepared schedules first: the cheap aggregate rung
+    // (which orders the frontier), then the per-rail histogram rung, and
+    // pays the full contention solve only for candidates both rungs
+    // admit. Both bounds are admissible lower bounds on the contended
+    // duration — under the lockstep model, physics bounds of the merged
+    // schedule all subcommunicators execute concurrently; under the fluid
+    // model, the barrier-free bounds (max of per-job bounds and the pooled
+    // per-level byte bound).
+    struct Prepared {
+        all: Vec<Schedule>,
+        merged: Schedule,
+    }
+    let prepare = |sigma: &Permutation| {
+        let all = schedules_for(sigma);
+        let merged = if fluid_mode {
+            Schedule::new() // the fluid engine and rungs work on the job set
         } else {
-            bench_for(sigma)
-                .run(&net)
-                .expect("valid configuration")
-                .simultaneous_duration
+            Schedule::lockstep(&all)
+        };
+        Prepared { all, merged }
+    };
+    // Full costs are memoized under (model fingerprint, pattern, payload)
+    // so repeated patterns never re-solve contention.
+    let cache = SharedCostCache::new();
+    let fluid_key = |all: &[Schedule]| -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for s in all {
+            s.pattern_fingerprint().hash(&mut h);
+        }
+        h.finish()
+    };
+    let cost = |p: &Prepared| {
+        if fluid_mode {
+            cache.time_keyed(&net, fluid_key(&p.all), size, || fluid_time(&net, &p.all))
+        } else {
+            // Round-interned costing: rounds shared between candidate
+            // patterns (and across repeated patterns) resolve from the
+            // per-round memo without a new contention solve — bit-identical
+            // to schedule_time.
+            cache.schedule_time_rounds(&net, &p.merged, size)
         }
     };
     let (ranked, prune_stats) = if pruned_mode {
-        // Per candidate: build the schedules once, bound them with the
-        // cheap aggregate rung (which orders the frontier), re-check the
-        // survivors with the per-rail histogram rung, and pay the full
-        // contention solve only for candidates both rungs admit. Both
-        // bounds are admissible lower bounds on the contended duration —
-        // under the lockstep model, physics bounds of the merged schedule
-        // all subcommunicators execute concurrently; under the fluid
-        // model, the barrier-free bounds (max of per-job bounds and the
-        // pooled per-level byte bound).
-        struct Prepared {
-            all: Vec<Schedule>,
-            merged: Schedule,
-        }
-        // Full costs are memoized under (model fingerprint, pattern,
-        // payload) so the --congestion re-probes and repeated patterns
-        // never re-solve contention.
-        let cache = SharedCostCache::new();
         // The ladder-vs-cost time split: wall time in the bound rungs
         // (schedule construction + both bounds) vs in full contention
         // solves, summed across workers.
         let bound_ns = AtomicU64::new(0);
         let cost_ns = AtomicU64::new(0);
-        let fluid_key = |all: &[Schedule]| -> u64 {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for s in all {
-                s.pattern_fingerprint().hash(&mut h);
-            }
-            h.finish()
-        };
         let result = rank_orders_pruned_ladder(
             &machine,
             subcomm,
-            |sigma| {
-                timed(&bound_ns, || {
-                    let all = schedules_for(sigma);
-                    let merged = if fluid_mode {
-                        Schedule::new() // the fluid rungs work on the job set
-                    } else {
-                        Schedule::lockstep(&all)
-                    };
-                    Prepared { all, merged }
-                })
-            },
+            |sigma| timed(&bound_ns, || prepare(sigma)),
             |_, p| {
                 timed(&bound_ns, || {
                     if fluid_mode {
@@ -297,20 +237,7 @@ fn main() {
                     }
                 })
             },
-            |_, p| {
-                timed(&cost_ns, || {
-                    if fluid_mode {
-                        cache.time_keyed(&net, fluid_key(&p.all), size, || fluid_time(&net, &p.all))
-                    } else {
-                        // Round-interned costing: rounds shared between
-                        // candidate patterns (and across repeated
-                        // patterns) resolve from the per-round memo
-                        // without a new contention solve — bit-identical
-                        // to schedule_time.
-                        cache.schedule_time_rounds(&net, &p.merged, size)
-                    }
-                })
-            },
+            |_, p| timed(&cost_ns, || cost(p)),
         )
         .expect("valid configuration");
         println!(
@@ -333,7 +260,8 @@ fn main() {
         );
         (result.ranked, Some(result.stats))
     } else {
-        let ranked = rank_orders_by_par(&machine, subcomm, cost).expect("valid configuration");
+        let ranked = rank_orders_by_par(&machine, subcomm, |sigma| cost(&prepare(sigma)))
+            .expect("valid configuration");
         (ranked, None)
     };
 
@@ -387,6 +315,7 @@ fn main() {
             }
         }
     }
+    Ok(())
 }
 
 /// Runs `f`, adding its wall time to `ns`.
@@ -395,28 +324,6 @@ fn timed<R>(ns: &AtomicU64, f: impl FnOnce() -> R) -> R {
     let r = f();
     ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     r
-}
-
-/// Probes one order's concurrent run and returns its per-level bound gaps
-/// plus rail-imbalance indices.
-fn probe_order(
-    net: &NetworkModel,
-    schedules: &[Schedule],
-    fluid_mode: bool,
-) -> (Vec<BoundGap>, Vec<f64>) {
-    let mut probe = CongestionProbe::new(net);
-    let gaps = if fluid_mode {
-        FluidSim::new(net).run_probed(schedules, &mut probe);
-        bound_gap_fluid(net, schedules, &probe)
-    } else {
-        let merged = Schedule::lockstep(schedules);
-        net.schedule_time_probed(&merged, &mut probe);
-        bound_gap_lockstep(net, &merged, &probe)
-    };
-    let imbalance = (0..net.hierarchy().depth())
-        .map(|level| probe.rail_imbalance(level))
-        .collect();
-    (gaps, imbalance)
 }
 
 /// Re-runs the winner and another order with a congestion probe attached
@@ -431,8 +338,8 @@ fn print_congestion_comparison(
     schedules_for: &impl Fn(&Permutation) -> Vec<Schedule>,
     fluid_mode: bool,
 ) {
-    let (w_gaps, w_imb) = probe_order(net, &schedules_for(winner), fluid_mode);
-    let (r_gaps, r_imb) = probe_order(net, &schedules_for(other), fluid_mode);
+    let probe = |sigma| cli::probed_run(net, &schedules_for(sigma), fluid_mode);
+    let ((w_probe, _, w_gaps), (r_probe, _, r_gaps)) = (probe(winner), probe(other));
     println!(
         "\ncongestion: winner [{winner}] vs {rival} [{other}] \
          (per-level bound gap, rail imbalance)"
@@ -445,7 +352,6 @@ fn print_congestion_comparison(
         "winner imb",
         format!("{column} imb")
     );
-    let names = net.hierarchy().names();
     for level in 0..net.hierarchy().depth() {
         let pct = |g: &BoundGap| {
             if g.actual > 0.0 {
@@ -456,14 +362,11 @@ fn print_congestion_comparison(
         };
         println!(
             "  {:<10} {:>12.1}% {:>12.1}% {:>12.3} {:>12.3}",
-            names
-                .get(level)
-                .cloned()
-                .unwrap_or_else(|| format!("level-{level}")),
+            net.hierarchy().name(level),
             pct(&w_gaps[level]),
             pct(&r_gaps[level]),
-            w_imb[level],
-            r_imb[level],
+            w_probe.rail_imbalance(level),
+            r_probe.rail_imbalance(level),
         );
     }
 }

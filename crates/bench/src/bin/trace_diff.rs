@@ -38,32 +38,34 @@
 //! normalised per-level skews (does contention bite where the model says
 //! it does?).
 
-use mre_core::Hierarchy;
-use mre_simnet::presets::{hydra_network, lumi_network};
-use mre_simnet::{NetworkModel, Schedule};
+use mre_bench::cli::{self, Setup};
+use mre_simnet::Schedule;
 use mre_trace::{
     chrome_trace_json_with_metrics, diff_traces, metrics_csv, metrics_stream_csv, schedule_trace,
     DiffOptions, MetricsRegistry, Recorder,
 };
 use mre_workloads::cg::{cg_comm_schedule, cg_distributed_instrumented, generate_matrix};
-use mre_workloads::microbench::{
-    microbench_collective_instrumented, microbench_comm_schedule, Collective,
-};
+use mre_workloads::microbench::{microbench_collective_instrumented, microbench_comm_schedule};
 use mre_workloads::splatt::{cpd_comm_schedule, cpd_distributed_instrumented, generate_tensor};
 use mre_workloads::stencil::{stencil_distributed_instrumented, Stencil};
 
+const USAGE: &str = "trace_diff [--machine hydra|lumi] [--workload cg|stencil|cpd|micro] \
+                     [--nodes N] [--procs P] [--n N] [--iters K] [--dims AxBxC] \
+                     [--face-bytes B] [--cp-rank R] \
+                     [--collective alltoall|allreduce|allgather] [--bytes B] \
+                     [--snapshot-every E] [--csv FILE.csv] [--metrics-csv FILE.csv] \
+                     [--stream-csv FILE.csv] [--out FILE.json]";
+
 struct Options {
-    machine: String,
+    /// `--machine`, `--nodes`, `--collective` and `--bytes`.
+    setup: Setup,
     workload: String,
-    nodes: usize,
     procs: usize,
     n: usize,
     iters: usize,
     dims: Vec<usize>,
     face_bytes: u64,
     cp_rank: usize,
-    collective: String,
-    bytes: u64,
     snapshot_every: Option<u64>,
     csv_out: Option<String>,
     metrics_out: Option<String>,
@@ -71,109 +73,54 @@ struct Options {
     out: Option<String>,
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        machine: "hydra".into(),
+        setup: Setup {
+            nodes: 1,
+            bytes: 1 << 20,
+            ..Setup::default()
+        },
         workload: "cg".into(),
-        nodes: 1,
         procs: 4,
         n: 256,
         iters: 10,
         dims: vec![2, 4],
         face_bytes: 4096,
         cp_rank: 4,
-        collective: "alltoall".into(),
-        bytes: 1 << 20,
         snapshot_every: None,
         csv_out: None,
         metrics_out: None,
         stream_out: None,
         out: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |name: &str| -> String {
-            i += 1;
-            args.get(i)
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        let parse_usize = |name: &str, text: String| -> usize {
-            text.parse().unwrap_or_else(|e| {
-                eprintln!("bad {name}: {e}");
-                std::process::exit(2);
-            })
-        };
+    cli::parse_flags(std::env::args().skip(1), Some(USAGE), |flag, args| {
         match flag {
-            "--machine" => opts.machine = value("--machine"),
-            "--workload" => opts.workload = value("--workload"),
-            "--nodes" => {
-                opts.nodes = parse_usize("--nodes", value("--nodes"));
-                if opts.nodes == 0 {
-                    eprintln!("bad --nodes (need an integer >= 1)");
-                    std::process::exit(2);
-                }
+            "--machine" | "--nodes" | "--collective" | "--bytes" => {
+                return opts.setup.flag(flag, args)
             }
-            "--procs" => opts.procs = parse_usize("--procs", value("--procs")),
-            "--n" => opts.n = parse_usize("--n", value("--n")),
-            "--iters" => opts.iters = parse_usize("--iters", value("--iters")),
+            "--workload" => opts.workload = args.value(flag)?,
+            "--procs" => opts.procs = args.number(flag)?,
+            "--n" => opts.n = args.number(flag)?,
+            "--iters" => opts.iters = args.number(flag)?,
             "--dims" => {
-                let text = value("--dims");
-                opts.dims = text
+                opts.dims = args
+                    .value(flag)?
                     .split('x')
-                    .map(|d| parse_usize("--dims", d.to_string()))
-                    .collect();
+                    .map(|d| cli::number(flag, d))
+                    .collect::<Result<_, _>>()?
             }
-            "--face-bytes" => {
-                opts.face_bytes = parse_usize("--face-bytes", value("--face-bytes")) as u64
-            }
-            "--cp-rank" => opts.cp_rank = parse_usize("--cp-rank", value("--cp-rank")),
-            "--collective" => opts.collective = value("--collective"),
-            "--bytes" => opts.bytes = parse_usize("--bytes", value("--bytes")) as u64,
-            "--snapshot-every" => {
-                let every = parse_usize("--snapshot-every", value("--snapshot-every"));
-                if every == 0 {
-                    eprintln!("bad --snapshot-every (need an integer >= 1)");
-                    std::process::exit(2);
-                }
-                opts.snapshot_every = Some(every as u64);
-            }
-            "--csv" => opts.csv_out = Some(value("--csv")),
-            "--metrics-csv" => opts.metrics_out = Some(value("--metrics-csv")),
-            "--stream-csv" => opts.stream_out = Some(value("--stream-csv")),
-            "--out" => opts.out = Some(value("--out")),
-            "--help" | "-h" => {
-                println!(
-                    "trace_diff [--machine hydra|lumi] [--workload cg|stencil|cpd|micro] \
-                     [--nodes N] [--procs P] [--n N] [--iters K] [--dims AxBxC] \
-                     [--face-bytes B] [--cp-rank R] \
-                     [--collective alltoall|allreduce|allgather] [--bytes B] \
-                     [--snapshot-every E] [--csv FILE.csv] [--metrics-csv FILE.csv] \
-                     [--stream-csv FILE.csv] [--out FILE.json]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            "--face-bytes" => opts.face_bytes = args.number(flag)?,
+            "--cp-rank" => opts.cp_rank = args.number(flag)?,
+            "--snapshot-every" => opts.snapshot_every = Some(args.count(flag)? as u64),
+            "--csv" => opts.csv_out = Some(args.value(flag)?),
+            "--metrics-csv" => opts.metrics_out = Some(args.value(flag)?),
+            "--stream-csv" => opts.stream_out = Some(args.value(flag)?),
+            "--out" => opts.out = Some(args.value(flag)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    opts
-}
-
-fn network_for(machine: &str, nodes: usize) -> Option<NetworkModel> {
-    match machine {
-        "hydra" => Some(hydra_network(nodes, 1)),
-        "lumi" => Some(lumi_network(nodes)),
-        _ => None,
-    }
+        Ok(true)
+    })?;
+    Ok(opts)
 }
 
 /// Runs the selected workload under `recorder`/`metrics` and returns its
@@ -184,8 +131,9 @@ fn run_workload(
     cores: &[usize],
     recorder: &Recorder,
     metrics: &MetricsRegistry,
-) -> (Schedule, String) {
-    match opts.workload.as_str() {
+) -> Result<(Schedule, String), String> {
+    let bytes = opts.setup.bytes;
+    Ok(match opts.workload.as_str() {
         "cg" => {
             let a = generate_matrix(opts.n, 7, 20.0, 42);
             let b = vec![1.0; opts.n];
@@ -252,80 +200,72 @@ fn run_workload(
             )
         }
         "micro" => {
-            let Some(collective) = Collective::parse(&opts.collective) else {
-                eprintln!(
-                    "unknown collective {:?} ({})",
-                    opts.collective,
-                    Collective::NAMES
-                );
-                std::process::exit(2);
-            };
+            let collective = cli::collective(&opts.setup.collective)?;
             let checksums = microbench_collective_instrumented(
                 collective,
-                opts.bytes,
+                bytes,
                 opts.iters,
                 procs,
                 Some(recorder),
                 Some(metrics),
             );
-            let schedule = microbench_comm_schedule(collective, cores, opts.bytes, opts.iters);
+            let schedule = microbench_comm_schedule(collective, cores, bytes, opts.iters);
             (
                 schedule,
                 format!(
                     "{} rank-0 checksum after {} calls: {:.6e}",
-                    opts.collective,
+                    opts.setup.collective,
                     opts.iters,
                     checksums.first().copied().unwrap_or(f64::NAN)
                 ),
             )
         }
-        other => {
-            eprintln!("unknown workload {other:?} (cg|stencil|cpd|micro)");
-            std::process::exit(2);
-        }
-    }
+        other => return Err(format!("unknown workload {other:?} (cg|stencil|cpd|micro)")),
+    })
 }
 
 fn main() {
-    let opts = parse_args();
-    let Some(net) = network_for(&opts.machine, opts.nodes) else {
-        eprintln!("unknown machine {:?} (hydra|lumi)", opts.machine);
-        std::process::exit(2);
-    };
-    let machine: Hierarchy = net.hierarchy().clone();
+    cli::or_exit(run(), 2)
+}
+
+fn run() -> Result<(), String> {
+    let opts = parse_args()?;
+    let net = opts.setup.network()?;
+    let machine = net.hierarchy();
 
     // The stencil and CPD grids fix their own rank counts; CG and the
     // microbenches take --procs.
     let procs = match opts.workload.as_str() {
         "stencil" => {
             if opts.dims.is_empty() || opts.dims.contains(&0) {
-                eprintln!("--dims must name a non-empty grid of positive extents");
-                std::process::exit(2);
+                return Err("--dims must name a non-empty grid of positive extents".into());
             }
             opts.dims.iter().product()
         }
         "cpd" => {
             if opts.dims.len() != 3 || opts.dims.contains(&0) {
-                eprintln!("--dims must name a 3D process grid of positive extents for cpd");
-                std::process::exit(2);
+                return Err(
+                    "--dims must name a 3D process grid of positive extents for cpd".into(),
+                );
             }
             opts.dims.iter().product()
         }
         _ => opts.procs,
     };
     if procs == 0 || procs > machine.size() {
-        eprintln!(
+        return Err(format!(
             "workload needs {} procs, must be in 1..={} ({} with {} nodes)",
             procs,
             machine.size(),
-            opts.machine,
-            opts.nodes
-        );
-        std::process::exit(2);
+            opts.setup.machine,
+            opts.setup.nodes
+        ));
     }
     if opts.workload == "cg" && opts.n < opts.procs {
-        eprintln!("--n {} must be at least --procs {}", opts.n, opts.procs);
-        std::process::exit(2);
+        return Err(format!(
+            "--n {} must be at least --procs {}",
+            opts.n, opts.procs
+        ));
     }
 
     // Rank r lives on core r: ranks fill the machine depth-first, so the
@@ -352,7 +292,7 @@ fn main() {
         // While the guard lives, the contention solver and timeline byte
         // accounting below also feed the registry.
         let _telemetry = metrics.install_telemetry();
-        let (schedule, result_line) = run_workload(&opts, procs, &cores, &recorder, &metrics);
+        let (schedule, result_line) = run_workload(&opts, procs, &cores, &recorder, &metrics)?;
 
         // Costed counterpart: the same message sequence, scheduled and
         // priced on the machine model.
@@ -360,7 +300,7 @@ fn main() {
             .schedule_timeline(&schedule)
             .expect("canonical schedule");
         let wall = recorder.take_trace();
-        let sim = schedule_trace(&machine, &timeline, &format!("{}:costed", opts.workload));
+        let sim = schedule_trace(machine, &timeline, &format!("{}:costed", opts.workload));
         println!(
             "wall: {} events; costed: {} rounds, {} messages, {:.3} us simulated",
             wall.events.len(),
@@ -379,49 +319,34 @@ fn main() {
         println!("\n{}", diff.text_report());
 
         if let Some(path) = &opts.csv_out {
-            std::fs::write(path, diff.csv()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            cli::write_or_exit(path, diff.csv());
             println!("wrote span diff CSV to {path}");
         }
         if let Some(path) = &opts.out {
-            std::fs::write(
+            cli::write_or_exit(
                 path,
                 chrome_trace_json_with_metrics(&wall, &metrics.snapshot()),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            );
             println!("wrote wall-clock Chrome trace_event JSON to {path}");
         }
         println!("{result_line}");
     }
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, metrics_csv(&metrics.snapshot())).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        cli::write_or_exit(path, metrics_csv(&metrics.snapshot()));
         println!("wrote metrics CSV to {path}");
     }
     if let Some(path) = &opts.stream_out {
         match metrics.take_stream() {
             Some(stream) => {
-                std::fs::write(path, metrics_stream_csv(&stream)).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
+                cli::write_or_exit(path, metrics_stream_csv(&stream));
                 println!(
                     "wrote {} streamed snapshots (every {} events) to {path}",
                     stream.snapshots.len(),
                     stream.every
                 );
             }
-            None => {
-                eprintln!("--stream-csv needs --snapshot-every to enable streaming");
-                std::process::exit(2);
-            }
+            None => return Err("--stream-csv needs --snapshot-every to enable streaming".into()),
         }
     }
+    Ok(())
 }

@@ -24,81 +24,39 @@
 //! trace_report --nodes 32 --order 0-1-2-3 --subcomm 16 --fluid
 //! ```
 
-use mre_core::subcomm::ColorScheme;
-use mre_core::{Hierarchy, Permutation};
+use mre_bench::cli::{self, Setup};
 use mre_mpi::AlgorithmSelector;
-use mre_simnet::presets::{hydra_network, lumi_network};
-use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
+use mre_simnet::{Schedule, SharedCostCache};
 use mre_trace::{
     chrome_trace_json, concurrent_schedule_trace, critical_path, csv, level_occupancy,
     rank_activity,
 };
-use mre_workloads::microbench::{Collective, Microbench};
+
+const USAGE: &str = "trace_report [--machine hydra|lumi] [--nodes N] \
+                     [--collective alltoall|allreduce|allgather] [--order SPEC] \
+                     [--subcomm N] [--bytes N] [--autotune] [--fluid] [--out FILE.json] \
+                     [--csv FILE.csv]";
 
 struct Options {
-    machine: String,
-    nodes: usize,
-    collective: String,
-    order: Option<String>,
-    subcomm: usize,
-    bytes: u64,
+    setup: Setup,
     autotune: bool,
     fluid: bool,
     out: Option<String>,
     csv_out: Option<String>,
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        machine: "hydra".into(),
-        nodes: 16,
-        collective: "alltoall".into(),
-        order: None,
-        subcomm: 16,
-        bytes: 4 << 20,
+        setup: Setup::default(),
         autotune: false,
         fluid: false,
         out: None,
         csv_out: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |name: &str| -> String {
-            i += 1;
-            args.get(i)
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
+    cli::parse_flags(std::env::args().skip(1), Some(USAGE), |flag, args| {
         match flag {
-            "--machine" => opts.machine = value("--machine"),
-            "--nodes" => {
-                opts.nodes = value("--nodes")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --nodes (need an integer >= 1)");
-                        std::process::exit(2);
-                    })
-            }
-            "--collective" => opts.collective = value("--collective"),
-            "--order" => opts.order = Some(value("--order")),
-            "--subcomm" => {
-                opts.subcomm = value("--subcomm").parse().unwrap_or_else(|e| {
-                    eprintln!("bad --subcomm: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--bytes" => {
-                opts.bytes = value("--bytes").parse().unwrap_or_else(|e| {
-                    eprintln!("bad --bytes: {e}");
-                    std::process::exit(2);
-                })
+            "--machine" | "--nodes" | "--collective" | "--order" | "--subcomm" | "--bytes" => {
+                return opts.setup.flag(flag, args)
             }
             "--autotune" => opts.autotune = true,
             "--fluid" => {
@@ -106,97 +64,32 @@ fn parse_args() -> Options {
                 opts.autotune = true;
                 opts.fluid = true;
             }
-            "--out" => opts.out = Some(value("--out")),
-            "--csv" => opts.csv_out = Some(value("--csv")),
-            "--help" | "-h" => {
-                println!(
-                    "trace_report [--machine hydra|lumi] [--nodes N] \
-                     [--collective alltoall|allreduce|allgather] [--order SPEC] \
-                     [--subcomm N] [--bytes N] [--autotune] [--fluid] [--out FILE.json] \
-                     [--csv FILE.csv]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            "--out" => opts.out = Some(args.value(flag)?),
+            "--csv" => opts.csv_out = Some(args.value(flag)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    opts
-}
-
-fn network_for(machine: &str, nodes: usize) -> Option<NetworkModel> {
-    match machine {
-        "hydra" => Some(hydra_network(nodes, 1)),
-        "lumi" => Some(lumi_network(nodes)),
-        _ => None,
-    }
+        Ok(true)
+    })?;
+    Ok(opts)
 }
 
 fn main() {
-    let opts = parse_args();
-    if opts.autotune && opts.bytes >= AlgorithmSelector::MAX_TOTAL_BYTES {
-        eprintln!(
-            "bad --bytes {}: autotuning needs a payload below 2^61 bytes",
-            opts.bytes
-        );
-        std::process::exit(2);
-    }
-    let Some(net) = network_for(&opts.machine, opts.nodes) else {
-        eprintln!("unknown machine {:?} (hydra|lumi)", opts.machine);
-        std::process::exit(2);
-    };
-    let machine: Hierarchy = net.hierarchy().clone();
-    let order = match &opts.order {
-        None => Permutation::identity(machine.depth()),
-        Some(text) => Permutation::parse(text).unwrap_or_else(|e| {
-            eprintln!("bad --order {text:?}: {e}");
-            std::process::exit(2);
-        }),
-    };
-    if order.len() != machine.depth() {
-        eprintln!(
-            "order has {} levels but {} ({} levels) needs {}",
-            order.len(),
-            opts.machine,
-            machine.depth(),
-            machine.depth()
-        );
-        std::process::exit(2);
-    }
-    let Some(collective) = Collective::parse(&opts.collective) else {
-        eprintln!(
-            "unknown collective {:?} ({})",
-            opts.collective,
-            Collective::NAMES
-        );
-        std::process::exit(2);
-    };
-    if opts.subcomm == 0 || !machine.size().is_multiple_of(opts.subcomm) {
-        eprintln!(
-            "subcommunicator size {} must divide {}",
-            opts.subcomm,
-            machine.size()
-        );
-        std::process::exit(2);
-    }
+    cli::or_exit(run(), 2)
+}
 
-    let bench = Microbench {
-        machine: machine.clone(),
-        order: order.clone(),
-        subcomm_size: opts.subcomm,
-        collective,
-        total_bytes: opts.bytes,
-    };
+fn run() -> Result<(), String> {
+    let opts = parse_args()?;
+    let bytes = opts.setup.bytes;
+    if opts.autotune && bytes >= AlgorithmSelector::MAX_TOTAL_BYTES {
+        return Err(format!(
+            "bad --bytes {bytes}: autotuning needs a payload below 2^61 bytes"
+        ));
+    }
+    let net = opts.setup.network()?;
+    let machine = net.hierarchy();
+    let mut one = opts.setup.one_order(&net)?;
+    let (layout, collective) = (&one.layout, one.bench.collective);
     let nics = net.node_rails();
-    let (layout, mut schedules) = bench
-        .layout_schedules(ColorScheme::Quotient, nics)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build subcommunicators: {e}");
-            std::process::exit(2);
-        });
     // Every subcommunicator runs the collective concurrently: merge the
     // per-communicator schedules round-for-round so they contend for the
     // shared links. With --autotune the size-based Auto policy is replaced
@@ -206,14 +99,14 @@ fn main() {
         let cache = SharedCostCache::new();
         let selector = AlgorithmSelector::new(&net, &cache);
         let comms = layout.comms();
-        let barrier_choices = selector.select_layout(collective, comms, opts.bytes);
+        let barrier_choices = selector.select_layout(collective, comms, bytes);
         let choices: Vec<_> = if opts.fluid {
             // Re-select under the barrier-free fluid engine: candidate
             // schedules are costed with FluidSim instead of the lockstep
             // round model, so intra-communicator pipelining counts.
             comms
                 .iter()
-                .map(|members| selector.select_fluid(collective, members, opts.bytes))
+                .map(|members| selector.select_fluid(collective, members, bytes))
                 .collect()
         } else {
             barrier_choices.clone()
@@ -235,7 +128,7 @@ fn main() {
                 choice.evaluated,
                 choice.skipped
             );
-            schedules[c] = choice.alg.schedule(&comms[c], opts.bytes, nics);
+            one.schedules[c] = choice.alg.schedule(&comms[c], bytes, nics).canonicalized();
         }
         if opts.fluid {
             let flips: Vec<usize> = (0..comms.len())
@@ -264,23 +157,13 @@ fn main() {
         let (hits, misses) = cache.stats();
         println!("  cost cache: {hits} hits, {misses} misses\n");
     }
-    let schedules: Vec<Schedule> = schedules.iter().map(Schedule::canonicalized).collect();
-    let groups: Vec<(String, Vec<usize>)> = (0..layout.count())
-        .map(|c| (format!("comm {c}"), layout.members(c).to_vec()))
-        .collect();
-    let schedule = Schedule::lockstep(&schedules);
+    let schedule = Schedule::lockstep(&one.schedules);
     let timeline = net
         .schedule_timeline(&schedule)
         .expect("canonical schedule");
-    let label = format!("{}:{}", opts.collective, opts.machine);
+    let label = format!("{}:{}", opts.setup.collective, opts.setup.machine);
 
-    println!(
-        "machine {machine} ({} cores), order [{order}], {} comms x {} procs, {} bytes",
-        machine.size(),
-        layout.count(),
-        opts.subcomm,
-        opts.bytes
-    );
+    println!("{}", one.header());
     println!(
         "schedule: {} rounds, {} messages, {} payload bytes",
         schedule.num_rounds(),
@@ -293,7 +176,7 @@ fn main() {
         layout.count()
     );
 
-    let cp = critical_path(&machine, &timeline);
+    let cp = critical_path(machine, &timeline);
     println!("critical path ({} hops):", cp.hops.len());
     println!(
         "  {:>5}  {:>14}  {:>12}  {:>10}  level",
@@ -315,7 +198,7 @@ fn main() {
         cp.total_time * 1e6
     );
 
-    let occ = level_occupancy(&machine, &timeline);
+    let occ = level_occupancy(machine, &timeline);
     println!("link occupancy by crossing level:");
     for (j, name) in occ.level_names.iter().enumerate() {
         let totals = occ.total_bytes_crossing();
@@ -352,19 +235,14 @@ fn main() {
         );
     }
 
-    let trace = concurrent_schedule_trace(&machine, &timeline, &label, &groups);
+    let trace = concurrent_schedule_trace(machine, &timeline, &label, &one.groups);
     if let Some(path) = &opts.out {
-        std::fs::write(path, chrome_trace_json(&trace)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        cli::write_or_exit(path, chrome_trace_json(&trace));
         println!("\nwrote Chrome trace_event JSON to {path} (load in Perfetto)");
     }
     if let Some(path) = &opts.csv_out {
-        std::fs::write(path, csv(&trace)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        cli::write_or_exit(path, csv(&trace));
         println!("wrote CSV to {path}");
     }
+    Ok(())
 }

@@ -4,7 +4,9 @@
 //! shared sweep-and-format utilities in this library, plus the
 //! `order_sweep`, `trace_report`, `trace_diff` and `congestion_report`
 //! tools and a dependency-free timing of one point per figure
-//! (`benches/figures.rs`, built on [`tinybench`]). End-to-end timing of
+//! (`benches/figures.rs`, built on [`tinybench`]). The four tools share
+//! one front end, [`cli`]: the flag loop, the shared flag parsers, the
+//! machine → network rule and the one-order subcommunicator setup. End-to-end timing of
 //! the order-search pipeline is the seeded `perf` benchmark, a package of
 //! its own under `src/bin/perf/`.
 //!
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod tinybench;
 
 use mre_core::metrics::characterize_order;

@@ -175,3 +175,82 @@ fn pruned_congestion_says_the_runner_up_was_pruned_not_missing() {
     );
     assert!(!stdout.contains("only one equivalence class"), "{stdout}");
 }
+
+#[test]
+fn shared_flag_errors_keep_each_binary_exit_code() {
+    // The four CLIs share their flag rules; each keeps its own exit code
+    // (1 for order_sweep, 2 for the others) and never panics.
+    let sweep = env!("CARGO_BIN_EXE_order_sweep");
+    let trace = env!("CARGO_BIN_EXE_trace_report");
+    let congestion = env!("CARGO_BIN_EXE_congestion_report");
+    let diff = env!("CARGO_BIN_EXE_trace_diff");
+    for (bin, args, exit) in [
+        // A flag with no value.
+        (sweep, &["--nics"][..], 1),
+        (sweep, &["--threads"], 1),
+        (trace, &["--nodes"], 2),
+        (congestion, &["--nodes"], 2),
+        (diff, &["--nodes"], 2),
+        // Zero rails.
+        (sweep, &["--nics", "0"], 1),
+        (congestion, &["--nics", "0"], 2),
+        // An unknown rail policy.
+        (sweep, &["--rail-policy", "bogus"], 1),
+        (congestion, &["--rail-policy", "bogus"], 2),
+        // A three-level order on the four-level Hydra.
+        (trace, &["--order", "0-1-2"], 2),
+        (congestion, &["--order", "0-1-2"], 2),
+        // 3 does not divide the 512 cores of the 16-node Hydra.
+        (sweep, &["16,2,2,8", "3"], 1),
+        (trace, &["--subcomm", "3"], 2),
+        (congestion, &["--subcomm", "3"], 2),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(exit), "{bin} {args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
+    }
+}
+
+#[test]
+fn each_binary_rejects_the_shared_flags_it_does_not_take() {
+    let sweep = env!("CARGO_BIN_EXE_order_sweep");
+    let trace = env!("CARGO_BIN_EXE_trace_report");
+    let congestion = env!("CARGO_BIN_EXE_congestion_report");
+    let diff = env!("CARGO_BIN_EXE_trace_diff");
+    for (bin, args, exit) in [
+        (sweep, &["--nodes", "4"][..], 1),
+        (sweep, &["--order", "0-1-2-3"], 1),
+        (sweep, &["--help"], 1),
+        (trace, &["--nics", "2"], 2),
+        (trace, &["--rail-policy", "affinity"], 2),
+        (trace, &["--threads", "2"], 2),
+        (congestion, &["--threads", "2"], 2),
+        (diff, &["--order", "0-1-2-3"], 2),
+        (diff, &["--subcomm", "16"], 2),
+        (diff, &["--nics", "2"], 2),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(exit), "{bin} {args:?}: stderr {stderr}");
+        assert!(
+            stderr.starts_with("unknown flag"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    for bin in [trace, congestion, diff] {
+        let out = Command::new(bin)
+            .arg("--help")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{bin} --help");
+        let name = std::path::Path::new(bin)
+            .file_stem()
+            .unwrap()
+            .to_string_lossy();
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            usage.starts_with(&format!("{name} [--machine hydra|lumi]")),
+            "{usage}"
+        );
+    }
+}

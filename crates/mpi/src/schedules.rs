@@ -69,27 +69,6 @@ pub fn alltoall_pairwise_railed(members: &[usize], bytes_per_pair: u64, nics: us
     schedule
 }
 
-/// Advisory rail hints for a schedule on a `nics`-rail fabric: for every
-/// round, the rail each message's *node-crossing* hop would take under the
-/// round-robin policy (`(src + dst) mod nics` on global core ids — the
-/// sender-side assignment [`mre_simnet::assign_rail`] makes).
-///
-/// Generators can use this to check a round's rail balance; the fabric
-/// model recomputes the same assignment internally, so hints never need
-/// to be threaded through [`Message`].
-pub fn rail_hints(schedule: &Schedule, nics: usize) -> Vec<Vec<usize>> {
-    schedule
-        .rounds
-        .iter()
-        .map(|r| {
-            r.messages
-                .iter()
-                .map(|m| if nics <= 1 { 0 } else { (m.src + m.dst) % nics })
-                .collect()
-        })
-        .collect()
-}
-
 /// Bruck Alltoall: `⌈log₂ p⌉` rounds; in round `k` every rank forwards the
 /// blocks whose destination offset has bit `k` set to `(i + 2ᵏ) mod p`.
 pub fn alltoall_bruck(members: &[usize], bytes_per_pair: u64) -> Schedule {
@@ -424,6 +403,7 @@ pub fn barrier_dissemination(members: &[usize]) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mre_simnet::{assign_rail, RailPolicy};
 
     fn members(p: usize) -> Vec<usize> {
         (0..p).map(|i| i * 10).collect()
@@ -483,6 +463,13 @@ mod tests {
             }
             assert!(sends.values().all(|&n| n <= 2));
         }
+    }
+
+    /// Each message's node rail under round-robin assignment, per round.
+    fn rail_hints(schedule: &Schedule, nics: usize) -> Vec<Vec<usize>> {
+        let rail = |m: &Message| assign_rail(RailPolicy::RoundRobin, nics, 1, m.src, m.dst);
+        let round = |r: &Round| r.messages.iter().map(rail).collect();
+        schedule.rounds.iter().map(round).collect()
     }
 
     #[test]

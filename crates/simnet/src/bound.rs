@@ -137,8 +137,10 @@ impl RoundLoad {
     /// **keeping every buffer's allocation** when the shape is unchanged.
     /// `reset` + accumulate produces exactly the state a fresh load would
     /// reach, so reusing one load across rounds is bit-identical to
-    /// building fresh ones.
-    pub(crate) fn reset(&mut self, rails: &[usize]) {
+    /// building fresh ones. The four per-rail rows are reset only when
+    /// `PER_RAIL`: the cheap rung neither fills nor reads them, so after
+    /// its walks they hold whatever the last per-rail walk left.
+    pub(crate) fn reset<const PER_RAIL: bool>(&mut self, rails: &[usize]) {
         let depth = rails.len();
         fn reset_rows<T: Copy>(rows: &mut Vec<Vec<T>>, rails: &[usize], zero: T) {
             rows.resize_with(rails.len(), Vec::new);
@@ -157,10 +159,12 @@ impl RoundLoad {
         self.min_latency_through.resize(depth, 0.0);
         self.max_latency = 0.0;
         self.max_local_bytes = 0;
-        reset_rows(&mut self.rail_bytes_up, rails, 0);
-        reset_rows(&mut self.rail_bytes_down, rails, 0);
-        reset_rows(&mut self.rail_active_up, rails, 0);
-        reset_rows(&mut self.rail_active_down, rails, 0);
+        if PER_RAIL {
+            reset_rows(&mut self.rail_bytes_up, rails, 0);
+            reset_rows(&mut self.rail_bytes_down, rails, 0);
+            reset_rows(&mut self.rail_active_up, rails, 0);
+            reset_rows(&mut self.rail_active_down, rails, 0);
+        }
     }
 
     /// Adds one hop of a `bytes`-byte message crossing at `latency`,
@@ -244,8 +248,8 @@ impl NetworkModel {
     /// thread-local [`RoundWorkspace`]'s load instead of a fresh one
     /// (bit-identical — see [`RoundLoad::reset`]).
     ///
-    /// Without `per_rail` the four per-rail histograms stay zero: the
-    /// aggregate rung never reads them, so it skips their updates.
+    /// Without `per_rail` the four per-rail histograms are neither reset
+    /// nor filled: the aggregate rung never reads them.
     pub(crate) fn with_round_load<R>(
         &self,
         messages: &[Message],
@@ -323,7 +327,7 @@ impl NetworkModel {
     ) -> bool {
         let table = self.link_table();
         let params = self.links();
-        load.reset(self.rail_counts());
+        load.reset::<PER_RAIL>(self.rail_counts());
         links.begin(table.num_links());
         let mut zero_bytes = false;
         for m in messages {
@@ -546,7 +550,7 @@ pub(crate) fn with_pooled_load<const PER_RAIL: bool, R>(
     f: impl FnOnce(f64, &RoundLoad) -> R,
 ) -> R {
     crate::workspace::with_thread_local(|ws| {
-        ws.pooled.reset(net.rail_counts());
+        ws.pooled.reset::<PER_RAIL>(net.rail_counts());
         ws.pooled_links.begin(net.link_table().num_links());
         let mut zero_bytes = false;
         let per_job = schedules

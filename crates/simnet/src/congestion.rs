@@ -231,11 +231,6 @@ impl CongestionProbe {
         &self.segments[link as usize]
     }
 
-    /// Total time link `link` carried any traffic.
-    pub fn link_busy(&self, link: u32) -> f64 {
-        self.busy[link as usize]
-    }
-
     /// Total bytes carried by link `link` (integral of its rate segments).
     pub fn link_bytes(&self, link: u32) -> f64 {
         self.link_bytes[link as usize]

@@ -369,12 +369,6 @@ impl NetworkModel {
         self.schedule_time(&Schedule::lockstep(schedules))
     }
 
-    /// Convenience: round-trip-normalized point-to-point bandwidth
-    /// achieved by an isolated message of `bytes`.
-    pub fn effective_bandwidth(&self, src: usize, dst: usize, bytes: u64) -> f64 {
-        bytes as f64 / self.message_time(Message::new(src, dst, bytes))
-    }
-
     /// A hash over everything that determines round costs (hierarchy shape,
     /// link calibration, local-copy bandwidth, contention mode, rail
     /// count × rail policy). [`crate::SharedCostCache`] folds it into
@@ -669,7 +663,8 @@ mod tests {
     #[test]
     fn effective_bandwidth_approaches_bottleneck_for_large_messages() {
         let net = toy();
-        let bw = net.effective_bandwidth(0, 8, 1_000_000);
+        let bytes = 1_000_000;
+        let bw = bytes as f64 / net.message_time(Message::new(0, 8, bytes));
         assert!(bw > 9.9 && bw <= 10.0, "{bw}");
     }
 

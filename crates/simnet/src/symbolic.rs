@@ -68,11 +68,6 @@ impl PayloadEnvelope {
         let idx = self.breakpoints.partition_point(|&x| x <= payload);
         self.segments[idx]
     }
-
-    /// Number of linear segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 /// One line `intercept + slope · payload` with its hull start.
@@ -138,7 +133,6 @@ struct SymbolicRound {
 /// envelope for pruning. See the module docs for the exactness contract.
 #[derive(Debug, Clone)]
 pub struct SymbolicScheduleCost {
-    model_fingerprint: u64,
     reference_payload: u64,
     rounds: Vec<SymbolicRound>,
     envelope: PayloadEnvelope,
@@ -200,22 +194,10 @@ impl SymbolicScheduleCost {
             });
         }
         Some(Self {
-            model_fingerprint: net.fingerprint(),
             reference_payload,
             rounds,
             envelope: sum_envelopes(&hulls),
         })
-    }
-
-    /// The reference payload the captured schedule was generated at.
-    pub fn reference_payload(&self) -> u64 {
-        self.reference_payload
-    }
-
-    /// Fingerprint of the [`NetworkModel`] the profiles were solved
-    /// against — callers should reject a model mismatch.
-    pub fn model_fingerprint(&self) -> u64 {
-        self.model_fingerprint
     }
 
     /// The schedule's cost as a convex piecewise-linear function of

@@ -34,14 +34,6 @@ pub struct CongestionCounterSeries {
     pub samples: Vec<(f64, f64)>,
 }
 
-fn level_label(net: &NetworkModel, level: usize) -> String {
-    net.hierarchy()
-        .names()
-        .get(level)
-        .cloned()
-        .unwrap_or_else(|| format!("level-{level}"))
-}
-
 /// The aggregate allocated rate over all links of one (level, rail) as a
 /// piecewise-constant series: event-sweep over the links' segments,
 /// sampling at every boundary. Counts open segments so the series returns
@@ -128,7 +120,7 @@ pub fn congestion_counters(
                 continue;
             }
             series.push(CongestionCounterSeries {
-                name: format!("congestion.{}.rail{rail}", level_label(net, level)),
+                name: format!("congestion.{}.rail{rail}", net.hierarchy().name(level)),
                 samples,
             });
         }
@@ -137,7 +129,7 @@ pub fn congestion_counters(
         series.push(CongestionCounterSeries {
             name: format!(
                 "hotlink.{}[{}].{}.rail{}",
-                level_label(net, usage.level),
+                net.hierarchy().name(usage.level),
                 usage.instance,
                 if usage.up { "up" } else { "down" },
                 usage.rail
@@ -161,7 +153,7 @@ pub fn congestion_csv(net: &NetworkModel, probe: &CongestionProbe) -> String {
             continue;
         }
         let (level, instance, up, rail) = probe.table().decode(l);
-        let name = level_label(net, level);
+        let name = net.hierarchy().name(level);
         let dir = if up { "up" } else { "down" };
         for s in segments {
             let _ = writeln!(
