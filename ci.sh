@@ -69,6 +69,10 @@ grep -q "fidelity score:" target/trace_diff_smoke.out
 grep -q "^counter,mpi.send.count," target/trace_diff_metrics.csv
 # The telemetry bridge's remaining feed: the contention solver's counters.
 grep -q "^counter,simnet.maxmin.solves," target/trace_diff_metrics.csv
+# Every simnet row, byte for byte: the bridge's maxmin counters plus the
+# timeline rows trace_diff adds from level_occupancy.
+grep -E '^[a-z]+,simnet\.' target/trace_diff_metrics.csv > target/trace_diff_simnet_metrics.out
+cmp target/trace_diff_simnet_metrics.out results/trace_diff_simnet_metrics.txt
 
 echo "== trace_diff stencil smoke (streamed metrics)"
 cargo run -q -p mre-bench --bin trace_diff -- \

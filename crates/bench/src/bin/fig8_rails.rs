@@ -14,25 +14,22 @@
 //! fig8_rails [--rail-policy round-robin|src-hash|affinity]
 //! ```
 
+use mre_bench::cli;
 use mre_core::{Hierarchy, Permutation};
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{RailPolicy, SharedCostCache};
 use mre_workloads::splatt::{estimate_cpd_time_cached, pearson, SplattConfig};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let policy = match args.iter().position(|a| a == "--rail-policy") {
-        Some(i) => {
-            let text = args.get(i + 1).cloned().unwrap_or_default();
-            let Some(p) = RailPolicy::parse(&text) else {
-                eprintln!("bad --rail-policy {text:?} (round-robin|src-hash|affinity)");
-                std::process::exit(1);
-            };
-            args.drain(i..=i + 1);
-            p
+    let mut policy = RailPolicy::default();
+    let parsed = cli::parse_flags(std::env::args().skip(1), None, |flag, args| {
+        match flag {
+            "--rail-policy" => policy = cli::rail_policy(&args.value(flag)?)?,
+            _ => return Ok(false),
         }
-        None => RailPolicy::default(),
-    };
+        Ok(true)
+    });
+    cli::or_exit(parsed, 1);
     let nodes: usize = 32;
     let cfg = SplattConfig::nell1_like();
     let machine = Hierarchy::new(vec![nodes, 2, 2, 8]).expect("static hierarchy");

@@ -41,8 +41,8 @@
 use mre_bench::cli::{self, Setup};
 use mre_simnet::Schedule;
 use mre_trace::{
-    chrome_trace_json_with_metrics, diff_traces, metrics_csv, metrics_stream_csv, schedule_trace,
-    DiffOptions, MetricsRegistry, Recorder,
+    chrome_trace_json_with_metrics, diff_traces, level_occupancy, metrics_csv, metrics_stream_csv,
+    schedule_trace, DiffOptions, MetricsRegistry, Recorder,
 };
 use mre_workloads::cg::{cg_comm_schedule, cg_distributed_instrumented, generate_matrix};
 use mre_workloads::microbench::{microbench_collective_instrumented, microbench_comm_schedule};
@@ -289,8 +289,8 @@ fn run() -> Result<(), String> {
         metrics.snapshot_every(every);
     }
     {
-        // While the guard lives, the contention solver and timeline byte
-        // accounting below also feed the registry.
+        // While the guard lives, the contention solver also feeds the
+        // registry.
         let _telemetry = metrics.install_telemetry();
         let (schedule, result_line) = run_workload(&opts, procs, &cores, &recorder, &metrics)?;
 
@@ -299,6 +299,18 @@ fn run() -> Result<(), String> {
         let timeline = net
             .schedule_timeline(&schedule)
             .expect("canonical schedule");
+        metrics.counter_add("simnet.timelines", 1);
+        let totals = level_occupancy(machine, &timeline).total_bytes_crossing();
+        let (levels, local) = totals.split_at(machine.depth());
+        for (j, &bytes) in levels.iter().enumerate() {
+            if bytes > 0 {
+                let name = format!("simnet.bytes.crossing.{}", machine.name(j));
+                metrics.counter_add(&name, bytes);
+            }
+        }
+        if local[0] > 0 {
+            metrics.counter_add("simnet.bytes.local", local[0]);
+        }
         let wall = recorder.take_trace();
         let sim = schedule_trace(machine, &timeline, &format!("{}:costed", opts.workload));
         println!(

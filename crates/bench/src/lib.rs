@@ -6,7 +6,9 @@
 //! tools and a dependency-free timing of one point per figure
 //! (`benches/figures.rs`, built on [`tinybench`]). The four tools share
 //! one front end, [`cli`]: the flag loop, the shared flag parsers, the
-//! machine → network rule and the one-order subcommunicator setup. End-to-end timing of
+//! machine → network rule and the one-order subcommunicator setup;
+//! `fig8_rails` reads its `--rail-policy` flag through the same loop.
+//! End-to-end timing of
 //! the order-search pipeline is the seeded `perf` benchmark, a package of
 //! its own under `src/bin/perf/`.
 //!

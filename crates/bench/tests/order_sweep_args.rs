@@ -54,8 +54,9 @@ fn unknown_flags_and_surplus_arguments_exit_1() {
 
 #[test]
 fn unknown_collectives_are_rejected_by_every_cli() {
-    // All four CLIs parse the collective through `Collective::parse`;
-    // each keeps its own exit code for the rejection.
+    // All four CLIs parse the collective through `Collective::parse` when
+    // the flag is read, whatever else runs; each keeps its own exit code
+    // for the rejection.
     for (bin, args, exit) in [
         (
             env!("CARGO_BIN_EXE_order_sweep"),
@@ -84,6 +85,12 @@ fn unknown_collectives_are_rejected_by_every_cli() {
             ],
             2,
         ),
+        // CG takes no collective, so only the flag parser can reject it.
+        (
+            env!("CARGO_BIN_EXE_trace_diff"),
+            &["--workload", "cg", "--collective", "bogus", "--iters", "2"],
+            2,
+        ),
     ] {
         let (code, stderr) = run(bin, args);
         assert_eq!(code, Some(exit), "{bin} {args:?}: stderr {stderr}");
@@ -91,6 +98,24 @@ fn unknown_collectives_are_rejected_by_every_cli() {
             stderr, "unknown collective \"bogus\" (alltoall|allreduce|allgather)\n",
             "{bin} {args:?}"
         );
+    }
+}
+
+#[test]
+fn fig8_rails_rejects_unknown_flags_and_missing_values() {
+    // A bad argument must stop the run before any of the figure's 72
+    // CPD costings, so no table is printed.
+    for (args, message) in [
+        (&["--bogus"][..], "unknown flag \"--bogus\"\n"),
+        (&["--rail-policy"], "--rail-policy needs a value\n"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig8_rails"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), message, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a table");
     }
 }
 

@@ -1,4 +1,4 @@
-//! A process-wide telemetry sink with two remaining feeds.
+//! A process-wide telemetry sink with one remaining feed.
 //!
 //! Crates below `mre-trace` in the dependency graph (this crate and
 //! `mre-simnet`) cannot hold a `mre_trace::MetricsRegistry` directly, so
@@ -7,27 +7,24 @@
 //! guarded by one relaxed atomic load, so uninstrumented runs pay nothing
 //! measurable.
 //!
-//! Exactly two sites in `mre-simnet` feed it, one call per contention
-//! solve or timeline reconstruction:
-//!
-//! * the lockstep water-fill's `simnet.maxmin.{solves,iterations,flows}`
-//!   counters and `simnet.maxmin.iterations.hist` (`contention.rs`);
-//! * the timeline byte accounting, `simnet.timelines` and
-//!   `simnet.bytes.*` (`timeline.rs`).
+//! Exactly one site in `mre-simnet` feeds it, once per contention solve:
+//! the lockstep water-fill's `simnet.maxmin.{solves,iterations,flows}`
+//! counters and `simnet.maxmin.iterations.hist` (`contention.rs`).
 //!
 //! Every other count reaches callers through the value its API returns:
 //! [`crate::order_search::PruneStats`] (bound pruning),
 //! `mre_simnet::CacheStats` (memo tiers), `mre_simnet::FluidStats` (fluid
 //! events and solves), `mre_mpi::AlgorithmChoice` (autotune candidates),
 //! [`crate::par::pool_stats`] (worker pool) and
-//! `mre_simnet::thread_workspace_rounds` (round workspace trips). No code
-//! in this crate emits into the sink.
+//! `mre_simnet::thread_workspace_rounds` (round workspace trips), and a
+//! lockstep timeline's bytes per crossing level come from
+//! `mre_trace::level_occupancy`. No code in this crate emits into the
+//! sink.
 //!
 //! `mre-trace` installs its metrics registry here via
 //! [`install`]/[`uninstall`] (wrapped in a guard on its side). The sink is
-//! process-global: tests in one binary that run the contention solver or
-//! reconstruct timelines while a collector is installed see each other's
-//! counts.
+//! process-global: tests in one binary that run the contention solver
+//! while a collector is installed see each other's counts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};

@@ -68,7 +68,8 @@ impl<'p> Comm<'p> {
     }
 
     /// Opens a wall-clock span covering one collective invocation, when
-    /// this rank runs under `run_traced` (`None` — one branch — otherwise).
+    /// this rank runs with a recorder attached (`None` — one branch —
+    /// otherwise).
     /// Under `run_instrumented` with metrics attached, also counts the
     /// invocation per algorithm (`mpi.collective.<name>`).
     pub(crate) fn collective_span(&self, name: String) -> Option<SpanGuard<'p>> {

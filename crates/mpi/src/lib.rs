@@ -48,4 +48,4 @@ pub use autotune::{AlgorithmChoice, AlgorithmSelector};
 pub use cart::CartTopology;
 pub use comm::Comm;
 pub use payload::Payload;
-pub use runtime::{run, run_instrumented, run_traced, Proc};
+pub use runtime::{run, run_instrumented, Proc};

@@ -10,11 +10,11 @@
 //! Delivery between a fixed (sender, receiver) pair is FIFO; receives
 //! match on `(source, tag)` and buffer out-of-order arrivals.
 //!
-//! [`run_traced`] is [`run`] plus wall-clock tracing: each rank thread
-//! records its sends, receive waits and collective invocations into a
-//! per-rank `mre-trace` buffer. [`run_instrumented`] additionally (or
-//! instead) attaches a [`MetricsRegistry`] whose per-rank handles count
-//! messages, bytes and receive-wait time. Untraced, unmetered runs carry
+//! [`run_instrumented`] is [`run`] plus optional wall-clock tracing and
+//! live metrics: with a [`Recorder`], each rank thread records its sends,
+//! receive waits and collective invocations into a per-rank `mre-trace`
+//! buffer; with a [`MetricsRegistry`], per-rank handles count messages,
+//! bytes and receive-wait time. Untraced, unmetered runs carry
 //! `None` handles, so instrumentation disabled costs one `Option` check
 //! per operation — payload byte accounting ([`Payload::payload_bytes`])
 //! is only consulted when a recorder or metrics handle is present.
@@ -71,7 +71,7 @@ impl Proc {
     }
 
     /// The wall-clock recorder handle of this rank, when running under
-    /// [`run_traced`] or [`run_instrumented`].
+    /// [`run_instrumented`] with a recorder attached.
     pub fn recorder(&self) -> Option<&RankRecorder> {
         self.recorder.as_ref()
     }
@@ -240,41 +240,19 @@ where
     run_inner(nprocs, None, None, f)
 }
 
-/// Like [`run`], with every rank recording wall-clock events into
-/// `recorder`. After the call returns, [`Recorder::take_trace`] yields the
-/// merged timeline (each rank's buffer is flushed when its thread's
-/// [`Proc`] drops).
-///
-/// ```
-/// use mre_mpi::runtime::{run_traced, Tag};
-/// use mre_trace::Recorder;
-/// let recorder = Recorder::new();
-/// run_traced(2, &recorder, |p| {
-///     let tag = Tag { ctx: 0, tag: 0 };
-///     let other = 1 - p.world_rank();
-///     p.sendrecv(other, other, tag, p.world_rank())
-/// });
-/// let trace = recorder.take_trace();
-/// assert!(!trace.events.is_empty());
-/// ```
-pub fn run_traced<F, R>(nprocs: usize, recorder: &Recorder, f: F) -> Vec<R>
-where
-    F: Fn(&Proc) -> R + Send + Sync,
-    R: Send,
-{
-    run_inner(nprocs, Some(recorder), None, f)
-}
-
 /// The fully general entry point: [`run`] plus an optional wall-clock
 /// recorder and an optional metrics registry, each independently
-/// attachable. Rank threads buffer metrics locally and merge them into
-/// the registry at thread exit; if the recorder is bounded
+/// attachable. With a recorder, every rank records wall-clock events into
+/// it; after the call returns, [`Recorder::take_trace`] yields the merged
+/// timeline (each rank's buffer is flushed when its thread's [`Proc`]
+/// drops). Rank threads buffer metrics locally and merge them into the
+/// registry at thread exit; if the recorder is bounded
 /// ([`Recorder::bounded`]) and evicted events during this run, the count
 /// is surfaced as the `trace.recorder.dropped` counter.
 ///
 /// ```
 /// use mre_mpi::runtime::{run_instrumented, Tag};
-/// use mre_trace::MetricsRegistry;
+/// use mre_trace::{MetricsRegistry, Recorder};
 /// let metrics = MetricsRegistry::new();
 /// run_instrumented(2, None, Some(&metrics), |p| {
 ///     let tag = Tag { ctx: 0, tag: 0 };
@@ -282,6 +260,15 @@ where
 ///     p.sendrecv(other, other, tag, p.world_rank() as u64)
 /// });
 /// assert_eq!(metrics.snapshot().counter("mpi.send.count"), 2);
+///
+/// let recorder = Recorder::new();
+/// run_instrumented(2, Some(&recorder), None, |p| {
+///     let tag = Tag { ctx: 0, tag: 0 };
+///     let other = 1 - p.world_rank();
+///     p.sendrecv(other, other, tag, p.world_rank())
+/// });
+/// let trace = recorder.take_trace();
+/// assert!(!trace.events.is_empty());
 /// ```
 pub fn run_instrumented<F, R>(
     nprocs: usize,

@@ -6,6 +6,7 @@
 //! never overlap), conserve bytes against the static schedule, and its
 //! critical path must end exactly at the simnet-costed schedule time.
 
+use mre_core::metrics::first_diff_level;
 use mre_core::{Hierarchy, Permutation};
 use mre_mpi::schedules;
 use mre_simnet::{LinkParams, NetworkModel, Schedule};
@@ -186,11 +187,17 @@ fn analyses_agree_with_static_accounting() {
     let sched = schedules::alltoall_pairwise(&members, 1 << 14);
     let tl = net.schedule_timeline(&sched).unwrap();
     let occ = level_occupancy(net.hierarchy(), &tl);
-    let u = mre_simnet::utilization(net.hierarchy(), &sched);
-    assert_eq!(occ.total_bytes_crossing(), u.bytes_crossing);
+    // The static oracle: each message's bytes at its endpoints'
+    // `first_diff_level`, local copies at index `k`.
+    let h = net.hierarchy();
+    let mut expected = vec![0u64; h.depth() + 1];
+    for m in sched.rounds.iter().flat_map(|r| &r.messages) {
+        expected[first_diff_level(h, m.src, m.dst).unwrap_or(h.depth())] += m.bytes;
+    }
+    assert_eq!(occ.total_bytes_crossing(), expected);
     assert_eq!(
         occ.total_bytes_crossing().iter().sum::<u64>(),
-        u.total_bytes()
+        sched.total_bytes()
     );
     // Every member communicates in an alltoall; nobody is 100% idle.
     let acts = rank_activity(&tl);
@@ -205,7 +212,7 @@ fn analyses_agree_with_static_accounting() {
 #[test]
 fn run_traced_records_collectives_on_every_rank() {
     let recorder = Recorder::new();
-    let results = mre_mpi::run_traced(8, &recorder, |p| {
+    let results = mre_mpi::run_instrumented(8, Some(&recorder), None, |p| {
         let world = mre_mpi::Comm::world(p);
         let summed = world.allreduce(
             vec![world.rank() as u64],

@@ -1,10 +1,10 @@
 //! Link-level congestion observatory: time-resolved per-link/per-rail
 //! utilization and bound-gap telemetry for both cost engines.
 //!
-//! The simulator can price a schedule three ways (lockstep, fluid, railed)
-//! but [`crate::Utilization`] is a whole-run byte ledger: no time axis, no
-//! rail axis, no per-link story. A [`CongestionProbe`] closes that gap. It
-//! is fed by either engine —
+//! The simulator can price a schedule three ways (lockstep, fluid, railed);
+//! `mre_trace::level_occupancy` splits a lockstep timeline's bytes by
+//! crossing level, but has no rail axis and no per-link story. A
+//! [`CongestionProbe`] closes that gap. It is fed by either engine —
 //!
 //! * the lockstep path ([`NetworkModel::schedule_time_probed`]) records,
 //!   per round, the busy interval of every directed rail link touched by a
@@ -21,8 +21,8 @@
 //! uplink. Attaching a probe never changes a cost: the probed entry points
 //! run the identical arithmetic and are property-tested bit-identical to
 //! their unprobed twins (`tests/proptests.rs`), and the unprobed paths
-//! carry no probe code at all (the same `Option`-check contract
-//! `run_traced` established).
+//! carry no probe code at all (the same `Option`-check contract the
+//! runtime's `run_instrumented` established).
 //!
 //! From the recorded segments the probe derives utilization timelines
 //! ([`CongestionProbe::link_segments`]), per-level/per-rail occupancy
@@ -78,9 +78,6 @@ pub struct RoundMark {
     /// level-`l` link carried traffic (0.0 when the round has no level-`l`
     /// traffic). Never exceeds `duration`.
     pub level_span: Vec<f64>,
-    /// Per-round byte loads of the links this round touched, sparse and
-    /// sorted by link id.
-    pub link_bytes: Vec<(u32, u64)>,
 }
 
 /// A link's aggregate usage over a whole probed run, with its decoded
@@ -263,7 +260,6 @@ impl CongestionProbe {
             start,
             duration,
             level_span: vec![0.0; k],
-            link_bytes: Vec::new(),
         };
         self.scratch.clear();
         for (i, m) in messages.iter().enumerate() {
@@ -292,11 +288,9 @@ impl CongestionProbe {
                 end += 1;
             }
             self.events.clear();
-            let mut round_bytes = 0.0f64;
             for &(_, s, f, rate) in &self.scratch[i..end] {
                 self.events.push((s, rate, 1));
                 self.events.push((f, rate, -1));
-                round_bytes += rate * (f - s);
             }
             self.events
                 .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
@@ -314,7 +308,6 @@ impl CongestionProbe {
                 rate += f64::from(d) * r;
                 count += d;
             }
-            mark.link_bytes.push((link, round_bytes.round() as u64));
             i = end;
         }
         self.rounds.push(mark);
@@ -457,25 +450,17 @@ impl CongestionProbe {
         rows
     }
 
-    /// Total bytes per rail of `level` (both directions), rail-indexed.
-    pub fn level_rail_bytes(&self, level: usize) -> Vec<f64> {
-        let nrails = self.table.rails()[level];
-        let mut bytes = vec![0.0; nrails];
-        for l in 0..self.num_links() as u32 {
-            let (lev, _, _, rail) = self.table.decode(l);
-            if lev == level {
-                bytes[rail] += self.link_bytes[l as usize];
-            }
-        }
-        bytes
-    }
-
-    /// Rail-imbalance index of `level`: max over rails of total rail
-    /// bytes, divided by the mean — 1.0 means perfectly striped, `rails`
-    /// means all traffic on one rail. Levels with no traffic (or a single
-    /// rail) report 1.0.
+    /// Rail-imbalance index of `level`: max over rails of the
+    /// [`occupancy`](Self::occupancy) bytes, divided by the mean — 1.0
+    /// means perfectly striped, `rails` means all traffic on one rail.
+    /// Levels with no traffic (or a single rail) report 1.0.
     pub fn rail_imbalance(&self, level: usize) -> f64 {
-        let bytes = self.level_rail_bytes(level);
+        let bytes: Vec<f64> = self
+            .occupancy()
+            .into_iter()
+            .filter(|row| row.level == level)
+            .map(|row| row.bytes)
+            .collect();
         let total: f64 = bytes.iter().sum();
         if total <= 0.0 || bytes.len() == 1 {
             return 1.0;
@@ -732,6 +717,13 @@ mod tests {
         }
     }
 
+    /// The level-0 (NIC) rows of [`CongestionProbe::occupancy`], as bytes
+    /// per rail.
+    fn nic_rail_bytes(probe: &CongestionProbe) -> Vec<f64> {
+        let rows = probe.occupancy().into_iter().filter(|row| row.level == 0);
+        rows.map(|row| row.bytes).collect()
+    }
+
     #[test]
     fn probes_resolve_rails() {
         let net = toy().with_node_rails(2, RailPolicy::RoundRobin);
@@ -742,7 +734,7 @@ mod tests {
         ])]);
         let mut probe = CongestionProbe::new(&net);
         net.schedule_time_probed(&s, &mut probe);
-        let rails = probe.level_rail_bytes(0);
+        let rails = nic_rail_bytes(&probe);
         // Each NIC rail appears up (node 0) and down (node 1).
         assert!((rails[0] - 200.0).abs() < 1e-9);
         assert!((rails[1] - 600.0).abs() < 1e-9);
@@ -752,7 +744,7 @@ mod tests {
         assert_eq!(probe.rail_imbalance(1), 1.0);
         let mut fluid_probe = CongestionProbe::new(&net);
         FluidSim::new(&net).run_probed(std::slice::from_ref(&s), &mut fluid_probe);
-        let fluid_rails = fluid_probe.level_rail_bytes(0);
+        let fluid_rails = nic_rail_bytes(&fluid_probe);
         assert!((fluid_rails[0] - 200.0).abs() < 1e-6);
         assert!((fluid_rails[1] - 600.0).abs() < 1e-6);
     }

@@ -41,7 +41,6 @@ pub mod rail;
 pub mod schedule;
 pub mod symbolic;
 pub mod timeline;
-pub mod utilization;
 pub mod workspace;
 
 pub use bound::{
@@ -63,5 +62,4 @@ pub use rail::{assign_rail, LinkPath, PathHop, RailLinkTable, RailPolicy};
 pub use schedule::{CacheStats, Message, Round, Schedule, SharedCostCache};
 pub use symbolic::{PayloadEnvelope, SymbolicScheduleCost};
 pub use timeline::{MessageTiming, RoundTimeline, ScheduleTimeline};
-pub use utilization::{utilization, Utilization};
 pub use workspace::{thread_workspace_rounds, RoundWorkspace};

@@ -120,33 +120,7 @@ impl NetworkModel {
             });
             clock = finish;
         }
-        let timeline = ScheduleTimeline { rounds };
-        // Per-level byte accounting, aggregated once per reconstruction
-        // (a relaxed load when no telemetry collector is installed).
-        if mre_core::telemetry::enabled() {
-            let h = self.hierarchy();
-            let mut per_level = vec![0u64; h.depth()];
-            let mut local = 0u64;
-            for m in timeline.messages() {
-                match m.crossing {
-                    Some(j) => per_level[j] += m.bytes,
-                    None => local += m.bytes,
-                }
-            }
-            mre_core::telemetry::counter_add("simnet.timelines", 1);
-            for (j, &bytes) in per_level.iter().enumerate() {
-                if bytes > 0 {
-                    mre_core::telemetry::counter_add(
-                        &format!("simnet.bytes.crossing.{}", h.name(j)),
-                        bytes,
-                    );
-                }
-            }
-            if local > 0 {
-                mre_core::telemetry::counter_add("simnet.bytes.local", local);
-            }
-        }
-        Ok(timeline)
+        Ok(ScheduleTimeline { rounds })
     }
 }
 

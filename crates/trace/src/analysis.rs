@@ -8,9 +8,10 @@
 //!   round, whose durations sum to the schedule time (rounds are
 //!   barrier-synchronized, so the slowest message of each round is exactly
 //!   what the next round waits for);
-//! * [`level_occupancy`] — the temporal counterpart of
-//!   [`mre_simnet::Utilization`]: per-round time slices with bytes and
-//!   achieved rates broken down by crossing level;
+//! * [`level_occupancy`] — per-round time slices with bytes and achieved
+//!   rates broken down by crossing level; summed over slices
+//!   ([`LevelOccupancy::total_bytes_crossing`]) it is the workspace's one
+//!   count of a run's bytes per crossing level;
 //! * [`rank_activity`] — per-core busy/idle split over the schedule.
 //!
 //! [`wall_level_bytes`] is the one pass over *wall-clock* traces: since
@@ -174,8 +175,8 @@ pub struct OccupancySlice {
     pub finish: f64,
     /// `bytes_crossing[j]` — payload moved during this slice whose
     /// crossing level is `j`; index `k` counts local copies. Summing a
-    /// column over all slices reproduces
-    /// [`mre_simnet::Utilization::bytes_crossing`].
+    /// column over all slices gives
+    /// [`LevelOccupancy::total_bytes_crossing`].
     pub bytes_crossing: Vec<u64>,
     /// Aggregate achieved rate per crossing level during the slice
     /// (`bytes_crossing[j] / duration`, 0 for empty or zero-length
@@ -224,8 +225,9 @@ impl LevelOccupancy {
         self.slices.iter().map(|s| s.rates[j]).fold(0.0, f64::max)
     }
 
-    /// Total bytes per crossing level, summed over slices (the static
-    /// [`mre_simnet::Utilization::bytes_crossing`] view).
+    /// Total bytes per crossing level, summed over slices: the whole-run
+    /// view of which levels a schedule's traffic crosses (index `k` counts
+    /// local copies).
     pub fn total_bytes_crossing(&self) -> Vec<u64> {
         let k = self.level_names.len();
         let mut totals = vec![0u64; k];
@@ -396,7 +398,9 @@ pub fn wall_level_bytes(
 mod tests {
     use super::*;
     use crate::event::{Clock, Event};
-    use mre_simnet::{LinkParams, Message, NetworkModel, Round, Schedule};
+    use mre_core::metrics::first_diff_level;
+    use mre_core::Permutation;
+    use mre_simnet::{LinkParams, Message, MessageTiming, NetworkModel, Round, Schedule};
 
     fn toy() -> NetworkModel {
         let h = Hierarchy::new(vec![2, 2, 4]).unwrap();
@@ -418,6 +422,17 @@ mod tests {
             ],
             1000.0,
         )
+    }
+
+    /// The oracle of [`LevelOccupancy::total_bytes_crossing`]: each
+    /// message's bytes at its endpoints' `first_diff_level`, local copies
+    /// at index `k`.
+    fn bytes_by_first_diff_level(h: &Hierarchy, s: &Schedule) -> Vec<u64> {
+        let mut totals = vec![0u64; h.depth() + 1];
+        for m in s.rounds.iter().flat_map(|r| &r.messages) {
+            totals[first_diff_level(h, m.src, m.dst).unwrap_or(h.depth())] += m.bytes;
+        }
+        totals
     }
 
     #[test]
@@ -487,8 +502,10 @@ mod tests {
         ]);
         let tl = net.schedule_timeline(&s).unwrap();
         let occ = level_occupancy(net.hierarchy(), &tl);
-        let u = mre_simnet::utilization(net.hierarchy(), &s);
-        assert_eq!(occ.total_bytes_crossing(), u.bytes_crossing);
+        assert_eq!(
+            occ.total_bytes_crossing(),
+            bytes_by_first_diff_level(net.hierarchy(), &s)
+        );
         assert_eq!(occ.level_names, vec!["node", "socket", "core", "local"]);
         // Node level is busy only during round 0.
         assert!(occ.slices[0].bytes_crossing[0] > 0);
@@ -497,6 +514,79 @@ mod tests {
         let expected = occ.slices[0].duration() / tl.total_time();
         assert!((frac - expected).abs() < 1e-12);
         assert!(occ.peak_rate(0) > 0.0);
+    }
+
+    #[test]
+    fn classifies_crossing_levels() {
+        let net = toy();
+        let s = Schedule::with(vec![Round::with(vec![
+            Message::new(0, 1, 10), // same socket (level 2)
+            Message::new(0, 4, 20), // cross socket (level 1)
+            Message::new(0, 8, 40), // cross node (level 0)
+        ])]);
+        let mut tl = net.schedule_timeline(&s).unwrap();
+        // Schedules reject self-messages, so the local copy's timing is
+        // added by hand.
+        let first = tl.rounds[0].messages[0];
+        tl.rounds[0].messages.push(MessageTiming {
+            src: 5,
+            dst: 5,
+            bytes: 80,
+            crossing: None,
+            ..first
+        });
+        let totals = level_occupancy(net.hierarchy(), &tl).total_bytes_crossing();
+        assert_eq!(totals, vec![40, 20, 10, 80]);
+        assert_eq!(totals.iter().sum::<u64>(), tl.total_bytes());
+    }
+
+    #[test]
+    fn packed_alltoall_never_touches_the_nic() {
+        // The §4.1.3 explanation of packed invariance, as bookkeeping:
+        // a socket-packed communicator's alltoall crosses no node link.
+        use mre_core::subcomm::{subcommunicators, ColorScheme};
+        let net = mre_simnet::presets::hydra_network(16, 1);
+        let hydra = net.hierarchy();
+        let totals = |order: &str, rounds: usize| {
+            let layout = subcommunicators(
+                hydra,
+                &Permutation::parse(order).unwrap(),
+                16,
+                ColorScheme::Quotient,
+            )
+            .unwrap();
+            let members = layout.members(0);
+            let mut s = Schedule::new();
+            for r in 1..=rounds {
+                let mut round = Round::new();
+                for (i, &src) in members.iter().enumerate() {
+                    round.push(Message::new(src, members[(i + r) % members.len()], 100));
+                }
+                s.push(round);
+            }
+            let tl = net.schedule_timeline(&s).unwrap();
+            level_occupancy(hydra, &tl).total_bytes_crossing()
+        };
+        let packed = totals("3-2-1-0", 15);
+        assert_eq!(packed[0], 0, "no node-level traffic");
+        assert_eq!(packed[1], 0, "no socket-level traffic either");
+        // Everything stays inside socket 0: the outermost crossing is the
+        // fake-group level.
+        assert_eq!(packed.iter().position(|&b| b > 0), Some(2));
+        // The spread order pushes everything across nodes.
+        let spread = totals("0-1-2-3", 1);
+        assert_eq!(spread[0], 1600);
+        assert_eq!(spread.iter().position(|&b| b > 0), Some(0));
+    }
+
+    #[test]
+    fn empty_schedule() {
+        let net = toy();
+        let tl = net.schedule_timeline(&Schedule::new()).unwrap();
+        let occ = level_occupancy(net.hierarchy(), &tl);
+        assert_eq!(occ.total_bytes_crossing(), vec![0, 0, 0, 0]);
+        assert_eq!(occ.busy_fraction(0), 0.0);
+        assert_eq!(occ.peak_rate(0), 0.0);
     }
 
     #[test]

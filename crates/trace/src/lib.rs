@@ -7,9 +7,9 @@
 //!   reconstructed by the max-min contention solve) into a trace whose
 //!   lanes are cores. Analyses operate on the timeline directly:
 //!   [`critical_path`] chains each round's bottleneck message,
-//!   [`level_occupancy`] gives the time-sliced counterpart of
-//!   [`mre_simnet::Utilization`], and [`rank_activity`] splits each core's
-//!   time into busy and barrier-idle.
+//!   [`level_occupancy`] slices each round's bytes by crossing level (its
+//!   sum over rounds is the one per-level byte count of a run), and
+//!   [`rank_activity`] splits each core's time into busy and barrier-idle.
 //! * **Wall-clock recording** — a [`Recorder`] hands lock-cheap
 //!   [`RankRecorder`] handles to the rank threads of the `mre-mpi`
 //!   runtime; sends, receive waits, collective invocations and
@@ -26,10 +26,9 @@
 //! * **Live metrics** — a [`MetricsRegistry`] collects lock-cheap
 //!   counters, gauges and log₂ histograms from the runtime's rank
 //!   threads and (through the [`mre_core::telemetry`] bridge) from the
-//!   contention solver (`simnet.maxmin.*`) and the timeline byte
-//!   accounting (`simnet.timelines`, `simnet.bytes.*`). Search counts are
-//!   not among them: each search API returns its own (`PruneStats`,
-//!   `CacheStats`, `FluidStats`, `AlgorithmChoice`).
+//!   contention solver (`simnet.maxmin.*`). Search counts are not among
+//!   them: each search API returns its own (`PruneStats`, `CacheStats`,
+//!   `FluidStats`, `AlgorithmChoice`).
 //!
 //! Either kind of trace exports to Chrome `trace_event` JSON
 //! ([`chrome_trace_json`], loadable in Perfetto or `chrome://tracing`) or

@@ -5,12 +5,11 @@
 //! creates one [`MetricsRegistry`]; each rank thread gets a
 //! [`RankMetrics`] handle that accumulates into thread-local `BTreeMap`s
 //! (no locks, no atomics in the hot path) and merges into the shared
-//! store exactly once, when the handle drops at thread exit. The two
-//! coarse producers below this crate — the contention solver
-//! (`simnet.maxmin.*`) and timeline byte accounting (`simnet.timelines`,
-//! `simnet.bytes.*`) — publish through the [`mre_core::telemetry`] sink
-//! instead; [`MetricsRegistry::install_telemetry`] bridges that sink into
-//! the same store for the lifetime of the returned guard.
+//! store exactly once, when the handle drops at thread exit. The one
+//! coarse producer below this crate — the contention solver
+//! (`simnet.maxmin.*`) — publishes through the [`mre_core::telemetry`]
+//! sink instead; [`MetricsRegistry::install_telemetry`] bridges that sink
+//! into the same store for the lifetime of the returned guard.
 //!
 //! A [`MetricsSnapshot`] is a deterministic, sorted copy of everything
 //! collected; [`metrics_csv`](crate::export::metrics_csv) and
@@ -270,9 +269,9 @@ impl MetricsRegistry {
     }
 
     /// Installs this registry as the process-wide
-    /// [`mre_core::telemetry`] sink, so the contention solver and the
-    /// timeline byte accounting feed the same store. The sink is
-    /// removed when the returned guard drops. Only one telemetry consumer
+    /// [`mre_core::telemetry`] sink, so the contention solver
+    /// (`simnet.maxmin.*`) feeds the same store. The sink is removed when
+    /// the returned guard drops. Only one telemetry consumer
     /// can be installed at a time (last install wins).
     pub fn install_telemetry(&self) -> TelemetryGuard {
         mre_core::telemetry::install(Arc::new(self.clone()));

@@ -16,7 +16,7 @@
 //!   communication pattern costed on the intra-node network.
 
 use mre_core::Error;
-use mre_mpi::{run, run_instrumented, run_traced, AllgatherAlg, AllreduceAlg, Comm, Proc};
+use mre_mpi::{run, run_instrumented, AllgatherAlg, AllreduceAlg, Comm, Proc};
 use mre_simnet::{MemoryModel, Message, NetworkModel, Round, Schedule};
 use mre_trace::{EventKind, MetricsRegistry, Recorder};
 
@@ -153,24 +153,11 @@ pub fn cg_distributed(
     run(nprocs, move |proc_| cg_rank(a, b, iterations, proc_))
 }
 
-/// [`cg_distributed`] with wall-clock tracing: each rank records its
-/// compute phases (as `spmv`/`axpy` phase spans) and — through the traced
-/// runtime — every collective, send and receive wait into `recorder`.
-pub fn cg_distributed_traced(
-    a: &SparseMatrix,
-    b: &[f64],
-    iterations: usize,
-    nprocs: usize,
-    recorder: &Recorder,
-) -> Vec<(Vec<f64>, f64)> {
-    run_traced(nprocs, recorder, move |proc_| {
-        cg_rank(a, b, iterations, proc_)
-    })
-}
-
 /// [`cg_distributed`] with both instrumentation channels optional: a
-/// wall-clock recorder and/or a metrics registry (message counts, bytes,
-/// receive-wait time and per-algorithm collective counts).
+/// wall-clock recorder, into which each rank records its compute phases
+/// (as `spmv`/`axpy` phase spans) and every collective, send and receive
+/// wait, and/or a metrics registry (message counts, bytes, receive-wait
+/// time and per-algorithm collective counts).
 pub fn cg_distributed_instrumented(
     a: &SparseMatrix,
     b: &[f64],
@@ -482,7 +469,7 @@ mod tests {
         let a = generate_matrix(48, 3, 1.0, 5);
         let b: Vec<f64> = (0..48).map(|i| (i % 3) as f64).collect();
         let recorder = Recorder::new();
-        let traced = cg_distributed_traced(&a, &b, 10, 4, &recorder);
+        let traced = cg_distributed_instrumented(&a, &b, 10, 4, Some(&recorder), None);
         let untraced = cg_distributed(&a, &b, 10, 4);
         for ((xt, rt), (xu, ru)) in traced.iter().zip(&untraced) {
             assert_eq!(xt, xu, "tracing must not change results");
@@ -531,7 +518,7 @@ mod tests {
         let a = generate_matrix(n, 3, 1.0, 5);
         let b = vec![1.0; n];
         let recorder = Recorder::new();
-        cg_distributed_traced(&a, &b, iters, p, &recorder);
+        cg_distributed_instrumented(&a, &b, iters, p, Some(&recorder), None);
         let wall = recorder.take_trace();
 
         let net = toy_net_4();

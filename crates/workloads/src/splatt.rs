@@ -24,7 +24,7 @@
 
 use mre_core::{Error, Hierarchy, Permutation};
 use mre_mpi::schedules;
-use mre_mpi::{run, run_instrumented, run_traced, AllreduceAlg, Comm, Proc};
+use mre_mpi::{run, run_instrumented, AllreduceAlg, Comm, Proc};
 use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
 use mre_trace::{EventKind, MetricsRegistry, Recorder};
 
@@ -265,26 +265,11 @@ pub fn cpd_distributed(
     })
 }
 
-/// [`cpd_distributed`] with wall-clock tracing: per-mode MTTKRP compute
-/// phases and every layer/world collective are recorded into `recorder`.
-pub fn cpd_distributed_traced(
-    tensor: &SparseTensor,
-    rank: usize,
-    iterations: usize,
-    grid: [usize; 3],
-    seed: u64,
-    recorder: &Recorder,
-) -> Vec<f64> {
-    let nprocs = grid[0] * grid[1] * grid[2];
-    run_traced(nprocs, recorder, move |proc_| {
-        cpd_rank(tensor, rank, iterations, grid, seed, proc_)
-    })
-}
-
 /// [`cpd_distributed`] with both instrumentation channels optional: a
-/// wall-clock recorder and/or a metrics registry (message counts, bytes,
-/// receive-wait time and per-algorithm collective counts) — the entry
-/// point `trace_diff --workload cpd` runs.
+/// wall-clock recorder, into which the per-mode MTTKRP compute phases and
+/// every layer/world collective are recorded, and/or a metrics registry
+/// (message counts, bytes, receive-wait time and per-algorithm collective
+/// counts) — the entry point `trace_diff --workload cpd` runs.
 pub fn cpd_distributed_instrumented(
     tensor: &SparseTensor,
     rank: usize,
@@ -309,7 +294,7 @@ pub fn cpd_distributed_instrumented(
 /// are disjoint — followed by the world-wide ring Allreduce combining
 /// the layers. Generated from the same schedule builders the functional
 /// collectives mirror, so [`mre_trace::diff_traces`] aligns it
-/// span-by-span with a recorded [`cpd_distributed_traced`] run.
+/// span-by-span with a run recorded by [`cpd_distributed_instrumented`].
 /// `members[r]` is the global core of MPI rank `r` (grid coordinates are
 /// row-major, mode 2 fastest, exactly as [`cpd_distributed`] splits its
 /// world).
@@ -672,7 +657,8 @@ mod tests {
     fn traced_cpd_matches_untraced_and_records_phases() {
         let tensor = generate_tensor([8, 8, 12], 120, 21);
         let recorder = Recorder::new();
-        let traced = cpd_distributed_traced(&tensor, 3, 2, [2, 2, 2], 13, &recorder);
+        let traced =
+            cpd_distributed_instrumented(&tensor, 3, 2, [2, 2, 2], 13, Some(&recorder), None);
         let untraced = cpd_distributed(&tensor, 3, 2, [2, 2, 2], 13);
         assert_eq!(traced, untraced, "tracing must not change results");
         let trace = recorder.take_trace();
@@ -699,7 +685,7 @@ mod tests {
         let tensor = generate_tensor([8, 8, 12], 120, 21);
         let (rank, iters, grid) = (3, 2, [2, 2, 2]);
         let recorder = Recorder::new();
-        cpd_distributed_traced(&tensor, rank, iters, grid, 13, &recorder);
+        cpd_distributed_instrumented(&tensor, rank, iters, grid, 13, Some(&recorder), None);
         let wall = recorder.take_trace();
 
         // ⟦2,2,2⟧: 8 cores, three hierarchy levels.

@@ -212,7 +212,7 @@ pub fn stencil_distributed_instrumented(
 mod tests {
     use super::*;
     use mre_simnet::presets::hydra_network;
-    use mre_simnet::utilization;
+    use mre_trace::level_occupancy;
 
     #[test]
     fn halo_schedule_counts_faces() {
@@ -269,15 +269,16 @@ mod tests {
         );
         // And the traffic accounting explains it: the packed mapping sends
         // far fewer bytes across the node level.
-        let reordering =
-            RankReordering::new(&machine, &Permutation::parse("3-2-1-0").unwrap()).unwrap();
-        let placement: Vec<usize> = (0..512).map(|r| reordering.old_rank(r)).collect();
-        let u_packed = utilization(&machine, &stencil.halo_schedule(&placement).unwrap());
-        let reordering =
-            RankReordering::new(&machine, &Permutation::parse("0-1-2-3").unwrap()).unwrap();
-        let placement: Vec<usize> = (0..512).map(|r| reordering.old_rank(r)).collect();
-        let u_cyclic = utilization(&machine, &stencil.halo_schedule(&placement).unwrap());
-        assert!(u_packed.bytes_crossing[0] < u_cyclic.bytes_crossing[0]);
+        let node_bytes = |order: &str| {
+            let reordering =
+                RankReordering::new(&machine, &Permutation::parse(order).unwrap()).unwrap();
+            let placement: Vec<usize> = (0..512).map(|r| reordering.old_rank(r)).collect();
+            let timeline = net
+                .schedule_timeline(&stencil.halo_schedule(&placement).unwrap())
+                .unwrap();
+            level_occupancy(&machine, &timeline).total_bytes_crossing()[0]
+        };
+        assert!(node_bytes("3-2-1-0") < node_bytes("0-1-2-3"));
     }
 
     #[test]
