@@ -20,7 +20,8 @@ echo "== cargo test"
 # 1-rail fabrics cost bit-identically to the aggregate model
 # (crates/simnet/src/fluid.rs); the CPD winner flips exactly with the rail
 # count (tests/paper_claims.rs).
-cargo test -q --workspace
+# --no-fail-fast: a failing test binary must not hide the ones after it.
+cargo test -q --workspace --no-fail-fast
 
 echo "== perf benchmark unit tests (its own workspace; includes a --quick smoke of every workload)"
 cargo test -q --release --manifest-path crates/bench/src/bin/perf/Cargo.toml

@@ -120,6 +120,9 @@ fn parse_args() -> Result<Options, String> {
         }
         Ok(true)
     })?;
+    if opts.stream_out.is_some() && opts.snapshot_every.is_none() {
+        return Err("--stream-csv needs --snapshot-every to enable streaming".into());
+    }
     Ok(opts)
 }
 
@@ -348,17 +351,15 @@ fn run() -> Result<(), String> {
         println!("wrote metrics CSV to {path}");
     }
     if let Some(path) = &opts.stream_out {
-        match metrics.take_stream() {
-            Some(stream) => {
-                cli::write_or_exit(path, metrics_stream_csv(&stream));
-                println!(
-                    "wrote {} streamed snapshots (every {} events) to {path}",
-                    stream.snapshots.len(),
-                    stream.every
-                );
-            }
-            None => return Err("--stream-csv needs --snapshot-every to enable streaming".into()),
-        }
+        let stream = metrics
+            .take_stream()
+            .expect("parse_args pairs --stream-csv with --snapshot-every");
+        cli::write_or_exit(path, metrics_stream_csv(&stream));
+        println!(
+            "wrote {} streamed snapshots (every {} events) to {path}",
+            stream.snapshots.len(),
+            stream.every
+        );
     }
     Ok(())
 }

@@ -506,10 +506,7 @@ fn warm_round_profile_allocates_only_the_profile() {
         let (allocs, profile) =
             count_allocations(|| net.round_profile_with(&mut ws, &round.messages));
         assert_eq!(&profile, expected);
-        assert_eq!(
-            allocs, 2,
-            "a warm round profile allocates its entries and crossings only"
-        );
+        assert_eq!(allocs, 1, "a warm round profile allocates its entries only");
     }
 }
 

@@ -3,13 +3,18 @@
 
 use std::process::Command;
 
-/// Runs the binary `bin` with `args`; returns its exit code and stderr.
-fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(bin)
+/// Runs the binary `bin` with `args` on one worker.
+fn output(bin: &str, args: &[&str]) -> std::process::Output {
+    Command::new(bin)
         .args(args)
         .env("MRE_PAR_THREADS", "1")
         .output()
-        .expect("binary runs");
+        .expect("binary runs")
+}
+
+/// Runs the binary `bin` with `args`; returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = output(bin, args);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
@@ -143,9 +148,12 @@ fn zero_nodes_exit_2_without_panicking() {
 fn out_of_range_trace_options_exit_2_without_panicking() {
     let trace = env!("CARGO_BIN_EXE_trace_report");
     let diff = env!("CARGO_BIN_EXE_trace_diff");
-    // 2^61 bytes once overflowed the autotuner's tagged cache key, and a
-    // zero snapshot period once tripped the metrics registry's assertion.
+    // 2^61 bytes once overflowed the autotuner's tagged cache key, a zero
+    // snapshot period once tripped the metrics registry's assertion, and
+    // --stream-csv without --snapshot-every was once rejected only after
+    // the whole workload had run and printed its report.
     let too_large = "2305843009213693952";
+    let stream = format!("{}/unwritten_stream.csv", env!("CARGO_TARGET_TMPDIR"));
     for (bin, args) in [
         (trace, &["--autotune", "--bytes", too_large][..]),
         (trace, &["--fluid", "--bytes", too_large]),
@@ -160,11 +168,34 @@ fn out_of_range_trace_options_exit_2_without_panicking() {
                 "0",
             ],
         ),
+        (
+            diff,
+            &[
+                "--workload",
+                "stencil",
+                "--dims",
+                "2x4",
+                "--iters",
+                "2",
+                "--stream-csv",
+                &stream,
+            ],
+        ),
     ] {
-        let (code, stderr) = run(bin, args);
-        assert_eq!(code, Some(2), "{bin} {args:?}: stderr {stderr}");
+        let out = output(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {args:?}: stderr {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
         assert!(!stderr.trim().is_empty(), "{bin} {args:?}: no message");
+        assert!(
+            out.stdout.is_empty(),
+            "{bin} {args:?}: ran before rejecting: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 }
 

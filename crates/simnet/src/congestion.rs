@@ -266,7 +266,6 @@ impl CongestionProbe {
             let Some(path) = self.table.path(m.src, m.dst) else {
                 continue;
             };
-            debug_assert_eq!(profile.crossing[i], Some(path.crossing()));
             let (latency, rate) = profile.entries[i];
             let s = start + latency;
             let f = s + m.bytes as f64 / rate;

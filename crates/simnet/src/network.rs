@@ -288,7 +288,6 @@ impl NetworkModel {
         if messages.is_empty() {
             return RoundProfile {
                 entries: Vec::new(),
-                crossing: Vec::new(),
             };
         }
         ws.begin_round();
@@ -304,15 +303,17 @@ impl NetworkModel {
         ws.flow_offsets.clear();
         ws.flow_offsets.push(0);
         ws.flow_links.clear();
-        let mut crossing: Vec<Option<usize>> = Vec::with_capacity(messages.len());
+        // Latencies are known from the paths; crossing messages get their
+        // rates after the solve, self-messages keep the local copy rate.
+        let mut entries: Vec<(f64, f64)> = Vec::with_capacity(messages.len());
         for m in messages {
             debug_assert!(m.src < self.hierarchy.size() && m.dst < self.hierarchy.size());
             let Some(path) = table.path(m.src, m.dst) else {
                 ws.flow_offsets.push(ws.flow_links.len());
-                crossing.push(None);
+                entries.push((0.0, self.calibrated_local_rate));
                 continue;
             };
-            crossing.push(Some(path.crossing()));
+            entries.push((self.links[path.crossing()].crossing_latency, 0.0));
             for hop in path {
                 for id in [hop.up, hop.down] {
                     let next = ws.capacities.len() as u32;
@@ -341,16 +342,16 @@ impl NetworkModel {
                 &mut ws.rates,
             ),
         };
-        let entries = ws
-            .rates
-            .iter()
-            .zip(&crossing)
-            .map(|(&rate, j)| match j {
-                None => (0.0, self.calibrated_local_rate),
-                Some(j) => (self.links[*j].crossing_latency, rate),
-            })
-            .collect();
-        RoundProfile { entries, crossing }
+        for ((entry, &rate), flow) in entries
+            .iter_mut()
+            .zip(&ws.rates)
+            .zip(ws.flow_offsets.windows(2))
+        {
+            if flow[0] < flow[1] {
+                entry.1 = rate;
+            }
+        }
+        RoundProfile { entries }
     }
 
     /// Time for a schedule: the sum of its round times (rounds are
@@ -401,9 +402,6 @@ pub struct RoundProfile {
     /// Per-message `(latency_s, rate_bytes_per_s)`; self-messages carry
     /// `(0.0, local_copy_bandwidth)`.
     pub entries: Vec<(f64, f64)>,
-    /// Per-message crossing level (the level of the outermost coordinate
-    /// difference between endpoints); `None` for self-messages.
-    pub crossing: Vec<Option<usize>>,
 }
 
 impl RoundProfile {
@@ -417,36 +415,6 @@ impl RoundProfile {
             .zip(messages)
             .map(|(&(latency, rate), m)| latency + m.bytes as f64 / rate)
             .fold(0.0, f64::max)
-    }
-
-    /// Per-message `(start, finish, achieved rate)` timings for `messages`
-    /// (same pattern the profile was computed from), with every message
-    /// starting at `round_start` — rounds are barrier-synchronized, so all
-    /// messages of a round are injected together and each finishes at
-    /// `round_start + latency + bytes / rate`.
-    pub fn message_timings(
-        &self,
-        messages: &[Message],
-        round_start: f64,
-    ) -> Vec<crate::timeline::MessageTiming> {
-        debug_assert_eq!(self.entries.len(), messages.len());
-        self.entries
-            .iter()
-            .zip(&self.crossing)
-            .zip(messages)
-            .map(
-                |((&(latency, rate), &crossing), m)| crate::timeline::MessageTiming {
-                    src: m.src,
-                    dst: m.dst,
-                    bytes: m.bytes,
-                    start: round_start,
-                    finish: round_start + latency + m.bytes as f64 / rate,
-                    rate,
-                    latency,
-                    crossing,
-                },
-            )
-            .collect()
     }
 }
 

@@ -93,22 +93,6 @@ impl Round {
         h.finish()
     }
 
-    /// Fingerprint of this round's byte sequence `[bytes, …]`, ignoring
-    /// endpoints. Together with [`endpoint_fingerprint`](Self::endpoint_fingerprint)
-    /// it keys [`SharedCostCache`]'s round-time tier: a round's time
-    /// depends on its bytes as well as its endpoints — ring collectives
-    /// emit rounds with identical endpoints but rotating block sizes when
-    /// the payload does not divide evenly, and an endpoint-only key would
-    /// replay the first round's time for all of them.
-    fn byte_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for m in &self.messages {
-            m.bytes.hash(&mut h);
-        }
-        h.finish()
-    }
-
     /// Checks this round's messages for self-messages and duplicate
     /// `(src, dst)` pairs; `round` is the round's index in its schedule,
     /// used only for error reporting.
@@ -277,19 +261,22 @@ use crate::network::NetworkModel;
 /// Thread-safe memo of `(network model, schedule pattern, payload)` →
 /// cost, shared across sweep workers.
 ///
-/// Three tiers behind `&self`: whole-schedule costs, round times and
-/// solved round contention *profiles*, so the parallel sweep's workers —
-/// and consecutive payload sweeps, and neighbouring grid cells that
-/// happen to generate the same schedule pattern or the same rounds — all
-/// share one pool. Entries are sharded across several mutex-protected
-/// maps to keep lock contention negligible.
+/// Two tiers behind `&self`: whole-schedule costs (schedule patterns and
+/// caller-keyed job sets) and solved round contention *profiles*, so the
+/// parallel sweep's workers — and consecutive payload sweeps, and
+/// neighbouring grid cells that happen to generate the same schedule
+/// pattern or the same rounds — all share one pool. A round's time is its
+/// profile replayed over its bytes
+/// ([`RoundProfile::time`](crate::network::RoundProfile::time)), so the
+/// profile is all the round tier stores. Entries are sharded across
+/// several mutex-protected maps to keep lock contention negligible.
 ///
 /// The [`NetworkModel::fingerprint`] — which covers the hierarchy, link
 /// calibration, contention mode, **and the rail count × rail policy** —
 /// is folded into every key, so one cache safely serves a whole grid of
 /// models: a 1/2/4-rail sweep across rail policies (e.g. `fig8_rails`)
-/// reuses each configuration's costings without
-/// `clear()` choreography and without ever conflating two fabrics.
+/// reuses each configuration's costings without ever conflating two
+/// fabrics.
 ///
 /// # Caller contract
 ///
@@ -305,7 +292,6 @@ use crate::network::NetworkModel;
 #[derive(Debug)]
 pub struct SharedCostCache {
     shards: Vec<CostShard>,
-    round_times: Vec<CostShard>,
     round_profiles: Vec<ProfileShard>,
     pattern_hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
@@ -313,10 +299,8 @@ pub struct SharedCostCache {
     round_misses: std::sync::atomic::AtomicU64,
 }
 
-/// One lock-striped shard: `(model fingerprint, pattern fingerprint,
-/// payload key)` → cost. (The round-time tier reuses the same shape as
-/// `(model fingerprint, round endpoint fingerprint, round byte
-/// fingerprint)`.)
+/// One lock-striped shard of the whole-schedule tier: `(model
+/// fingerprint, pattern fingerprint, payload key)` → cost.
 type CostShard = std::sync::Mutex<std::collections::HashMap<(u64, u64, u64), f64>>;
 
 /// One lock-striped shard of the round-profile tier: `(model fingerprint,
@@ -334,9 +318,8 @@ type ProfileShard = std::sync::Mutex<
 pub struct CacheStats {
     /// Whole-schedule costs served from the pattern memo.
     pub pattern_hits: u64,
-    /// Rounds resolved without a contention solve: either the round-time
-    /// memo hit outright, or the round's profile was already solved and
-    /// only the (cheap) payload replay ran.
+    /// Rounds resolved without a contention solve: the round's profile
+    /// was already solved and only the (cheap) payload replay ran.
     pub round_hits: u64,
     /// Rounds that required a full contention solve.
     pub misses: u64,
@@ -355,9 +338,6 @@ impl SharedCostCache {
     pub fn new() -> Self {
         Self {
             shards: (0..Self::SHARDS)
-                .map(|_| std::sync::Mutex::new(std::collections::HashMap::new()))
-                .collect(),
-            round_times: (0..Self::SHARDS)
                 .map(|_| std::sync::Mutex::new(std::collections::HashMap::new()))
                 .collect(),
             round_profiles: (0..Self::SHARDS)
@@ -389,22 +369,6 @@ impl SharedCostCache {
     /// Whether no cost has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops all cached costs (pattern costs, round times and round
-    /// profiles), keeping the hit/miss counters. Never required when
-    /// switching models (the model fingerprint is part of every key) —
-    /// only for reclaiming memory.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().clear();
-        }
-        for shard in &self.round_times {
-            shard.lock().unwrap().clear();
-        }
-        for shard in &self.round_profiles {
-            shard.lock().unwrap().clear();
-        }
     }
 
     /// Snapshot of the round-granular counters: pattern hits, rounds
@@ -473,50 +437,29 @@ impl SharedCostCache {
         net: &NetworkModel,
         round: &Round,
     ) -> std::sync::Arc<crate::network::RoundProfile> {
-        self.profile_tier(
-            net,
-            round,
-            (net.fingerprint(), round.endpoint_fingerprint()),
-        )
+        self.profile_tier(net, net.fingerprint(), round)
     }
 
-    /// A round's lockstep time, memoized at round granularity.
-    ///
-    /// Two tiers: the round-*time* memo keyed `(model fingerprint, round
-    /// endpoint fingerprint, round byte fingerprint)` — the round's whole
-    /// `(src, dst, bytes)` sequence — answers repeats outright; on a time
-    /// miss the round-*profile* memo (keyed on endpoints only, hence
-    /// payload-independent) avoids the contention solve and only the
-    /// `O(messages)` payload replay runs. Either tier counts as a
-    /// `round_hit`; a full solve counts as a `miss`. Bit-identical to
-    /// `net.round_time(&round.messages)`.
+    /// A round's lockstep time, memoized at round granularity: the round's
+    /// solved profile (see [`round_profile_memo`](Self::round_profile_memo),
+    /// which this counts the same way) replayed over its bytes. Only the
+    /// contention solve is memoized; the `O(messages)` replay always runs.
+    /// Bit-identical to `net.round_time(&round.messages)`.
     pub fn round_time_memo(&self, net: &NetworkModel, round: &Round) -> f64 {
-        let model_fp = net.fingerprint();
-        let endpoint_fp = round.endpoint_fingerprint();
-        let tkey = (model_fp, endpoint_fp, round.byte_fingerprint());
-        let tshard = &self.round_times[Self::shard_index(&tkey)];
-        if let Some(&t) = tshard.lock().unwrap().get(&tkey) {
-            self.count_round(false);
-            return t;
-        }
-        let t = self
-            .profile_tier(net, round, (model_fp, endpoint_fp))
-            .time(&round.messages);
-        tshard.lock().unwrap().insert(tkey, t);
-        t
+        self.profile_tier(net, net.fingerprint(), round)
+            .time(&round.messages)
     }
 
-    /// The profile tier under an already computed `(model fingerprint,
-    /// endpoint fingerprint)` key: a cached profile counts a round hit, a
-    /// solve counts a miss. The caller passes the key because
-    /// [`round_time_memo`](Self::round_time_memo) already hashed both for
-    /// its time key, and a time-tier miss should not hash them twice.
+    /// The profile tier under the caller's `model_fp` (`net.fingerprint()`,
+    /// which a schedule costing hashes once for all its rounds): a cached
+    /// profile counts a round hit, a solve counts a miss.
     fn profile_tier(
         &self,
         net: &NetworkModel,
+        model_fp: u64,
         round: &Round,
-        key: (u64, u64),
     ) -> std::sync::Arc<crate::network::RoundProfile> {
+        let key = (model_fp, round.endpoint_fingerprint());
         let shard = &self.round_profiles[Self::shard_index(&key)];
         let cached = shard.lock().unwrap().get(&key).cloned();
         if let Some(p) = cached {
@@ -545,8 +488,8 @@ impl SharedCostCache {
     /// [`NetworkModel::schedule_time`] memoized at **both** pattern and
     /// round granularity: a pattern hit under the key `(net.fingerprint(),
     /// schedule.pattern_fingerprint(), payload)` answers outright; on a
-    /// pattern miss each round goes through
-    /// [`round_time_memo`](Self::round_time_memo), so candidate orders that
+    /// pattern miss each round's time is its memoized profile replayed, as
+    /// in [`round_time_memo`](Self::round_time_memo), so candidate orders that
     /// share rounds (or re-cost the same rounds at a new payload) reuse
     /// work at round granularity instead of re-solving the whole schedule.
     /// Under the caller contract on the type the result is bit-for-bit
@@ -558,15 +501,17 @@ impl SharedCostCache {
         payload: u64,
     ) -> f64 {
         use std::sync::atomic::Ordering::Relaxed;
-        let key = (net.fingerprint(), schedule.pattern_fingerprint(), payload);
+        let model_fp = net.fingerprint();
+        let key = (model_fp, schedule.pattern_fingerprint(), payload);
         let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
             self.pattern_hits.fetch_add(1, Relaxed);
             return t;
         }
-        // A round equal to its predecessor would hit the time tier the
-        // predecessor just filled; reuse its time without hashing the
-        // round again, counting the same round hit.
+        // A round equal to its predecessor would hit the profile the
+        // predecessor just solved and replay to the same time; reuse that
+        // time without hashing the round again, counting the same round
+        // hit.
         let mut previous: Option<(&Round, f64)> = None;
         let t: f64 = schedule
             .rounds
@@ -577,7 +522,7 @@ impl SharedCostCache {
                         self.count_round(false);
                         t
                     }
-                    _ => self.round_time_memo(net, r),
+                    _ => self.profile_tier(net, model_fp, r).time(&r.messages),
                 };
                 previous = Some((r, t));
                 t
@@ -772,7 +717,7 @@ mod tests {
     fn shared_cache_keys_models_apart() {
         // One cache serves a whole model grid: same schedule and payload
         // under different fabrics get distinct entries, never a stale
-        // cross-model hit — no clear() choreography needed.
+        // cross-model hit.
         let a = toy_network();
         let b = toy_network().with_contention_mode(ContentionMode::EqualShare);
         let c = toy_network().with_node_uplink_scale(2.0);
@@ -817,21 +762,6 @@ mod tests {
         // physics agree that policy is irrelevant on one rail) but 2-rail
         // entries stay distinct per policy.
         assert!(cache.len() >= 3, "len {}", cache.len());
-    }
-
-    #[test]
-    fn shared_cache_clear_reclaims() {
-        let a = toy_network();
-        let b = toy_network().with_node_uplink_scale(2.0);
-        let cache = SharedCostCache::new();
-        let s = Schedule::with(vec![Round::with(vec![Message::new(0, 8, 1000)])]);
-        cache.schedule_time_rounds(&a, &s, 1000);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(
-            cache.schedule_time_rounds(&b, &s, 1000),
-            b.schedule_time(&s)
-        );
     }
 
     #[test]

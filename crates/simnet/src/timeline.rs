@@ -111,7 +111,23 @@ impl NetworkModel {
         let mut clock = 0.0f64;
         for round in &schedule.rounds {
             let profile = self.round_profile(&round.messages);
-            let messages = profile.message_timings(&round.messages, clock);
+            // Rounds are barrier-synchronized: every message starts at the
+            // round's start and finishes `latency + bytes / rate` later.
+            let messages = profile
+                .entries
+                .iter()
+                .zip(&round.messages)
+                .map(|(&(latency, rate), m)| MessageTiming {
+                    src: m.src,
+                    dst: m.dst,
+                    bytes: m.bytes,
+                    start: clock,
+                    finish: clock + latency + m.bytes as f64 / rate,
+                    rate,
+                    latency,
+                    crossing: self.link_table().path(m.src, m.dst).map(|p| p.crossing()),
+                })
+                .collect();
             let finish = clock + profile.time(&round.messages);
             rounds.push(RoundTimeline {
                 start: clock,

@@ -24,7 +24,6 @@
 use mre_core::subcomm::{subcommunicators, ColorScheme, SubcommLayout};
 use mre_core::{Error, Hierarchy, Permutation};
 use mre_mpi::{run_instrumented, Comm};
-use mre_mpi::{AlgorithmChoice, AlgorithmSelector};
 use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
 use mre_trace::{MetricsRegistry, Recorder};
 
@@ -141,55 +140,6 @@ impl Microbench {
             simultaneous_duration: time(&Schedule::lockstep(&all)),
         })
     }
-
-    /// Runs the protocol with **per-subcommunicator algorithm
-    /// autotuning**: instead of this configuration's pinned algorithm,
-    /// each subcommunicator runs the algorithm an [`AlgorithmSelector`]
-    /// found cheapest for its members and sizes. Returns the result plus
-    /// the per-subcommunicator choices (same indexing as the layout's
-    /// colors).
-    ///
-    /// `cache` memoizes both the tuning probes and the final costings,
-    /// so sweeping payloads or orders re-costs only what changed.
-    pub fn run_autotuned(
-        &self,
-        net: &NetworkModel,
-        cache: &SharedCostCache,
-    ) -> Result<(MicrobenchResult, Vec<AlgorithmChoice>), Error> {
-        assert_eq!(
-            net.hierarchy(),
-            &self.machine,
-            "network model and benchmark must describe the same machine"
-        );
-        let layout = subcommunicators(
-            &self.machine,
-            &self.order,
-            self.subcomm_size,
-            ColorScheme::Quotient,
-        )?;
-        let choices = AlgorithmSelector::new(net, cache).select_layout(
-            self.collective,
-            layout.comms(),
-            self.total_bytes,
-        );
-        let nics = net.node_rails();
-        let tuned: Vec<Schedule> = choices
-            .iter()
-            .zip(layout.comms())
-            .map(|(choice, members)| choice.alg.schedule(members, self.total_bytes, nics))
-            .collect();
-        // The winner's schedule time is exactly what the selector already
-        // costed (and cached) for the first subcommunicator.
-        let single = choices[0].cost;
-        let simultaneous = net.concurrent_time(&tuned);
-        Ok((
-            MicrobenchResult {
-                single_duration: single,
-                simultaneous_duration: simultaneous,
-            },
-            choices,
-        ))
-    }
 }
 
 /// The costed-schedule counterpart of `iterations` back-to-back calls of
@@ -264,8 +214,7 @@ pub fn paper_size_sweep() -> Vec<u64> {
 mod tests {
     use super::*;
     use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
-    use mre_simnet::presets::{hydra_network, hydra_network_rails};
-    use mre_simnet::RailPolicy;
+    use mre_simnet::presets::hydra_network;
 
     fn bench(order: &[usize], size: u64) -> Microbench {
         Microbench {
@@ -420,72 +369,6 @@ mod tests {
             stats.round_hits,
             stats.misses
         );
-    }
-
-    #[test]
-    fn autotuned_run_never_loseses_to_any_pinned_algorithm() {
-        // The selector picks per-subcomm minima of the same candidate
-        // set, costed on the same rail-striped schedules `run` executes,
-        // so the tuned single-communicator duration can never exceed the
-        // best pinned algorithm's — on one rail and on two.
-        let one_rail = hydra_network(16, 1);
-        let two_rails = hydra_network_rails(16, 2, RailPolicy::RoundRobin);
-        let cases = [
-            (
-                &one_rail,
-                [3, 2, 1, 0],
-                [1u64 << 12, 1 << 24],
-                Collective::Allreduce(AllreduceAlg::Auto),
-                vec![
-                    Collective::Allreduce(AllreduceAlg::RecursiveDoubling),
-                    Collective::Allreduce(AllreduceAlg::Ring),
-                ],
-            ),
-            (
-                &two_rails,
-                [0, 1, 2, 3],
-                [1 << 20, 4 << 20],
-                Collective::Alltoall(AlltoallAlg::Auto),
-                vec![
-                    Collective::Alltoall(AlltoallAlg::Pairwise),
-                    Collective::Alltoall(AlltoallAlg::Bruck),
-                ],
-            ),
-        ];
-        for (net, order, sizes, collective, pinned_algs) in cases {
-            let cache = mre_simnet::SharedCostCache::new();
-            for size in sizes {
-                let tuned = Microbench {
-                    collective,
-                    ..bench(&order, size)
-                };
-                let (result, choices) = tuned.run_autotuned(net, &cache).unwrap();
-                for &alg in &pinned_algs {
-                    let pinned = Microbench {
-                        collective: alg,
-                        ..tuned.clone()
-                    }
-                    .run(net)
-                    .unwrap();
-                    assert!(
-                        result.single_duration <= pinned.single_duration * (1.0 + 1e-12),
-                        "tuned {} vs pinned {:?} {} at {size}",
-                        result.single_duration,
-                        alg,
-                        pinned.single_duration
-                    );
-                }
-                assert_eq!(choices.len(), 512 / 16);
-                // Re-tuning the same configuration re-costs nothing: every
-                // candidate evaluation hits the shared cache.
-                let (_, misses_before) = cache.stats();
-                let (again, _) = tuned.run_autotuned(net, &cache).unwrap();
-                let (hits, misses_after) = cache.stats();
-                assert_eq!(again, result);
-                assert_eq!(misses_after, misses_before);
-                assert!(hits > 0);
-            }
-        }
     }
 
     #[test]
