@@ -39,6 +39,14 @@ for bin in fig2_orders fig3_alltoall_hydra fig4_alltoall_hydra_128 fig5_alltoall
   cmp "target/golden_$bin.out" "results/$bin.txt"
 done
 
+echo "== fig8_rails source-hash golden (the merged-schedule fallback of the lockstep job-set cost)"
+# At 2 and 4 rails, source-hash railing refuses the translation
+# certificate for most layer job sets, so most of these rankings cost the
+# merged schedules: this pins the fallback path.
+cargo run -q --release -p mre-bench --bin fig8_rails -- --rail-policy src-hash \
+  > target/golden_fig8_rails_src_hash.out
+cmp target/golden_fig8_rails_src_hash.out results/fig8_rails_src_hash.txt
+
 echo "== order_sweep golden (the ranked allgather sweep reproduces results/ byte for byte)"
 cargo run -q --release -p mre-bench --bin order_sweep -- 16,2,2,8 16 allgather 4194304 \
   > target/golden_order_sweep.out

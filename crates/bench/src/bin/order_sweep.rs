@@ -63,7 +63,8 @@ use mre_core::subcomm::ColorScheme;
 use mre_core::{Hierarchy, Permutation};
 use mre_simnet::{
     fluid_lower_bound, fluid_lower_bound_aggregate, fluid_time, schedule_lower_bound,
-    schedule_lower_bound_aggregate, BoundGap, NetworkModel, RailPolicy, Schedule, SharedCostCache,
+    schedule_lower_bound_aggregate, BoundGap, JobSetEngine, NetworkModel, RailPolicy, Schedule,
+    SharedCostCache,
 };
 use mre_slurm::Distribution;
 use mre_workloads::microbench::Microbench;
@@ -186,17 +187,10 @@ fn run() -> Result<(), String> {
     // Full costs are memoized under (model fingerprint, pattern, payload)
     // so repeated patterns never re-solve contention.
     let cache = SharedCostCache::new();
-    let fluid_key = |all: &[Schedule]| -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for s in all {
-            s.pattern_fingerprint().hash(&mut h);
-        }
-        h.finish()
-    };
     let cost = |p: &Prepared| {
         if fluid_mode {
-            cache.time_keyed(&net, fluid_key(&p.all), size, || fluid_time(&net, &p.all))
+            let key = Schedule::job_set_key(JobSetEngine::Fluid, &p.all);
+            cache.time_keyed(&net, key, size, || fluid_time(&net, &p.all))
         } else {
             // Round-interned costing: rounds shared between candidate
             // patterns (and across repeated patterns) resolve from the

@@ -187,7 +187,7 @@ fn envelope_matches_schedule_time_across_the_full_product() {
                     let sym = SymbolicScheduleCost::build(&net, &cache, &reference, REF_PAYLOAD)
                         .expect("non-zero reference payload");
                     for r in &reference.rounds {
-                        per_round.round_profile_memo(&net, r);
+                        per_round.round_time_memo(&net, r);
                     }
                     assert_eq!(
                         cache.cache_stats(),

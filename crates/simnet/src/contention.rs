@@ -118,7 +118,7 @@ pub fn max_min_rates(flows: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
     }
     let mut ws = ContentionWorkspace::default();
     let mut rates = Vec::new();
-    max_min_rates_csr(&mut ws, &offsets, &links, capacities, &mut rates);
+    max_min_rates_csr::<false>(&mut ws, &offsets, &links, capacities, &[], &mut rates);
     rates
 }
 
@@ -128,11 +128,19 @@ pub fn max_min_rates(flows: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
 /// into `rates` (cleared first). Bit-identical to [`max_min_rates`] — the
 /// freezing schedule depends only on the data, not the containers — while
 /// allocating nothing once `ws` and `rates` are warm.
-pub(crate) fn max_min_rates_csr(
+///
+/// `QUOTIENT` solves a certified job set on communicator 0's flows
+/// (DESIGN.md §7j): link `l` carries `mults[l]` copies of each of its
+/// flows, so its flow count moves by `mults[l]`, and a freeze replays
+/// `remaining -= share` `mults[l]` times — never `mults[l] · share` — so
+/// each link sees the full solve's subtractions. Without it `mults` is
+/// never read.
+pub(crate) fn max_min_rates_csr<const QUOTIENT: bool>(
     ws: &mut ContentionWorkspace,
     flow_offsets: &[usize],
     flow_links: &[usize],
     capacities: &[f64],
+    mults: &[u32],
     rates: &mut Vec<f64>,
 ) {
     let nf = flow_offsets.len().saturating_sub(1);
@@ -174,6 +182,11 @@ pub(crate) fn max_min_rates_csr(
         for &l in flow(f) {
             ws.link_flows[ws.offsets[l] + ws.count[l]] = f;
             ws.count[l] += 1;
+        }
+    }
+    if QUOTIENT {
+        for (c, &m) in ws.count.iter_mut().zip(mults) {
+            *c *= m as usize;
         }
     }
     ws.remaining.clear();
@@ -247,8 +260,16 @@ pub(crate) fn max_min_rates_csr(
             active -= 1;
             rates[f] = bottleneck_share;
             for &l2 in flow(f) {
-                ws.remaining[l2] -= bottleneck_share;
-                ws.count[l2] -= 1;
+                if QUOTIENT {
+                    let m = mults[l2] as usize;
+                    for _ in 0..m {
+                        ws.remaining[l2] -= bottleneck_share;
+                    }
+                    ws.count[l2] -= m;
+                } else {
+                    ws.remaining[l2] -= bottleneck_share;
+                    ws.count[l2] -= 1;
+                }
                 if ws.stamp[l2] != step {
                     ws.stamp[l2] = step;
                     ws.touched.push(l2);
@@ -772,6 +793,44 @@ mod tests {
             max_min_rates(&[vec![1, 0], vec![1], vec![1]], &[s, 1.0]),
             vec![s, split, split]
         );
+    }
+
+    /// Solves `flows` on the quotient: each link `l` counted `mults[l]`
+    /// times.
+    fn quotient_rates(flows: &[Vec<usize>], caps: &[f64], mults: &[u32]) -> Vec<f64> {
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
+        for f in flows {
+            links.extend_from_slice(f);
+            offsets.push(links.len());
+        }
+        let mut rates = Vec::new();
+        let mut ws = ContentionWorkspace::default();
+        max_min_rates_csr::<true>(&mut ws, &offsets, &links, caps, mults, &mut rates);
+        rates
+    }
+
+    #[test]
+    fn quotient_solve_matches_the_full_solve_it_stands_for() {
+        // Three translated jobs of three flows through one shared link
+        // (1): each flow also crosses a private link of capacity 0.7, 0.3
+        // or 1.1. Job 0's links come first, as in a merged round, and the
+        // shares are not dyadic, so replayed subtractions round as the
+        // full solve's do.
+        let mut caps = vec![0.7, 6.0, 0.3, 1.1];
+        let mut full = vec![vec![0, 1], vec![1, 2], vec![1, 3]];
+        for job in 1..3 {
+            let base = 1 + 3 * job;
+            caps.extend([0.7, 0.3, 1.1]);
+            full.extend([vec![base, 1], vec![1, base + 1], vec![1, base + 2]]);
+        }
+        let rates = max_min_rates(&full, &caps);
+        // Job 0 alone, with the shared link counted thrice.
+        let quotient = quotient_rates(&full[..3], &caps[..4], &[1, 3, 1, 1]);
+        for job in rates.chunks(3) {
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(job), bits(&quotient));
+        }
     }
 
     #[test]

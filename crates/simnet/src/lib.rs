@@ -16,7 +16,10 @@
 //!
 //! Collectives are costed as [`schedule::Schedule`]s — rounds of concurrent
 //! messages — either alone or merged in lockstep with the schedules of
-//! other communicators ([`network::NetworkModel::concurrent_time`]).
+//! other communicators ([`network::NetworkModel::concurrent_time`]). When
+//! those communicators are translates of communicator 0 on the fabric
+//! ([`certificate`]), the merged rounds are solved on communicator 0's
+//! flows alone ([`SharedCostCache::job_set_time`]).
 //!
 //! Compute phases use a roofline with hierarchically shared memory
 //! bandwidth ([`memory::MemoryModel`]): cores under the same L3/NUMA/socket
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bound;
+pub mod certificate;
 pub mod congestion;
 pub mod contention;
 pub mod fluid;
@@ -47,6 +51,7 @@ pub use bound::{
     fluid_lower_bound, fluid_lower_bound_aggregate, schedule_lower_bound,
     schedule_lower_bound_aggregate, RoundLoad,
 };
+pub use certificate::TranslationCertificate;
 pub use congestion::{
     bound_gap_fluid, bound_gap_lockstep, BoundGap, CongestionProbe, LinkUsage, RailOccupancy,
     RateSegment, RoundMark,
@@ -59,7 +64,7 @@ pub use fluid::{
 pub use memory::MemoryModel;
 pub use network::{ContentionMode, LinkParams, NetworkModel, RoundProfile};
 pub use rail::{assign_rail, LinkPath, PathHop, RailLinkTable, RailPolicy};
-pub use schedule::{CacheStats, Message, Round, Schedule, SharedCostCache};
+pub use schedule::{CacheStats, JobSetEngine, Message, Round, Schedule, SharedCostCache};
 pub use symbolic::{PayloadEnvelope, SymbolicScheduleCost};
 pub use timeline::{MessageTiming, RoundTimeline, ScheduleTimeline};
 pub use workspace::{thread_workspace_rounds, RoundWorkspace};

@@ -285,6 +285,32 @@ impl NetworkModel {
         ws: &mut crate::workspace::RoundWorkspace,
         messages: &[Message],
     ) -> RoundProfile {
+        self.profile_with::<false>(ws, messages, &[])
+    }
+
+    /// The profile of a certified job set's merged round from
+    /// communicator 0's `messages` alone (DESIGN.md §7j): the solve runs on
+    /// communicator 0's flows, each link `l` counted `mults[l]` times (the
+    /// certificate's multiplicities), and every other communicator's
+    /// message `i` gets the rate of communicator 0's message `i`, so the
+    /// merged round's time is this profile's time over `messages`.
+    pub(crate) fn round_profile_quotient(
+        &self,
+        messages: &[Message],
+        mults: &[u32],
+    ) -> RoundProfile {
+        crate::workspace::with_thread_local(|ws| self.profile_with::<true>(ws, messages, mults))
+    }
+
+    /// [`round_profile_with`](Self::round_profile_with), or with
+    /// `QUOTIENT` the solve on link multiplicities `mults` (indexed by
+    /// model link id; unread otherwise).
+    fn profile_with<const QUOTIENT: bool>(
+        &self,
+        ws: &mut crate::workspace::RoundWorkspace,
+        messages: &[Message],
+        mults: &[u32],
+    ) -> RoundProfile {
         if messages.is_empty() {
             return RoundProfile {
                 entries: Vec::new(),
@@ -303,6 +329,7 @@ impl NetworkModel {
         ws.flow_offsets.clear();
         ws.flow_offsets.push(0);
         ws.flow_links.clear();
+        ws.mults.clear();
         // Latencies are known from the paths; crossing messages get their
         // rates after the solve, self-messages keep the local copy rate.
         let mut entries: Vec<(f64, f64)> = Vec::with_capacity(messages.len());
@@ -320,6 +347,10 @@ impl NetworkModel {
                     let idx = ws.links.slot_or_insert(id, next);
                     if idx == next {
                         ws.capacities.push(self.links[hop.level].uplink_bandwidth);
+                        if QUOTIENT {
+                            debug_assert!(mults[id as usize] > 0, "a link communicator 0 owns");
+                            ws.mults.push(mults[id as usize]);
+                        }
                     }
                     ws.flow_links.push(idx as usize);
                 }
@@ -327,18 +358,20 @@ impl NetworkModel {
             ws.flow_offsets.push(ws.flow_links.len());
         }
         match self.mode {
-            ContentionMode::MaxMinFair => max_min_rates_csr(
+            ContentionMode::MaxMinFair => max_min_rates_csr::<QUOTIENT>(
                 &mut ws.contention,
                 &ws.flow_offsets,
                 &ws.flow_links,
                 &ws.capacities,
+                &ws.mults,
                 &mut ws.rates,
             ),
-            ContentionMode::EqualShare => equal_share_rates_csr(
+            ContentionMode::EqualShare => equal_share_rates_csr::<QUOTIENT>(
                 &mut ws.counts,
                 &ws.flow_offsets,
                 &ws.flow_links,
                 &ws.capacities,
+                &ws.mults,
                 &mut ws.rates,
             ),
         };
@@ -420,17 +453,20 @@ impl RoundProfile {
 
 /// Naive equal-split rates: each flow gets the minimum over its links of
 /// `capacity / flows_on_link`, with no redistribution of unused shares.
-fn equal_share_rates_csr(
+/// `QUOTIENT` counts each flow on link `l` `mults[l]` times, as
+/// [`max_min_rates_csr`] does.
+fn equal_share_rates_csr<const QUOTIENT: bool>(
     counts: &mut Vec<usize>,
     flow_offsets: &[usize],
     flow_links: &[usize],
     capacities: &[f64],
+    mults: &[u32],
     rates: &mut Vec<f64>,
 ) {
     counts.clear();
     counts.resize(capacities.len(), 0);
     for &l in flow_links {
-        counts[l] += 1;
+        counts[l] += if QUOTIENT { mults[l] as usize } else { 1 };
     }
     rates.clear();
     rates.extend((0..flow_offsets.len().saturating_sub(1)).map(|f| {

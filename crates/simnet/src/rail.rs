@@ -352,6 +352,15 @@ impl RailLinkTable {
         })
     }
 
+    /// Entry `level` of `core`'s row: the id of its level instance's
+    /// rail-0 down link and its part of the rail choice (see the type
+    /// docs).
+    #[inline]
+    pub(crate) fn row_entry(&self, core: usize, level: usize) -> (u32, u32) {
+        let e = self.rows[core * self.strides.len() + level];
+        (e.base, e.rail)
+    }
+
     /// Decodes a link id back into `(level, instance, up, rail)` — for
     /// labels and diagnostics, not hot paths.
     pub fn decode(&self, id: u32) -> (usize, usize, bool, usize) {

@@ -227,6 +227,23 @@ impl Schedule {
         h.finish()
     }
 
+    /// The memo key of a job set's cost under `engine`: a hash of the
+    /// engine and every schedule's [`pattern_fingerprint`](Self::pattern_fingerprint),
+    /// in job order. The fluid engine keys a job set by it through
+    /// [`SharedCostCache::time_keyed`]; the lockstep job-set entry
+    /// ([`SharedCostCache::job_set_time`]) keys communicator 0's schedule
+    /// by it. The engine tag keeps one job set's lockstep and fluid costs
+    /// apart in one cache.
+    pub fn job_set_key(engine: JobSetEngine, schedules: &[Schedule]) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        engine.hash(&mut h);
+        for s in schedules {
+            s.pattern_fingerprint().hash(&mut h);
+        }
+        h.finish()
+    }
+
     /// Merges schedules in lockstep: round `i` of the result is the union
     /// of round `i` of every input (shorter schedules simply stop
     /// contributing). This is how simultaneous collectives in different
@@ -256,7 +273,19 @@ impl Schedule {
     }
 }
 
-use crate::network::NetworkModel;
+/// The engine a job-set cost belongs to, hashed into
+/// [`Schedule::job_set_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JobSetEngine {
+    /// Rounds merged in lockstep ([`SharedCostCache::job_set_time`]).
+    Lockstep,
+    /// The barrier-free fluid engine ([`crate::FluidSim`]).
+    Fluid,
+}
+
+use crate::certificate::TranslationCertificate;
+use crate::network::{NetworkModel, RoundProfile};
+use std::sync::Arc;
 
 /// Thread-safe memo of `(network model, schedule pattern, payload)` →
 /// cost, shared across sweep workers.
@@ -282,7 +311,8 @@ use crate::network::NetworkModel;
 ///
 /// Whole-schedule keys are `(net.fingerprint(),
 /// Schedule::pattern_fingerprint(), payload)` (or a caller-chosen pattern
-/// key for [`time_keyed`](Self::time_keyed)). The pattern fingerprint
+/// key for [`time_keyed`](Self::time_keyed), and a certified job set's
+/// key for [`job_set_time`](Self::job_set_time)). The pattern fingerprint
 /// covers endpoints and round structure but **not** byte counts, so the
 /// cached cost is only correct if the schedule's bytes are a
 /// deterministic function of (pattern, payload key) — true for every
@@ -304,12 +334,12 @@ pub struct SharedCostCache {
 type CostShard = std::sync::Mutex<std::collections::HashMap<(u64, u64, u64), f64>>;
 
 /// One lock-striped shard of the round-profile tier: `(model fingerprint,
-/// round endpoint fingerprint)` → solved contention profile. Profiles are
+/// round endpoint fingerprint)` → solved contention profile (on a
+/// certified job set, the model and certificate fingerprints hashed
+/// together take the model's place). Profiles are
 /// payload-independent (contended rates depend only on endpoints), so
 /// this tier is shared across the whole payload axis.
-type ProfileShard = std::sync::Mutex<
-    std::collections::HashMap<(u64, u64), std::sync::Arc<crate::network::RoundProfile>>,
->;
+type ProfileShard = std::sync::Mutex<std::collections::HashMap<(u64, u64), Arc<RoundProfile>>>;
 
 /// Snapshot of the round-granular counters of a [`SharedCostCache`],
 /// returned by [`SharedCostCache::cache_stats`]. This is the only channel
@@ -422,29 +452,15 @@ impl SharedCostCache {
         (h.finish() as usize) % Self::SHARDS
     }
 
-    /// The solved contention profile of a round, memoized under
-    /// `(net.fingerprint(), round.endpoint_fingerprint())`.
-    ///
-    /// Profiles are payload-independent, so one solve serves every payload
-    /// on the axis; a returned profile is bit-identical to
-    /// `net.round_profile(&round.messages)` because a fingerprint hit
-    /// implies the identical endpoint sequence and the solve is a
-    /// deterministic function of `(model, endpoints)`. Counts a round hit
-    /// when the profile was already solved, a miss when this call solved
-    /// it.
-    pub fn round_profile_memo(
-        &self,
-        net: &NetworkModel,
-        round: &Round,
-    ) -> std::sync::Arc<crate::network::RoundProfile> {
-        self.profile_tier(net, net.fingerprint(), round)
-    }
-
     /// A round's lockstep time, memoized at round granularity: the round's
-    /// solved profile (see [`round_profile_memo`](Self::round_profile_memo),
-    /// which this counts the same way) replayed over its bytes. Only the
+    /// solved profile, memoized under `(net.fingerprint(),
+    /// round.endpoint_fingerprint())`, replayed over its bytes. Only the
     /// contention solve is memoized; the `O(messages)` replay always runs.
-    /// Bit-identical to `net.round_time(&round.messages)`.
+    /// Profiles are payload-independent, so one solve serves every payload
+    /// on the axis, and a fingerprint hit implies the identical endpoint
+    /// sequence, so the time is bit-identical to
+    /// `net.round_time(&round.messages)`. Counts a round hit when the
+    /// profile was already solved, a miss when this call solved it.
     pub fn round_time_memo(&self, net: &NetworkModel, round: &Round) -> f64 {
         self.profile_tier(net, net.fingerprint(), round)
             .time(&round.messages)
@@ -453,13 +469,24 @@ impl SharedCostCache {
     /// The profile tier under the caller's `model_fp` (`net.fingerprint()`,
     /// which a schedule costing hashes once for all its rounds): a cached
     /// profile counts a round hit, a solve counts a miss.
-    fn profile_tier(
+    pub(crate) fn profile_tier(
         &self,
         net: &NetworkModel,
         model_fp: u64,
         round: &Round,
-    ) -> std::sync::Arc<crate::network::RoundProfile> {
-        let key = (model_fp, round.endpoint_fingerprint());
+    ) -> Arc<RoundProfile> {
+        self.memo_profile(model_fp, round, || net.round_profile(&round.messages))
+    }
+
+    /// The profile tier under `(context, round.endpoint_fingerprint())`,
+    /// solving with `solve` on a miss.
+    fn memo_profile(
+        &self,
+        context: u64,
+        round: &Round,
+        solve: impl FnOnce() -> RoundProfile,
+    ) -> Arc<RoundProfile> {
+        let key = (context, round.endpoint_fingerprint());
         let shard = &self.round_profiles[Self::shard_index(&key)];
         let cached = shard.lock().unwrap().get(&key).cloned();
         if let Some(p) = cached {
@@ -468,7 +495,7 @@ impl SharedCostCache {
         }
         // Solve outside the lock; a racing duplicate solve produces the
         // identical profile.
-        let p = std::sync::Arc::new(net.round_profile(&round.messages));
+        let p = Arc::new(solve());
         self.count_round(true);
         shard.lock().unwrap().insert(key, p.clone());
         p
@@ -500,9 +527,59 @@ impl SharedCostCache {
         schedule: &Schedule,
         payload: u64,
     ) -> f64 {
-        use std::sync::atomic::Ordering::Relaxed;
         let model_fp = net.fingerprint();
         let key = (model_fp, schedule.pattern_fingerprint(), payload);
+        self.memo_rounds(key, schedule, |r| self.profile_tier(net, model_fp, r))
+    }
+
+    /// The lockstep cost of a job set — every communicator's schedule
+    /// merged round by round, as [`NetworkModel::concurrent_time`] costs
+    /// it — from `cert` and the schedule
+    /// [`cert.job_schedule`](TranslationCertificate::job_schedule) returns.
+    ///
+    /// Under the trivial certificate `schedule` is the merged schedule and
+    /// this is [`schedule_time_rounds`](Self::schedule_time_rounds). Under
+    /// a certified one it is communicator 0's: only its links are
+    /// interned, each round is solved on its flows with the certificate's
+    /// multiplicities, and the round's time is replayed over its messages,
+    /// since every other communicator's message `i` has communicator 0's
+    /// bytes, latency and rate (DESIGN.md §7j). Both memo tiers key on
+    /// the model and the certificate's fingerprints, so a quotient profile
+    /// never answers for a plain one, and the pattern key is
+    /// [`Schedule::job_set_key`] of communicator 0's schedule.
+    pub fn job_set_time(
+        &self,
+        net: &NetworkModel,
+        cert: &TranslationCertificate,
+        schedule: &Schedule,
+        payload: u64,
+    ) -> f64 {
+        if cert.is_trivial() {
+            return self.schedule_time_rounds(net, schedule, payload);
+        }
+        let context = {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (net.fingerprint(), cert.fingerprint()).hash(&mut h);
+            h.finish()
+        };
+        let pattern = Schedule::job_set_key(JobSetEngine::Lockstep, std::slice::from_ref(schedule));
+        self.memo_rounds((context, pattern, payload), schedule, |r| {
+            self.memo_profile(context, r, || {
+                net.round_profile_quotient(&r.messages, cert.mults())
+            })
+        })
+    }
+
+    /// The pattern tier under `key` over `schedule`'s rounds, each timed
+    /// from the profile `profile` returns.
+    fn memo_rounds(
+        &self,
+        key: (u64, u64, u64),
+        schedule: &Schedule,
+        profile: impl Fn(&Round) -> Arc<RoundProfile>,
+    ) -> f64 {
+        use std::sync::atomic::Ordering::Relaxed;
         let shard = &self.shards[Self::shard_index(&key)];
         if let Some(&t) = shard.lock().unwrap().get(&key) {
             self.pattern_hits.fetch_add(1, Relaxed);
@@ -522,7 +599,7 @@ impl SharedCostCache {
                         self.count_round(false);
                         t
                     }
-                    _ => self.profile_tier(net, model_fp, r).time(&r.messages),
+                    _ => profile(r).time(&r.messages),
                 };
                 previous = Some((r, t));
                 t
@@ -855,10 +932,10 @@ mod tests {
         let net = toy_network();
         let cache = SharedCostCache::new();
         let round = Round::with(vec![Message::new(0, 8, 100), Message::new(1, 9, 100)]);
-        let memo = cache.round_profile_memo(&net, &round);
+        let memo = cache.profile_tier(&net, net.fingerprint(), &round);
         assert_eq!(*memo, net.round_profile(&round.messages));
         // Second ask is a hit returning the same Arc.
-        let again = cache.round_profile_memo(&net, &round);
+        let again = cache.profile_tier(&net, net.fingerprint(), &round);
         assert!(std::sync::Arc::ptr_eq(&memo, &again));
         let stats = cache.cache_stats();
         assert_eq!((stats.round_hits, stats.misses), (1, 1));

@@ -158,6 +158,7 @@ impl SymbolicScheduleCost {
         let mut lines: Vec<(f64, f64)> = Vec::new();
         let mut hulls: Vec<Vec<HullPiece>> = Vec::with_capacity(schedule.rounds.len());
         let mut previous: Option<&Round> = None;
+        let model_fp = net.fingerprint();
         for round in &schedule.rounds {
             // A round equal to its predecessor would hit the profile tier
             // the predecessor just filled and rebuild the same hull: reuse
@@ -172,7 +173,7 @@ impl SymbolicScheduleCost {
                 rounds.push(rounds.last().expect("the predecessor").clone());
                 continue;
             }
-            let profile = cache.round_profile_memo(net, round);
+            let profile = cache.profile_tier(net, model_fp, round);
             lines.clear();
             lines.extend(
                 profile

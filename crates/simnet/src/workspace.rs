@@ -108,6 +108,9 @@ pub struct RoundWorkspace {
     pub(crate) flow_links: Vec<usize>,
     /// Solved per-flow rates (output buffer of the contention solve).
     pub(crate) rates: Vec<f64>,
+    /// Multiplicity of each interned link on a quotient solve (empty
+    /// otherwise).
+    pub(crate) mults: Vec<u32>,
     /// Per-link flow counts (equal-share mode's only scratch).
     pub(crate) counts: Vec<usize>,
     /// The max-min solver's internal buffers.

@@ -24,7 +24,7 @@
 use mre_core::subcomm::{subcommunicators, ColorScheme, SubcommLayout};
 use mre_core::{Error, Hierarchy, Permutation};
 use mre_mpi::{run_instrumented, Comm};
-use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
+use mre_simnet::{NetworkModel, Schedule, SharedCostCache, TranslationCertificate};
 use mre_trace::{MetricsRegistry, Recorder};
 
 pub use mre_mpi::Collective;
@@ -118,7 +118,11 @@ impl Microbench {
     /// cached round profiles instead of re-solving contention — with `Auto`
     /// algorithm selection, each resolved algorithm's round shapes are
     /// cached separately and coexist. The cache is shared, so a whole
-    /// figure's orders can cost through one.
+    /// figure's orders can cost through one. The simultaneous run is a
+    /// lockstep job set ([`SharedCostCache::job_set_time`]): when the
+    /// layout earns a [`TranslationCertificate`], only communicator 0's
+    /// schedule is generated and solved, bit-identically to the merged
+    /// schedule of every communicator.
     pub fn run_with_scheme_cached(
         &self,
         net: &NetworkModel,
@@ -130,14 +134,27 @@ impl Microbench {
             &self.machine,
             "network model and benchmark must describe the same machine"
         );
-        let (_, all) = self.layout_schedules(scheme, net.node_rails())?;
-        // Round tier only: a figure sweep never repeats a whole schedule,
-        // so the pattern tier would only add a fingerprint and a miss.
-        let time =
-            |s: &Schedule| -> f64 { s.rounds.iter().map(|r| cache.round_time_memo(net, r)).sum() };
+        let layout = subcommunicators(&self.machine, &self.order, self.subcomm_size, scheme)?;
+        let comms = layout.comms();
+        let nics = net.node_rails();
+        // The simultaneous run is one lockstep job set: on a certified
+        // layout only communicator 0's schedule is generated and solved.
+        let cert = TranslationCertificate::new(net.link_table(), comms);
+        let own = self.schedule_for_rails(&comms[0], nics);
+        let merged = cert
+            .is_trivial()
+            .then(|| cert.job_schedule(comms, |members| self.schedule_for_rails(members, nics)));
+        let job = merged.as_ref().unwrap_or(&own);
+        // The single run uses the round tier only: a figure sweep never
+        // repeats a whole schedule, so the pattern tier would only add a
+        // fingerprint and a miss.
         Ok(MicrobenchResult {
-            single_duration: time(&all[0]),
-            simultaneous_duration: time(&Schedule::lockstep(&all)),
+            single_duration: own
+                .rounds
+                .iter()
+                .map(|r| cache.round_time_memo(net, r))
+                .sum(),
+            simultaneous_duration: cache.job_set_time(net, &cert, job, self.total_bytes),
         })
     }
 }

@@ -25,7 +25,7 @@
 use mre_core::{Error, Hierarchy, Permutation};
 use mre_mpi::schedules;
 use mre_mpi::{run, run_instrumented, AllreduceAlg, Comm, Proc};
-use mre_simnet::{NetworkModel, Schedule, SharedCostCache};
+use mre_simnet::{NetworkModel, Schedule, SharedCostCache, TranslationCertificate};
 use mre_trace::{EventKind, MetricsRegistry, Recorder};
 
 // ---------------------------------------------------------------------------
@@ -495,17 +495,20 @@ pub fn estimate_cpd_time(
 
 /// [`estimate_cpd_time`] reusing `cache` across calls.
 ///
-/// Every contention solve — the concurrent layer Alltoallvs of a mode and
-/// the world Allreduce — goes through the cache's round-interned path
-/// ([`SharedCostCache::schedule_time_rounds`]): whole schedules are
-/// memoized under `(model fingerprint, schedule pattern, payload)` and
-/// individual rounds' solved profiles under `(model fingerprint, round
-/// endpoint fingerprint)`, so a grid of fabrics (e.g. `fig8_rails`'s
-/// 1/2/4-rail sweep over 24 orders) shares one cache:
-/// identical patterns re-encountered within an order (the three per-mode
-/// world Allreduces) hit at pattern granularity, orders that share only
-/// some rounds hit round by round, and different rail counts and policies
-/// get distinct entries through the model fingerprint.
+/// Every contention solve goes through the cache's round-interned path:
+/// whole schedules are memoized under `(model fingerprint, schedule
+/// pattern, payload)` and individual rounds' solved profiles under
+/// `(model fingerprint, round endpoint fingerprint)`, so a grid of fabrics
+/// (e.g. `fig8_rails`'s 1/2/4-rail sweep over 24 orders) shares one cache:
+/// orders that share only some rounds hit round by round, and different
+/// rail counts and policies get distinct entries through the model
+/// fingerprint. The world Allreduce is costed once per call
+/// ([`SharedCostCache::schedule_time_rounds`]). A mode's concurrent layer
+/// Alltoalls are one lockstep job set ([`SharedCostCache::job_set_time`]):
+/// when the layers' member lists earn a [`TranslationCertificate`], only
+/// layer 0's schedule is generated and solved, with per-link
+/// multiplicities, bit-identically to the merged layers; otherwise the
+/// merged schedule is costed as is.
 pub fn estimate_cpd_time_cached(
     cfg: &SplattConfig,
     machine: &Hierarchy,
@@ -538,11 +541,12 @@ pub fn estimate_cpd_time_cached(
     };
     let smallest_mode = (0..3).max_by_key(|&m| g[m]).expect("three modes");
     // λ normalization + fit pieces: one world allreduce per mode. Its
-    // schedule does not depend on the mode, so it is built once and costed
-    // once per mode (the cache serves the repeats).
+    // schedule does not depend on the mode, so it is built and costed once
+    // and added once per mode.
     let world_members: Vec<usize> = (0..p).map(|r| reordering.old_rank(r)).collect();
     let ar_bytes = (cfg.rank * 8) as u64;
     let ar = schedules::allreduce_recursive_doubling(&world_members, ar_bytes);
+    let ar_time = cache.schedule_time_rounds(net, &ar, ar_bytes);
     for m in 0..3 {
         let n_layers = g[m];
         let comm_size = p / n_layers;
@@ -555,18 +559,18 @@ pub fn estimate_cpd_time_cached(
         let slab_rows = cfg.dims[m] / n_layers.max(1);
         let per_member_bytes = (slab_rows * cfg.rank * 8) as u64 / comm_size as u64;
         let per_pair = (per_member_bytes / comm_size as u64).max(1);
-        let layer_schedules: Vec<Schedule> = members
-            .iter()
-            .map(|mem| schedules::alltoall_pairwise(mem, per_pair))
-            .collect();
-        let merged = Schedule::lockstep(&layer_schedules);
-        let t = cache.schedule_time_rounds(net, &merged, per_pair);
+        // The layers run concurrently in lockstep: on a certified layout
+        // only layer 0's schedule is generated and solved.
+        let cert = TranslationCertificate::new(net.link_table(), &members);
+        let schedule =
+            cert.job_schedule(&members, |mem| schedules::alltoall_pairwise(mem, per_pair));
+        let t = cache.job_set_time(net, &cert, &schedule, per_pair);
         if m == smallest_mode {
             cost.small_comm_alltoallv += t * cfg.iterations as f64;
         } else {
             cost.large_comm_alltoallv += t * cfg.iterations as f64;
         }
-        cost.allreduce += cache.schedule_time_rounds(net, &ar, ar_bytes) * cfg.iterations as f64;
+        cost.allreduce += ar_time * cfg.iterations as f64;
     }
     // MTTKRP compute: 3 modes × 5·nnz·rank/p flops per iteration.
     let flops = 3.0 * 5.0 * cfg.nnz as f64 * cfg.rank as f64 / p as f64;
