@@ -131,6 +131,25 @@ cargo run -q --release -p mre-bench --bin order_sweep -- \
   | grep -v "^time split:" > target/fluid_pruned_nics4.out
 cmp target/fluid_pruned_nics4.out results/order_sweep_fluid_pruned_nics4.txt
 
+echo "== order_sweep --pruned lockstep goldens (the cheap rung's costed/pruned counts pinned)"
+# The lockstep bound ladder on one worker: Hydra at 1 and 4 rails
+# (pairwise alltoall) and LUMI at 64 KiB, where Auto picks Bruck. The
+# cheap rung prunes all but one candidate on each, so these pin that its
+# crossing-level walk bounds exactly as a per-hop walk does. The
+# wall-clock `time split:` line is filtered out.
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  16,2,2,8 16 alltoall 1048576 --pruned --threads 1 \
+  | grep -v "^time split:" > target/pruned_alltoall.out
+cmp target/pruned_alltoall.out results/order_sweep_pruned_alltoall.txt
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  16,2,2,8 16 alltoall 1048576 --nics 4 --pruned --threads 1 \
+  | grep -v "^time split:" > target/pruned_nics4.out
+cmp target/pruned_nics4.out results/order_sweep_pruned_nics4.txt
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  4,2,4,2,8 16 alltoall 65536 --pruned --threads 1 \
+  | grep -v "^time split:" > target/pruned_lumi.out
+cmp target/pruned_lumi.out results/order_sweep_pruned_lumi.txt
+
 echo "== worker-count smoke (the pruned recommendation is the same on 1, 2 and 4 workers)"
 # The search seeds each cell with ceil(W/C) candidates at once (W workers,
 # C payload cells), so on this 1 x 1 grid 4 workers cost 4 seeds before

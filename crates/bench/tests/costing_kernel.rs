@@ -516,18 +516,29 @@ fn generators_and_lockstep_allocate_each_round_once() {
     // doubling also emits its fold and unfold rounds.
     let members: Vec<usize> = (0..12).map(|i| i * 5).collect();
     type Generator = fn(&[usize]) -> Schedule;
-    let generated: [(&str, Generator); 6] = [
+    let generated: [(&str, Generator); 13] = [
         ("alltoall_pairwise", |m| schedules::alltoall_pairwise(m, 64)),
         ("alltoall_pairwise_railed", |m| {
             schedules::alltoall_pairwise_railed(m, 64, 4)
         }),
+        ("alltoall_bruck", |m| schedules::alltoall_bruck(m, 64)),
         ("allgather_ring", |m| schedules::allgather_ring(m, 64)),
+        ("allgather_bruck", |m| schedules::allgather_bruck(m, 64)),
+        ("allgather_recursive_doubling (p = 8)", |m| {
+            schedules::allgather_recursive_doubling(&m[..8], 64)
+        }),
         ("allreduce_ring", |m| schedules::allreduce_ring(m, 1000)),
         ("allreduce_recursive_doubling", |m| {
             schedules::allreduce_recursive_doubling(m, 1000)
         }),
         ("allreduce_recursive_doubling (p = 8)", |m| {
             schedules::allreduce_recursive_doubling(&m[..8], 1000)
+        }),
+        ("barrier_dissemination", schedules::barrier_dissemination),
+        ("bcast_binomial", |m| schedules::bcast_binomial(m, 5, 64)),
+        ("reduce_binomial", |m| schedules::reduce_binomial(m, 5, 64)),
+        ("reduce_scatter_ring", |m| {
+            schedules::reduce_scatter_ring(m, 1000)
         }),
     ];
     for (name, generate) in generated {

@@ -9,12 +9,56 @@
 //! lets mappings be costed at the paper's scale (512–2048 ranks, 24–120
 //! orders, dozens of message sizes) in milliseconds.
 //!
+//! Most rounds are **shifts**: rank `i` sends to rank `(i + k) mod p`.
+//! One helper, `push_shift`, builds them by zipping `members` with
+//! `members` rotated by `k` (split at `k`, one zip per side of the wrap),
+//! so no generator divides per message. Each round's buffer is sized
+//! before it is filled, and the round list before the first round: a
+//! generator allocates once per round plus once for the list (DESIGN.md
+//! §7h).
+//!
 //! The generators are tested against the functional implementations: for
 //! every algorithm, the multiset of (src, dst) pairs per round matches the
-//! messages the thread runtime actually exchanges.
+//! messages the thread runtime actually exchanges. A `#[cfg(test)]` modulo
+//! spelling of every generator is the oracle their messages are compared
+//! with, message for message.
 
-use crate::collectives::{block_range, ceil_log2};
+use crate::collectives::ceil_log2;
 use mre_simnet::{Message, Round, Schedule};
+
+/// Appends one shift round to `round`: rank `i` sends `bytes()` bytes to
+/// rank `(i + k) mod p`, in rank order (`bytes` is called once per rank,
+/// rank `0` first). The peers are `members` rotated by `k`: ranks
+/// `0..p−k` send to `members[k..]`, ranks `p−k..p` to `members[..k]`, so
+/// there is no division per message. Needs `k ≤ p`.
+#[inline]
+fn push_shift(round: &mut Round, members: &[usize], k: usize, mut bytes: impl FnMut() -> u64) {
+    let (head, tail) = members.split_at(k);
+    let (low, high) = members.split_at(tail.len());
+    let mut message = |(&src, &dst): (&usize, &usize)| Message::new(src, dst, bytes());
+    round
+        .messages
+        .extend(low.iter().zip(tail).map(&mut message));
+    round.messages.extend(high.iter().zip(head).map(message));
+}
+
+/// One shift round of `bytes` per message, in a buffer of exactly `p`.
+fn shift_round(members: &[usize], k: usize, bytes: u64) -> Round {
+    let mut round = Round::with_capacity(members.len());
+    push_shift(&mut round, members, k, || bytes);
+    round
+}
+
+/// `rounds` copies of the right-neighbor shift round: ring collectives
+/// re-issue one message set, so later rounds are copies of the first.
+fn ring_rounds(members: &[usize], rounds: usize, bytes: u64) -> Schedule {
+    let mut schedule = Schedule::with(Vec::with_capacity(rounds));
+    if rounds > 0 {
+        let round = shift_round(members, 1, bytes);
+        schedule.rounds.extend(std::iter::repeat_n(round, rounds));
+    }
+    schedule
+}
 
 /// Pairwise-exchange Alltoall: `p−1` rounds; in round `r` rank `i` sends to
 /// `(i+r) mod p` and receives from `(i−r) mod p`. `bytes_per_pair` is the
@@ -23,15 +67,7 @@ pub fn alltoall_pairwise(members: &[usize], bytes_per_pair: u64) -> Schedule {
     let p = members.len();
     let mut schedule = Schedule::with(Vec::with_capacity(p.saturating_sub(1)));
     for r in 1..p {
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(
-                members[i],
-                members[(i + r) % p],
-                bytes_per_pair,
-            ));
-        }
-        schedule.push(round);
+        schedule.push(shift_round(members, r, bytes_per_pair));
     }
     schedule
 }
@@ -55,16 +91,10 @@ pub fn alltoall_pairwise_railed(members: &[usize], bytes_per_pair: u64, nics: us
         let end = (r + nics).min(p);
         let mut round = Round::with_capacity((end - r) * p);
         for sub in r..end {
-            for i in 0..p {
-                round.push(Message::new(
-                    members[i],
-                    members[(i + sub) % p],
-                    bytes_per_pair,
-                ));
-            }
+            push_shift(&mut round, members, sub, || bytes_per_pair);
         }
         schedule.push(round);
-        r += nics;
+        r = end;
     }
     schedule
 }
@@ -77,17 +107,10 @@ pub fn alltoall_bruck(members: &[usize], bytes_per_pair: u64) -> Schedule {
     for k in 0..ceil_log2(p) {
         let hop = 1usize << k;
         // Every rank holds, per destination offset `o`, one block of
-        // `bytes_per_pair`; blocks with bit k of o set travel this round.
-        let blocks: u64 = (0..p).filter(|o| o & hop != 0).count() as u64;
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(
-                members[i],
-                members[(i + hop) % p],
-                blocks * bytes_per_pair,
-            ));
-        }
-        schedule.push(round);
+        // `bytes_per_pair`; blocks with bit k of o set travel this round:
+        // `hop` per full period of `2·hop` offsets, plus the tail's excess.
+        let blocks = (((p >> (k + 1)) << k) + (p & ((hop << 1) - 1)).saturating_sub(hop)) as u64;
+        schedule.push(shift_round(members, hop, blocks * bytes_per_pair));
     }
     schedule
 }
@@ -106,11 +129,16 @@ pub fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
     let mut schedule = Schedule::with(Vec::with_capacity(p));
     for r in 0..p {
         let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            let dst = (i + r) % p;
-            let bytes = sizes[i][dst];
+        // Rank `i` sends to `dst = (i + r) mod p`, a wrapping counter.
+        let mut dst = r;
+        for (&src, row) in members.iter().zip(sizes) {
+            let bytes = row[dst];
             if bytes > 0 {
-                round.push(Message::new(members[i], members[dst], bytes));
+                round.push(Message::new(src, members[dst], bytes));
+            }
+            dst += 1;
+            if dst == p {
+                dst = 0;
             }
         }
         if !round.messages.is_empty() {
@@ -123,16 +151,7 @@ pub fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
 /// Ring Allgather: `p−1` rounds, every rank forwards the block it received
 /// last to its right neighbor. `block_bytes` is one rank's contribution.
 pub fn allgather_ring(members: &[usize], block_bytes: u64) -> Schedule {
-    let p = members.len();
-    let mut schedule = Schedule::with(Vec::with_capacity(p.saturating_sub(1)));
-    for _ in 1..p {
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(members[i], members[(i + 1) % p], block_bytes));
-        }
-        schedule.push(round);
-    }
-    schedule
+    ring_rounds(members, members.len().saturating_sub(1), block_bytes)
 }
 
 /// Recursive-doubling Allgather (power-of-two `p`): round `k` exchanges
@@ -146,14 +165,11 @@ pub fn allgather_recursive_doubling(members: &[usize], block_bytes: u64) -> Sche
     let mut schedule = Schedule::with(Vec::with_capacity(p.trailing_zeros() as usize));
     let mut hop = 1usize;
     while hop < p {
+        let bytes = hop as u64 * block_bytes;
         let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(
-                members[i],
-                members[i ^ hop],
-                hop as u64 * block_bytes,
-            ));
-        }
+        round
+            .messages
+            .extend((0..p).map(|i| Message::new(members[i], members[i ^ hop], bytes)));
         schedule.push(round);
         hop <<= 1;
     }
@@ -168,15 +184,7 @@ pub fn allgather_bruck(members: &[usize], block_bytes: u64) -> Schedule {
     let mut hop = 1usize;
     while hop < p {
         let blocks = hop.min(p - hop) as u64;
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(
-                members[i],
-                members[(i + p - hop) % p],
-                blocks * block_bytes,
-            ));
-        }
-        schedule.push(round);
+        schedule.push(shift_round(members, p - hop, blocks * block_bytes));
         hop <<= 1;
     }
     schedule
@@ -193,47 +201,43 @@ pub fn allreduce_recursive_doubling(members: &[usize], total_bytes: u64) -> Sche
     let rem = p - pow;
     let folds = if rem > 0 { 2 } else { 0 };
     let mut schedule = Schedule::with(Vec::with_capacity(pow.trailing_zeros() as usize + folds));
-    if rem > 0 {
+    // Fold pairs `(2i, 2i+1)` for `i < rem`: the odd rank hands its vector
+    // to the even one, which then stands for both.
+    let fold = |src: usize, dst: usize| {
         let mut round = Round::with_capacity(rem);
-        for i in 0..rem {
-            round.push(Message::new(
-                members[2 * i + 1],
-                members[2 * i],
-                total_bytes,
-            ));
-        }
-        schedule.push(round);
+        round.messages.extend(
+            (0..rem).map(|i| Message::new(members[2 * i + src], members[2 * i + dst], total_bytes)),
+        );
+        round
+    };
+    if rem > 0 {
+        schedule.push(fold(1, 0));
     }
+    // The `pow` surviving ranks: the even rank of every fold pair, then
+    // every rank past the folds.
     let to_real = |nr: usize| if nr < rem { nr * 2 } else { nr + rem };
     let mut hop = 1usize;
     while hop < pow {
         let mut round = Round::with_capacity(pow);
-        for nr in 0..pow {
-            round.push(Message::new(
+        round.messages.extend((0..pow).map(|nr| {
+            Message::new(
                 members[to_real(nr)],
                 members[to_real(nr ^ hop)],
                 total_bytes,
-            ));
-        }
+            )
+        }));
         schedule.push(round);
         hop <<= 1;
     }
     if rem > 0 {
-        let mut round = Round::with_capacity(rem);
-        for i in 0..rem {
-            round.push(Message::new(
-                members[2 * i],
-                members[2 * i + 1],
-                total_bytes,
-            ));
-        }
-        schedule.push(round);
+        schedule.push(fold(0, 1));
     }
     schedule
 }
 
 /// Ring Allreduce (reduce-scatter + allgather): `2(p−1)` rounds of
-/// `total_bytes / p` blocks (balanced split).
+/// `total_bytes / p` blocks (balanced split: the first `total_bytes mod p`
+/// blocks carry one byte more).
 pub fn allreduce_ring(members: &[usize], total_bytes: u64) -> Schedule {
     let p = members.len();
     if p <= 1 {
@@ -241,33 +245,29 @@ pub fn allreduce_ring(members: &[usize], total_bytes: u64) -> Schedule {
     }
     let mut schedule = Schedule::with(Vec::with_capacity(2 * (p - 1)));
     let n = total_bytes as usize;
-    // Reduce-scatter.
-    for step in 0..p - 1 {
+    let (base, extra) = (n / p, n % p);
+    // Rank `i` sends block `(i + first) mod p`: a counter that wraps at
+    // `p`, starting at `first` for rank 0.
+    let mut push_round = |first: usize| {
         let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            let send_block = (i + p - step) % p;
-            let (s0, s1) = block_range(n, p, send_block);
-            round.push(Message::new(
-                members[i],
-                members[(i + 1) % p],
-                (s1 - s0) as u64,
-            ));
-        }
+        let mut block = first;
+        push_shift(&mut round, members, 1, || {
+            let len = base + usize::from(block < extra);
+            block += 1;
+            if block == p {
+                block = 0;
+            }
+            len as u64
+        });
         schedule.push(round);
+    };
+    // Reduce-scatter: rank `i` sends block `(i − step) mod p`.
+    for step in 0..p - 1 {
+        push_round((p - step) % p);
     }
-    // Allgather.
+    // Allgather: rank `i` sends block `(i + 1 − step) mod p`.
     for step in 0..p - 1 {
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            let send_block = (i + 1 + p - step) % p;
-            let (s0, s1) = block_range(n, p, send_block);
-            round.push(Message::new(
-                members[i],
-                members[(i + 1) % p],
-                (s1 - s0) as u64,
-            ));
-        }
-        schedule.push(round);
+        push_round((p + 1 - step) % p);
     }
     schedule
 }
@@ -278,24 +278,23 @@ pub fn bcast_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
     if p <= 1 {
         return Schedule::new();
     }
-    // Round k: relative ranks < 2^k forward to +2^k.
+    // Round k: relative ranks < 2^k forward to +2^k. Relative rank `rel`
+    // is `members[(rel + root) mod p]`: `members` rotated by `root`.
+    let (head, tail) = members.split_at(root % p);
+    let relative = || tail.iter().chain(head);
     let rounds = ceil_log2(p);
     let mut schedule = Schedule::with(Vec::with_capacity(rounds));
     for k in 0..rounds {
         let hop = 1usize << k;
-        let mut round = Round::with_capacity(hop.min(p - hop));
-        for rel in 0..hop.min(p) {
-            if rel + hop < p {
-                round.push(Message::new(
-                    members[(rel + root) % p],
-                    members[(rel + hop + root) % p],
-                    bytes,
-                ));
-            }
-        }
-        if !round.messages.is_empty() {
-            schedule.push(round);
-        }
+        let senders = hop.min(p - hop);
+        let mut round = Round::with_capacity(senders);
+        round.messages.extend(
+            relative()
+                .zip(relative().skip(hop))
+                .take(senders)
+                .map(|(&src, &dst)| Message::new(src, dst, bytes)),
+        );
+        schedule.push(round);
     }
     schedule
 }
@@ -303,22 +302,13 @@ pub fn bcast_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
 /// Binomial-tree reduction to communicator rank `root` (the mirror of
 /// [`bcast_binomial`]).
 pub fn reduce_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
-    let bcast = bcast_binomial(members, root, bytes);
-    // Reverse rounds and flip message directions.
-    let rounds = bcast
-        .rounds
-        .into_iter()
-        .rev()
-        .map(|r| {
-            Round::with(
-                r.messages
-                    .into_iter()
-                    .map(|m| Message::new(m.dst, m.src, m.bytes))
-                    .collect(),
-            )
-        })
-        .collect();
-    Schedule::with(rounds)
+    let mut schedule = bcast_binomial(members, root, bytes);
+    // Reverse rounds and flip message directions, in place.
+    schedule.rounds.reverse();
+    for m in schedule.rounds.iter_mut().flat_map(|r| &mut r.messages) {
+        std::mem::swap(&mut m.src, &mut m.dst);
+    }
+    schedule
 }
 
 /// Linear gather of `bytes` per rank to `root` (one contention round).
@@ -354,29 +344,15 @@ pub fn scan_hillis_steele(members: &[usize], bytes: u64) -> Schedule {
 }
 
 /// Ring reduce-scatter (equal blocks): `p−1` reduction rounds plus one
-/// rotate-home round, block size `total_bytes / p`.
+/// rotate-home round, block size `total_bytes / p`. The rotate-home round
+/// (rank `i` holds block `i+1`, which belongs to the right neighbor) sends
+/// along the same ring, so all `p` rounds are one message set.
 pub fn reduce_scatter_ring(members: &[usize], total_bytes: u64) -> Schedule {
     let p = members.len();
     if p <= 1 {
         return Schedule::new();
     }
-    let mut schedule = Schedule::with(Vec::with_capacity(p));
-    let block = total_bytes / p as u64;
-    for _ in 0..p - 1 {
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(members[i], members[(i + 1) % p], block));
-        }
-        schedule.push(round);
-    }
-    // Rotate the finished block home: rank i holds block i+1, which
-    // belongs to the right neighbor.
-    let mut round = Round::with_capacity(p);
-    for i in 0..p {
-        round.push(Message::new(members[i], members[(i + 1) % p], block));
-    }
-    schedule.push(round);
-    schedule
+    ring_rounds(members, p, total_bytes / p as u64)
 }
 
 /// Exclusive scan: same hop structure as [`scan_hillis_steele`].
@@ -390,14 +366,208 @@ pub fn barrier_dissemination(members: &[usize]) -> Schedule {
     let p = members.len();
     let mut schedule = Schedule::with(Vec::with_capacity(ceil_log2(p)));
     for k in 0..ceil_log2(p) {
-        let hop = 1usize << k;
-        let mut round = Round::with_capacity(p);
-        for i in 0..p {
-            round.push(Message::new(members[i], members[(i + hop) % p], 0));
-        }
-        schedule.push(round);
+        schedule.push(shift_round(members, 1 << k, 0));
     }
     schedule
+}
+
+/// The modulo spelling of every generator: rank `i`'s peer is indexed as
+/// `(i + k) mod p` and every block length is read off `block_range`. The
+/// oracle the division-free generators are compared with, message for
+/// message.
+#[cfg(test)]
+mod oracle {
+    use crate::collectives::{block_range, ceil_log2};
+    use mre_simnet::{Message, Round, Schedule};
+
+    /// `rounds` rounds, round `r` holding `message(r, i)` for every rank
+    /// `i` that `message` keeps.
+    fn by_rank(
+        p: usize,
+        rounds: impl IntoIterator<Item = usize>,
+        message: impl Fn(usize, usize) -> Option<Message>,
+    ) -> Schedule {
+        let rounds = rounds
+            .into_iter()
+            .map(|r| Round::with((0..p).filter_map(|i| message(r, i)).collect()));
+        Schedule::with(rounds.filter(|r| !r.messages.is_empty()).collect())
+    }
+
+    pub fn alltoall_pairwise(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 1..p, |r, i| {
+            Some(Message::new(members[i], members[(i + r) % p], bytes))
+        })
+    }
+
+    pub fn alltoall_pairwise_railed(members: &[usize], bytes: u64, nics: usize) -> Schedule {
+        let p = members.len();
+        let rounds = (1..p).step_by(nics).map(|r| {
+            let subs = r..(r + nics).min(p);
+            let messages = subs.flat_map(|sub| {
+                (0..p).map(move |i| Message::new(members[i], members[(i + sub) % p], bytes))
+            });
+            Round::with(messages.collect())
+        });
+        Schedule::with(rounds.collect())
+    }
+
+    pub fn alltoall_bruck(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..ceil_log2(p), |k, i| {
+            let hop = 1 << k;
+            let blocks = (0..p).filter(|o| o & hop != 0).count() as u64;
+            Some(Message::new(
+                members[i],
+                members[(i + hop) % p],
+                blocks * bytes,
+            ))
+        })
+    }
+
+    pub fn alltoallv_pairwise(members: &[usize], sizes: &[Vec<u64>]) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..p, |r, i| {
+            let dst = (i + r) % p;
+            (sizes[i][dst] > 0).then(|| Message::new(members[i], members[dst], sizes[i][dst]))
+        })
+    }
+
+    pub fn allgather_ring(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 1..p, |_, i| {
+            Some(Message::new(members[i], members[(i + 1) % p], bytes))
+        })
+    }
+
+    pub fn allgather_recursive_doubling(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..p.trailing_zeros() as usize, |k, i| {
+            Some(Message::new(
+                members[i],
+                members[i ^ (1 << k)],
+                (1u64 << k) * bytes,
+            ))
+        })
+    }
+
+    pub fn allgather_bruck(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..ceil_log2(p), |k, i| {
+            let hop = 1 << k;
+            let blocks = hop.min(p - hop) as u64;
+            Some(Message::new(
+                members[i],
+                members[(i + p - hop) % p],
+                blocks * bytes,
+            ))
+        })
+    }
+
+    pub fn allreduce_recursive_doubling(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        if p <= 1 {
+            return Schedule::new();
+        }
+        let pow = 1usize << (usize::BITS - 1 - p.leading_zeros());
+        let rem = p - pow;
+        let fold = |src: usize, dst: usize| {
+            Round::with(
+                (0..rem)
+                    .map(|i| Message::new(members[2 * i + src], members[2 * i + dst], bytes))
+                    .collect(),
+            )
+        };
+        let to_real = |nr: usize| if nr < rem { nr * 2 } else { nr + rem };
+        let mut rounds = vec![fold(1, 0)];
+        for k in 0..pow.trailing_zeros() {
+            let hop = 1 << k;
+            let messages = (0..pow)
+                .map(|nr| Message::new(members[to_real(nr)], members[to_real(nr ^ hop)], bytes));
+            rounds.push(Round::with(messages.collect()));
+        }
+        rounds.push(fold(0, 1));
+        rounds.retain(|r| !r.messages.is_empty());
+        Schedule::with(rounds)
+    }
+
+    pub fn allreduce_ring(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        let n = bytes as usize;
+        let len = |block: usize| {
+            let (s0, s1) = block_range(n, p, block);
+            (s1 - s0) as u64
+        };
+        // Reduce-scatter rounds `0..p−1`, then allgather rounds.
+        by_rank(p, 0..2 * p.saturating_sub(1), |r, i| {
+            let block = if r < p - 1 {
+                (i + p - r) % p
+            } else {
+                (i + 1 + p - (r - (p - 1))) % p
+            };
+            Some(Message::new(members[i], members[(i + 1) % p], len(block)))
+        })
+    }
+
+    pub fn bcast_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..ceil_log2(p), |k, rel| {
+            let hop = 1 << k;
+            (rel < hop && rel + hop < p).then(|| {
+                Message::new(
+                    members[(rel + root) % p],
+                    members[(rel + hop + root) % p],
+                    bytes,
+                )
+            })
+        })
+    }
+
+    pub fn reduce_binomial(members: &[usize], root: usize, bytes: u64) -> Schedule {
+        let bcast = bcast_binomial(members, root, bytes)
+            .rounds
+            .into_iter()
+            .rev();
+        let flip = |r: Round| {
+            Round::with(
+                r.messages
+                    .iter()
+                    .map(|m| Message::new(m.dst, m.src, m.bytes))
+                    .collect(),
+            )
+        };
+        Schedule::with(bcast.map(flip).collect())
+    }
+
+    pub fn gather_linear(members: &[usize], root: usize, bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..1, |_, i| {
+            (i != root).then(|| Message::new(members[i], members[root], bytes))
+        })
+    }
+
+    pub fn scan_hillis_steele(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..ceil_log2(p), |k, i| {
+            (i + (1 << k) < p).then(|| Message::new(members[i], members[i + (1 << k)], bytes))
+        })
+    }
+
+    pub fn reduce_scatter_ring(members: &[usize], bytes: u64) -> Schedule {
+        let p = members.len();
+        let block = bytes / p.max(1) as u64;
+        let rounds = if p <= 1 { 0 } else { p };
+        by_rank(p, 0..rounds, |_, i| {
+            Some(Message::new(members[i], members[(i + 1) % p], block))
+        })
+    }
+
+    pub fn barrier_dissemination(members: &[usize]) -> Schedule {
+        let p = members.len();
+        by_rank(p, 0..ceil_log2(p), |k, i| {
+            Some(Message::new(members[i], members[(i + (1 << k)) % p], 0))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -407,6 +577,130 @@ mod tests {
 
     fn members(p: usize) -> Vec<usize> {
         (0..p).map(|i| i * 10).collect()
+    }
+
+    /// Every generator against its modulo spelling in [`oracle`], message
+    /// for message: p ∈ 1..=70, identity and shuffled members, payloads
+    /// from 0 to 2²⁴ (with remainders modulo p), 1–4 rails, and roots at
+    /// both ends and the middle.
+    #[test]
+    fn generators_equal_the_modulo_oracle() {
+        use mre_rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5c4e_d01e);
+        let payloads = [0u64, 1, 7, 1000, 65549, 1 << 24];
+        for p in 1..=70usize {
+            let identity: Vec<usize> = (0..p).collect();
+            let mut shuffled: Vec<usize> = (0..p).map(|i| 3 * i + 1).collect();
+            rng.shuffle(&mut shuffled);
+            for members in [&identity, &shuffled] {
+                let m = members.as_slice();
+                let check = |name: &str, got: Schedule, want: Schedule| {
+                    assert_eq!(got, want, "{name}, p = {p}, members {m:?}");
+                };
+                check(
+                    "barrier_dissemination",
+                    barrier_dissemination(m),
+                    oracle::barrier_dissemination(m),
+                );
+                for &bytes in &payloads {
+                    check(
+                        "alltoall_pairwise",
+                        alltoall_pairwise(m, bytes),
+                        oracle::alltoall_pairwise(m, bytes),
+                    );
+                    for nics in 1..=4 {
+                        check(
+                            "alltoall_pairwise_railed",
+                            alltoall_pairwise_railed(m, bytes, nics),
+                            oracle::alltoall_pairwise_railed(m, bytes, nics),
+                        );
+                    }
+                    check(
+                        "alltoall_bruck",
+                        alltoall_bruck(m, bytes),
+                        oracle::alltoall_bruck(m, bytes),
+                    );
+                    check(
+                        "allgather_ring",
+                        allgather_ring(m, bytes),
+                        oracle::allgather_ring(m, bytes),
+                    );
+                    if p.is_power_of_two() {
+                        check(
+                            "allgather_recursive_doubling",
+                            allgather_recursive_doubling(m, bytes),
+                            oracle::allgather_recursive_doubling(m, bytes),
+                        );
+                    }
+                    check(
+                        "allgather_bruck",
+                        allgather_bruck(m, bytes),
+                        oracle::allgather_bruck(m, bytes),
+                    );
+                    check(
+                        "allreduce_recursive_doubling",
+                        allreduce_recursive_doubling(m, bytes),
+                        oracle::allreduce_recursive_doubling(m, bytes),
+                    );
+                    check(
+                        "allreduce_ring",
+                        allreduce_ring(m, bytes),
+                        oracle::allreduce_ring(m, bytes),
+                    );
+                    for root in [0, p / 2, p - 1] {
+                        check(
+                            "bcast_binomial",
+                            bcast_binomial(m, root, bytes),
+                            oracle::bcast_binomial(m, root, bytes),
+                        );
+                        check(
+                            "reduce_binomial",
+                            reduce_binomial(m, root, bytes),
+                            oracle::reduce_binomial(m, root, bytes),
+                        );
+                        check(
+                            "gather_linear",
+                            gather_linear(m, root, bytes),
+                            oracle::gather_linear(m, root, bytes),
+                        );
+                    }
+                    check(
+                        "scan_hillis_steele",
+                        scan_hillis_steele(m, bytes),
+                        oracle::scan_hillis_steele(m, bytes),
+                    );
+                    check(
+                        "exscan_hillis_steele",
+                        exscan_hillis_steele(m, bytes),
+                        oracle::scan_hillis_steele(m, bytes),
+                    );
+                    check(
+                        "reduce_scatter_ring",
+                        reduce_scatter_ring(m, bytes),
+                        oracle::reduce_scatter_ring(m, bytes),
+                    );
+                    // Ragged sizes with zero entries, the diagonal included.
+                    let sizes: Vec<Vec<u64>> = (0..p)
+                        .map(|_| {
+                            (0..p)
+                                .map(|_| {
+                                    if rng.gen_bool(0.3) {
+                                        0
+                                    } else {
+                                        rng.gen_range(0..bytes + 1)
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    check(
+                        "alltoallv_pairwise",
+                        alltoallv_pairwise(m, &sizes),
+                        oracle::alltoallv_pairwise(m, &sizes),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

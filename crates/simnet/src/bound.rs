@@ -58,6 +58,19 @@
 //! neither hashes nor allocates. The cheap rung fills only the aggregate
 //! fields of the load, not the per-rail histograms it never reads.
 //!
+//! The cheap rung's walk also keeps its byte and latency sums off the
+//! hops. A message adds its bytes to `bytes_through[l]` and its latency to
+//! `min_latency_through[l]` at every level `l` from its crossing level
+//! inwards, and both depend on the crossing level alone. So the walk
+//! **tallies bytes per crossing level** and prefix-sums the tallies once
+//! per round; `max_latency` and each level's minimum latency are read
+//! over the crossing levels present. Per hop it only marks the up and the
+//! down link, since which links a message occupies depends on its
+//! endpoints. A round holding a zero-byte crossing message is walked
+//! again hop by hop, because of the minimum-latency rule below. The tight
+//! rung (per-rail histograms) and the fluid pooled load keep the per-hop
+//! walk.
+//!
 //! The fluid bounds need two loads of one job set: each round's own (for
 //! the per-job term) and every message of every job pooled into one
 //! virtual round (for the aggregate term). Both come from **one walk**:
@@ -284,7 +297,64 @@ impl NetworkModel {
         load: &mut RoundLoad,
         messages: &[Message],
     ) {
-        self.walk_round::<PER_RAIL>(links, load, messages, |_, _, _| {});
+        if PER_RAIL || !self.crossing_load_into(links, load, messages) {
+            self.walk_round::<PER_RAIL>(links, load, messages, |_, _, _| {});
+        }
+    }
+
+    /// The cheap rung's walk: the aggregate fields of `messages`' load
+    /// from crossing-level tallies (module docs). Returns `false`, leaving
+    /// `load` to be refilled, when a crossing message carries zero bytes:
+    /// the minimum-latency rule depends on message order there, which the
+    /// tallies do not keep.
+    fn crossing_load_into(
+        &self,
+        links: &mut LinkSlots,
+        load: &mut RoundLoad,
+        messages: &[Message],
+    ) -> bool {
+        let table = self.link_table();
+        load.reset::<false>(self.rail_counts());
+        links.begin(table.num_links());
+        let mut zero_bytes = false;
+        for m in messages {
+            let Some(path) = table.path(m.src, m.dst) else {
+                load.max_local_bytes = load.max_local_bytes.max(m.bytes);
+                continue;
+            };
+            zero_bytes |= m.bytes == 0;
+            // Tallied by crossing level; prefix-summed below.
+            load.bytes_through[path.crossing()] += m.bytes;
+            for hop in path {
+                if links.insert(hop.up) {
+                    load.active_up[hop.level] += 1;
+                }
+                if links.insert(hop.down) {
+                    load.active_down[hop.level] += 1;
+                }
+            }
+        }
+        if zero_bytes {
+            return false;
+        }
+        // Every crossing message carries bytes, so a level's tally is
+        // positive exactly when some message crosses there, and level
+        // `l`'s contributors are the messages crossing at `0..=l`.
+        let mut through = 0;
+        let mut min_latency = f64::INFINITY;
+        for (l, link) in self.links().iter().enumerate() {
+            let crossing = load.bytes_through[l];
+            if crossing > 0 {
+                load.max_latency = load.max_latency.max(link.crossing_latency);
+                min_latency = min_latency.min(link.crossing_latency);
+            }
+            through += crossing;
+            load.bytes_through[l] = through;
+            if through > 0 {
+                load.min_latency_through[l] = min_latency;
+            }
+        }
+        true
     }
 
     /// One round of a fluid job set walked into `ws.load` (reset first,
@@ -876,6 +946,63 @@ mod tests {
         assert_eq!(net.round_lower_bound(&copied), 800.5);
         assert_eq!(fluid_lower_bound(&net, &jobs), 800.5);
         assert_eq!(fluid_lower_bound_aggregate(&net, &jobs), 800.5);
+    }
+
+    #[test]
+    fn crossing_tallies_equal_the_per_hop_walk() {
+        use crate::presets::{hydra_network_rails, lumi_network};
+        use crate::rail::RailPolicy;
+        use crate::workspace::LinkSlots;
+        let mut fabrics = vec![lumi_network(2)];
+        for nics in [1, 2, 4] {
+            for policy in RailPolicy::ALL {
+                fabrics.push(hydra_network_rails(4, nics, policy));
+            }
+        }
+        let (mut links, mut tallied, mut walked) = (
+            LinkSlots::default(),
+            RoundLoad::default(),
+            RoundLoad::default(),
+        );
+        mre_rng::propcheck(64, 0x07a1_11e5, |rng| {
+            for net in &fabrics {
+                let cores = net.hierarchy().size();
+                // Half the rounds hold no zero-byte message, so the tallies
+                // answer; the rest hold some, and the walk is redone.
+                let zero_share = if rng.gen_bool(0.5) { 0.0 } else { 0.2 };
+                let self_share = rng.unit_f64() * 0.3;
+                let messages: Vec<Message> = (0..rng.gen_range(0..64usize))
+                    .map(|_| {
+                        let src = rng.gen_range(0..cores);
+                        let dst = if rng.gen_bool(self_share) {
+                            src
+                        } else {
+                            rng.gen_range(0..cores)
+                        };
+                        let bytes = if rng.gen_bool(zero_share) {
+                            0
+                        } else {
+                            rng.gen_range(1..1u64 << 20)
+                        };
+                        Message::new(src, dst, bytes)
+                    })
+                    .collect();
+                net.round_load_into::<false>(&mut links, &mut tallied, &messages);
+                net.walk_round::<false>(&mut links, &mut walked, &messages, |_, _, _| {});
+                assert_eq!(tallied.bytes_through, walked.bytes_through);
+                assert_eq!(tallied.active_up, walked.active_up);
+                assert_eq!(tallied.active_down, walked.active_down);
+                assert_eq!(tallied.max_local_bytes, walked.max_local_bytes);
+                assert_eq!(tallied.max_latency.to_bits(), walked.max_latency.to_bits());
+                let bits = |load: &RoundLoad| -> Vec<u64> {
+                    load.min_latency_through
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&tallied), bits(&walked), "{messages:?}");
+            }
+        });
     }
 
     #[test]
