@@ -47,6 +47,16 @@ cargo run -q --release -p mre-bench --bin fig8_rails -- --rail-policy src-hash \
   > target/golden_fig8_rails_src_hash.out
 cmp target/golden_fig8_rails_src_hash.out results/fig8_rails_src_hash.txt
 
+echo "== fig8_rails on 4 workers (the printed cache counters do not depend on the worker count)"
+# SharedCostCache counts a key's miss where it inserts the key, so racing
+# workers that compute one key at once count what a serial run counts.
+MRE_PAR_THREADS=4 cargo run -q --release -p mre-bench --bin fig8_rails \
+  > target/golden_fig8_rails_threads4.out
+cmp target/golden_fig8_rails_threads4.out results/fig8_rails.txt
+MRE_PAR_THREADS=4 cargo run -q --release -p mre-bench --bin fig8_rails -- --rail-policy src-hash \
+  > target/golden_fig8_rails_src_hash_threads4.out
+cmp target/golden_fig8_rails_src_hash_threads4.out results/fig8_rails_src_hash.txt
+
 echo "== order_sweep golden (the ranked allgather sweep reproduces results/ byte for byte)"
 cargo run -q --release -p mre-bench --bin order_sweep -- 16,2,2,8 16 allgather 4194304 \
   > target/golden_order_sweep.out

@@ -42,52 +42,47 @@
 //! rung of the search's bound ladder (DESIGN.md §7g). On single-rail
 //! fabrics the two are byte-identical.
 //!
-//! The per-level totals live in a [`RoundLoad`], built in one pass over a
-//! round's messages; evaluating a bound from a load is O(levels · rails),
-//! so a search that keeps loads around re-bounds without touching the
-//! messages again. Each message's crossing level and per-level up/down
-//! link ids come from the model's
-//! [`RailLinkTable`](crate::rail::RailLinkTable) rows: one core-major row
-//! per core holding, per level, the instance's link base and the core's
-//! part of the rail choice (`size × depth × 8` bytes per model), so the
-//! crossing level is the first level whose bases differ and every link id
-//! is an addition — no division by level strides per hop. Distinct active
-//! links are counted by marking each traversed link's id in an
-//! epoch-stamped array in the thread's
-//! [`RoundWorkspace`], so a warm bound
-//! neither hashes nor allocates. The cheap rung fills only the aggregate
-//! fields of the load, not the per-rail histograms it never reads.
+//! The per-level totals live in a [`RoundLoad`], built by **one walk**
+//! over a round's messages (`walk_round`), which serves
+//! [`NetworkModel::round_load`], both lockstep rungs and both fluid rungs;
+//! evaluating a bound from a load is O(levels · rails), so a search that
+//! keeps loads around re-bounds without touching the messages again. Each
+//! message's crossing level and per-level up/down link ids come from the
+//! model's [`RailLinkTable`](crate::rail::RailLinkTable) rows: one
+//! core-major row per core holding, per level, the instance's link base
+//! and the core's part of the rail choice (`size × depth × 8` bytes per
+//! model), so the crossing level is the first level whose bases differ and
+//! every link id is an addition — no division by level strides per hop.
 //!
-//! The cheap rung's walk also keeps its byte and latency sums off the
-//! hops. A message adds its bytes to `bytes_through[l]` and its latency to
-//! `min_latency_through[l]` at every level `l` from its crossing level
-//! inwards, and both depend on the crossing level alone. So the walk
-//! **tallies bytes per crossing level** and prefix-sums the tallies once
-//! per round; `max_latency` and each level's minimum latency are read
-//! over the crossing levels present. Per hop it only marks the up and the
-//! down link, since which links a message occupies depends on its
-//! endpoints. A round holding a zero-byte crossing message is walked
-//! again hop by hop, because of the minimum-latency rule below. The tight
-//! rung (per-rail histograms) and the fluid pooled load keep the per-hop
-//! walk.
+//! A message's bytes and latency reach every level from its crossing level
+//! inwards, so both depend on the crossing level alone. The walk therefore
+//! **tallies bytes per crossing level** and notes which levels were
+//! crossed; once per round it prefix-sums the tallies into
+//! `bytes_through`, takes `max_latency` over every crossed level and each
+//! level's `min_latency_through` over the crossed levels that carry bytes.
+//! Per hop it only marks the up and the down link, since which links a
+//! message occupies depends on its endpoints: distinct active links are
+//! counted by marking each traversed link's id in an epoch-stamped array
+//! in the thread's [`RoundWorkspace`], so a warm bound neither hashes nor
+//! allocates. The per-rail histograms, which only the tight rung reads,
+//! are filled per hop on per-rail walks alone. **One rule** defines the
+//! minimum latency: it ranges over the byte-carrying messages through the
+//! level. A zero-byte message adds nothing to the level's bytes, so the
+//! capacity term stays admissible without it, and every field of a load
+//! is a sum, a set union or a min/max over the round's messages — none
+//! depends on the order in which the round lists them.
 //!
 //! The fluid bounds need two loads of one job set: each round's own (for
 //! the per-job term) and every message of every job pooled into one
-//! virtual round (for the aggregate term). Both come from **one walk**:
-//! each message's single path lookup updates the round's load and the
-//! workspace's pooled load, whose active links are marked in a second
-//! stamped array that persists across rounds. A round equal to its
-//! predecessor in the same job reuses the predecessor's bound, as the
-//! schedule bounds do, and adds its byte totals (and per-rail histograms)
-//! to the pooled load in O(levels · rails) without walking its messages:
-//! its links are already marked and its latencies already folded in, and
-//! every other pooled field is an integer sum, a set union or a min/max,
-//! so the pooled load is bit-identical to walking every message. One
-//! exception: a level's minimum latency is taken from its first
-//! *positive-byte* contributor onwards (an earlier zero-byte contributor
-//! is overwritten), so a round holding a zero-byte crossing message may
-//! lower a minimum its first copy did not, and its repeats are walked
-//! again rather than summarised.
+//! virtual round (for the aggregate term). Both come from the same walk:
+//! each hop also marks the pooled load's own links, in a second stamped
+//! array that persists across rounds, and the walked round's byte totals,
+//! per-rail rows and min/max latencies are then **absorbed** into the
+//! pooled load in O(levels · rails). A round equal to its predecessor in
+//! the same job reuses the predecessor's bound, as the schedule bounds do,
+//! and is absorbed again without being walked: its links are already
+//! marked, and absorbing is a sum or a min/max per field, so the pooled
+//! load is bit-identical to walking every message.
 //!
 //! Each rung of the ladder has one public spelling per engine: the free
 //! functions [`schedule_lower_bound`] (tight) and
@@ -96,7 +91,7 @@
 //! sets. The two rungs are two algorithms, not two spellings: the cheap
 //! one skips the per-rail histogram walk, the tight one prunes more.
 
-use crate::network::NetworkModel;
+use crate::network::{LinkParams, NetworkModel};
 use crate::rail::PathHop;
 use crate::schedule::{Message, Schedule};
 use crate::workspace::{LinkSlots, RoundWorkspace};
@@ -119,8 +114,11 @@ pub struct RoundLoad {
     /// Distinct down-direction (receiver-side) level-`l` links carrying
     /// traffic (per *(instance, rail)*, like `active_up`).
     pub active_down: Vec<usize>,
-    /// Smallest crossing latency among the messages contributing to level
-    /// `l` (`0` when none do).
+    /// Smallest crossing latency among the **byte-carrying** messages
+    /// through level `l` (`0` when none carries bytes there). A zero-byte
+    /// message adds nothing to `bytes_through[l]`, so leaving its latency
+    /// out keeps the level's capacity term admissible, and the minimum
+    /// does not depend on message order.
     pub min_latency_through: Vec<f64>,
     /// Largest crossing latency of any message in the round (`0` when no
     /// message crosses a level).
@@ -180,59 +178,78 @@ impl RoundLoad {
         }
     }
 
-    /// Adds one hop of a `bytes`-byte message crossing at `latency`,
-    /// marking the hop's links in `links`; the per-rail histograms are
-    /// filled only when `PER_RAIL`.
+    /// Marks the up and the down link of `hop` in `links`, counting each
+    /// link the first time it is marked (per rail only when `PER_RAIL`).
     #[inline(always)]
-    fn add_hop<const PER_RAIL: bool>(
-        &mut self,
-        links: &mut LinkSlots,
-        hop: &PathHop,
-        bytes: u64,
-        latency: f64,
-    ) {
-        let level = hop.level;
-        self.bytes_through[level] += bytes;
+    fn mark_hop<const PER_RAIL: bool>(&mut self, links: &mut LinkSlots, hop: &PathHop) {
         // Distinct (instance, rail) pairs: on a multi-rail fabric each rail
         // of a NIC drains independently at the per-rail bandwidth, so
         // activity is counted per rail. Single-rail models always yield
         // rail 0, keeping the counts (and the bound) byte-identical to the
         // pre-rail engine.
-        if PER_RAIL {
-            self.rail_bytes_up[level][hop.up_rail] += bytes;
-            self.rail_bytes_down[level][hop.down_rail] += bytes;
-        }
         if links.insert(hop.up) {
-            self.active_up[level] += 1;
+            self.active_up[hop.level] += 1;
             if PER_RAIL {
-                self.rail_active_up[level][hop.up_rail] += 1;
+                self.rail_active_up[hop.level][hop.up_rail] += 1;
             }
         }
         if links.insert(hop.down) {
-            self.active_down[level] += 1;
+            self.active_down[hop.level] += 1;
             if PER_RAIL {
-                self.rail_active_down[level][hop.down_rail] += 1;
+                self.rail_active_down[hop.level][hop.down_rail] += 1;
             }
-        }
-        let entry = &mut self.min_latency_through[level];
-        if self.bytes_through[level] == bytes {
-            *entry = latency;
-        } else {
-            *entry = entry.min(latency);
         }
     }
 
-    /// Adds another copy of `round`, which this load has already
-    /// accumulated and which holds no zero-byte crossing message: its
-    /// links are already marked and none of its latencies can lower a
-    /// minimum, so only the byte totals grow — O(levels · rails).
-    fn add_repeat<const PER_RAIL: bool>(&mut self, round: &RoundLoad) {
+    /// Turns a walk's tallies into the round's totals. On entry
+    /// `bytes_through[l]` holds the bytes of the messages crossing at `l`
+    /// and `min_latency_through[l]` is `+∞` where some message crosses
+    /// (the walk's mark). On return `bytes_through[l]` sums the crossings
+    /// at `0..=l`, `max_latency` is the largest latency of a crossed level
+    /// and `min_latency_through[l]` the smallest over the crossed levels
+    /// `≤ l` that carry bytes.
+    fn sum_crossings(&mut self, params: &[LinkParams]) {
+        let mut through = 0;
+        let mut min_latency = f64::INFINITY;
+        for (l, link) in params.iter().enumerate() {
+            let latency = link.crossing_latency;
+            if self.min_latency_through[l] == f64::INFINITY {
+                self.max_latency = self.max_latency.max(latency);
+            }
+            if self.bytes_through[l] > 0 {
+                min_latency = min_latency.min(latency);
+            }
+            through += self.bytes_through[l];
+            self.bytes_through[l] = through;
+            self.min_latency_through[l] = if through > 0 { min_latency } else { 0.0 };
+        }
+    }
+
+    /// Adds the walked `round` to this pooled load: byte totals (and, when
+    /// `PER_RAIL`, per-rail byte rows) add, and the latency minima and
+    /// maxima and the largest local copy fold in. The walk's hook has
+    /// marked the round's links, so absorbing an adjacent repeat again
+    /// equals walking its messages again — O(levels · rails).
+    fn absorb<const PER_RAIL: bool>(&mut self, round: &RoundLoad) {
         fn add(sums: &mut [u64], more: &[u64]) {
             for (sum, &bytes) in sums.iter_mut().zip(more) {
                 *sum += bytes;
             }
         }
+        for (l, &bytes) in round.bytes_through.iter().enumerate() {
+            if bytes > 0 {
+                let latency = round.min_latency_through[l];
+                let min = &mut self.min_latency_through[l];
+                *min = if self.bytes_through[l] == 0 {
+                    latency
+                } else {
+                    min.min(latency)
+                };
+            }
+        }
         add(&mut self.bytes_through, &round.bytes_through);
+        self.max_latency = self.max_latency.max(round.max_latency);
+        self.max_local_bytes = self.max_local_bytes.max(round.max_local_bytes);
         if PER_RAIL {
             for (rows, more) in [
                 (&mut self.rail_bytes_up, &round.rail_bytes_up),
@@ -252,7 +269,7 @@ impl NetworkModel {
     pub fn round_load(&self, messages: &[Message]) -> RoundLoad {
         let mut load = RoundLoad::default();
         crate::workspace::with_thread_local(|ws| {
-            self.round_load_into::<true>(&mut ws.links, &mut load, messages)
+            self.walk_round::<true>(&mut ws.links, &mut load, messages, |_| {})
         });
         load
     }
@@ -271,149 +288,49 @@ impl NetworkModel {
     ) -> R {
         crate::workspace::with_thread_local(|ws| {
             if per_rail {
-                self.round_load_into::<true>(&mut ws.links, &mut ws.load, messages);
+                self.walk_round::<true>(&mut ws.links, &mut ws.load, messages, |_| {});
             } else {
-                self.round_load_into::<false>(&mut ws.links, &mut ws.load, messages);
+                self.walk_round::<false>(&mut ws.links, &mut ws.load, messages, |_| {});
             }
             f(&ws.load)
         })
     }
 
-    /// [`round_load`](Self::round_load) into caller-owned storage: `load`
-    /// is [`reset`](RoundLoad::reset) and `links` restarted first, so
-    /// reusing them across rounds allocates nothing once warm and
-    /// accumulates exactly what a fresh load would.
-    ///
-    /// Distinct active links are counted by marking each traversed link's
-    /// id in the model's [`RailLinkTable`](crate::rail::RailLinkTable) in
-    /// the epoch-stamped `links` — a link counts once per round, whichever
-    /// message touches it first. Each message's crossing level and link
-    /// ids come from the table's per-core rows
-    /// ([`RailLinkTable::path`](crate::rail::RailLinkTable::path)). The
-    /// per-rail histograms are filled only when `PER_RAIL`.
-    pub(crate) fn round_load_into<const PER_RAIL: bool>(
-        &self,
-        links: &mut LinkSlots,
-        load: &mut RoundLoad,
-        messages: &[Message],
-    ) {
-        if PER_RAIL || !self.crossing_load_into(links, load, messages) {
-            self.walk_round::<PER_RAIL>(links, load, messages, |_, _, _| {});
-        }
-    }
-
-    /// The cheap rung's walk: the aggregate fields of `messages`' load
-    /// from crossing-level tallies (module docs). Returns `false`, leaving
-    /// `load` to be refilled, when a crossing message carries zero bytes:
-    /// the minimum-latency rule depends on message order there, which the
-    /// tallies do not keep.
-    fn crossing_load_into(
-        &self,
-        links: &mut LinkSlots,
-        load: &mut RoundLoad,
-        messages: &[Message],
-    ) -> bool {
-        let table = self.link_table();
-        load.reset::<false>(self.rail_counts());
-        links.begin(table.num_links());
-        let mut zero_bytes = false;
-        for m in messages {
-            let Some(path) = table.path(m.src, m.dst) else {
-                load.max_local_bytes = load.max_local_bytes.max(m.bytes);
-                continue;
-            };
-            zero_bytes |= m.bytes == 0;
-            // Tallied by crossing level; prefix-summed below.
-            load.bytes_through[path.crossing()] += m.bytes;
-            for hop in path {
-                if links.insert(hop.up) {
-                    load.active_up[hop.level] += 1;
-                }
-                if links.insert(hop.down) {
-                    load.active_down[hop.level] += 1;
-                }
-            }
-        }
-        if zero_bytes {
-            return false;
-        }
-        // Every crossing message carries bytes, so a level's tally is
-        // positive exactly when some message crosses there, and level
-        // `l`'s contributors are the messages crossing at `0..=l`.
-        let mut through = 0;
-        let mut min_latency = f64::INFINITY;
-        for (l, link) in self.links().iter().enumerate() {
-            let crossing = load.bytes_through[l];
-            if crossing > 0 {
-                load.max_latency = load.max_latency.max(link.crossing_latency);
-                min_latency = min_latency.min(link.crossing_latency);
-            }
-            through += crossing;
-            load.bytes_through[l] = through;
-            if through > 0 {
-                load.min_latency_through[l] = min_latency;
-            }
-        }
-        true
-    }
-
-    /// One round of a fluid job set walked into `ws.load` (reset first,
-    /// exactly as [`round_load_into`](Self::round_load_into) fills it) and
-    /// into the pooled `ws.pooled` at once: each message's one path lookup
-    /// feeds both. Returns whether the round holds a zero-byte crossing
-    /// message, whose repeats must be walked again (see the module docs).
-    fn round_and_pooled_load_into<const PER_RAIL: bool>(
-        &self,
-        ws: &mut RoundWorkspace,
-        messages: &[Message],
-    ) -> bool {
-        let RoundWorkspace {
-            links,
-            load,
-            pooled,
-            pooled_links,
-            ..
-        } = ws;
-        let zero_bytes =
-            self.walk_round::<PER_RAIL>(links, load, messages, |hop, bytes, latency| {
-                pooled.add_hop::<PER_RAIL>(pooled_links, hop, bytes, latency)
-            });
-        pooled.max_latency = pooled.max_latency.max(load.max_latency);
-        pooled.max_local_bytes = pooled.max_local_bytes.max(load.max_local_bytes);
-        zero_bytes
-    }
-
-    /// The message walk behind both: resets `load` and restarts `links`,
-    /// then accumulates every message of the round, handing each hop also
-    /// to `on_hop(hop, bytes, latency)`. Returns whether a crossing message
-    /// carries zero bytes.
+    /// The one message walk (module docs): resets `load` and restarts
+    /// `links`, then tallies every message of the round by crossing level,
+    /// marks each hop's links and hands the hop to `on_hop`; the per-rail
+    /// histograms are filled only when `PER_RAIL`. Reusing `load` and
+    /// `links` across rounds allocates nothing once warm and accumulates
+    /// exactly what a fresh load would.
     #[inline(always)]
     fn walk_round<const PER_RAIL: bool>(
         &self,
         links: &mut LinkSlots,
         load: &mut RoundLoad,
         messages: &[Message],
-        mut on_hop: impl FnMut(&PathHop, u64, f64),
-    ) -> bool {
+        mut on_hop: impl FnMut(&PathHop),
+    ) {
         let table = self.link_table();
-        let params = self.links();
         load.reset::<PER_RAIL>(self.rail_counts());
         links.begin(table.num_links());
-        let mut zero_bytes = false;
         for m in messages {
             let Some(path) = table.path(m.src, m.dst) else {
                 load.max_local_bytes = load.max_local_bytes.max(m.bytes);
                 continue;
             };
-            zero_bytes |= m.bytes == 0;
-            let latency = params[path.crossing()].crossing_latency;
-            load.max_latency = load.max_latency.max(latency);
+            // Tallied and marked crossed; `sum_crossings` resolves both.
+            load.bytes_through[path.crossing()] += m.bytes;
+            load.min_latency_through[path.crossing()] = f64::INFINITY;
             for hop in path {
-                load.add_hop::<PER_RAIL>(links, &hop, m.bytes, latency);
-                on_hop(&hop, m.bytes, latency);
+                load.mark_hop::<PER_RAIL>(links, &hop);
+                if PER_RAIL {
+                    load.rail_bytes_up[hop.level][hop.up_rail] += m.bytes;
+                    load.rail_bytes_down[hop.level][hop.down_rail] += m.bytes;
+                }
+                on_hop(&hop);
             }
         }
-        zero_bytes
+        load.sum_crossings(self.links());
     }
 
     /// Admissible lower bound on [`round_time`](Self::round_time) from a
@@ -431,12 +348,8 @@ impl NetworkModel {
     /// exactly one fraction and the max over directions reproduces the
     /// divide-by-min-active arithmetic.
     pub fn round_lower_bound_from(&self, load: &RoundLoad) -> f64 {
-        let links = self.links();
-        let mut t = load.max_latency;
-        if load.max_local_bytes > 0 {
-            t = t.max(load.max_local_bytes as f64 / self.local_copy_bandwidth());
-        }
-        for (l, link) in links.iter().enumerate() {
+        let mut t = self.round_floor(load);
+        for (l, link) in self.links().iter().enumerate() {
             if load.bytes_through[l] == 0 {
                 continue;
             }
@@ -467,21 +380,32 @@ impl NetworkModel {
     /// ladder: candidates it already prunes never pay the per-rail
     /// histogram walk.
     pub fn round_lower_bound_aggregate_from(&self, load: &RoundLoad) -> f64 {
-        let links = self.links();
+        (0..self.links().len()).fold(self.round_floor(load), |t, l| {
+            t.max(self.aggregate_level_term(load, l))
+        })
+    }
+
+    /// Level `l`'s aggregate capacity term of `load`: `min_latency +
+    /// bytes / (active · bandwidth)`, with `active` the direction with
+    /// fewer active links — either direction caps the round, and the
+    /// smaller count gives the tighter (still admissible) bound. `0` when
+    /// the level carries no bytes. The cheap rung maxes it over levels, and
+    /// the congestion report's bound gaps read it per level.
+    pub(crate) fn aggregate_level_term(&self, load: &RoundLoad, l: usize) -> f64 {
+        if load.bytes_through[l] == 0 {
+            return 0.0;
+        }
+        let active = load.active_up[l].min(load.active_down[l]).max(1) as f64;
+        load.min_latency_through[l]
+            + load.bytes_through[l] as f64 / (active * self.links()[l].uplink_bandwidth)
+    }
+
+    /// The terms both round bounds share: the largest crossing latency and
+    /// the largest local copy over the local-copy bandwidth.
+    fn round_floor(&self, load: &RoundLoad) -> f64 {
         let mut t = load.max_latency;
         if load.max_local_bytes > 0 {
             t = t.max(load.max_local_bytes as f64 / self.local_copy_bandwidth());
-        }
-        for (l, link) in links.iter().enumerate() {
-            if load.bytes_through[l] == 0 {
-                continue;
-            }
-            // Either direction caps the round; the one with fewer active
-            // links gives the tighter (still admissible) bound.
-            let active = load.active_up[l].min(load.active_down[l]).max(1) as f64;
-            let bound = load.min_latency_through[l]
-                + load.bytes_through[l] as f64 / (active * link.uplink_bandwidth);
-            t = t.max(bound);
         }
         t
     }
@@ -573,7 +497,8 @@ fn schedule_bound_by(
 ///   bytes that must traverse level `l` drain through the union of active
 ///   level-`l` links at a joint rate of at most `active · bandwidth_l`,
 ///   regardless of when their rounds start, and no byte crosses `l`
-///   before the smallest crossing latency of any message through `l`.
+///   before the smallest crossing latency of any byte-carrying message
+///   through `l`.
 ///   The latency-max and local-copy terms of
 ///   [`round_lower_bound_from`](NetworkModel::round_lower_bound_from)
 ///   remain valid verbatim (some message must wait its full latency; some
@@ -620,26 +545,32 @@ pub(crate) fn with_pooled_load<const PER_RAIL: bool, R>(
     f: impl FnOnce(f64, &RoundLoad) -> R,
 ) -> R {
     crate::workspace::with_thread_local(|ws| {
-        ws.pooled.reset::<PER_RAIL>(net.rail_counts());
-        ws.pooled_links.begin(net.link_table().num_links());
-        let mut zero_bytes = false;
+        let RoundWorkspace {
+            links,
+            load,
+            pooled,
+            pooled_links,
+            ..
+        } = ws;
+        pooled.reset::<PER_RAIL>(net.rail_counts());
+        pooled_links.begin(net.link_table().num_links());
         let per_job = schedules
             .iter()
             .map(|s| {
-                schedule_bound_by(s, |messages, repeat| match repeat {
-                    // `ws.load` still holds the predecessor's load.
-                    Some(t) if !zero_bytes => {
-                        ws.pooled.add_repeat::<PER_RAIL>(&ws.load);
-                        t
+                schedule_bound_by(s, |messages, repeat| {
+                    // A repeat's links are marked, and `load` still holds
+                    // its predecessor's walk.
+                    if repeat.is_none() {
+                        net.walk_round::<PER_RAIL>(links, load, messages, |hop| {
+                            pooled.mark_hop::<PER_RAIL>(pooled_links, hop)
+                        });
                     }
-                    _ => {
-                        zero_bytes = net.round_and_pooled_load_into::<PER_RAIL>(ws, messages);
-                        round_bound(net, &ws.load)
-                    }
+                    pooled.absorb::<PER_RAIL>(load);
+                    repeat.unwrap_or_else(|| round_bound(net, load))
                 })
             })
             .fold(0.0, f64::max);
-        f(per_job, &ws.pooled)
+        f(per_job, pooled)
     })
 }
 
@@ -907,15 +838,14 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_byte_message_in_a_repeated_round_lowers_the_pooled_latency() {
+    fn a_zero_byte_message_in_a_repeated_round_does_not_lower_the_pooled_latency() {
         // The core level is the bottleneck (1 B/s). The first job repeats
-        // a round whose zero-byte same-socket message (latency 0.5) comes
-        // before a cross-node one (latency 2). On the first copy the
-        // zero-byte message is the level's first contributor, so the
-        // cross-node message overwrites its latency; the repeat lowers the
-        // pooled minimum to 0.5. With three more jobs sending the
-        // cross-node message alone, 800 bytes leave through one core link:
-        // 800.5, where summing the repeat without walking it gives 802.
+        // a round holding a zero-byte same-socket message (latency 0.5)
+        // beside a cross-node one (latency 2). A level's minimum latency
+        // ranges over byte-carrying messages only, so the zero-byte
+        // message never lowers it, in either listing and on the repeat.
+        // With three more jobs sending the cross-node message alone, 800
+        // bytes leave through one core link: 2 + 800 = 802.
         let net = NetworkModel::new(
             Hierarchy::new(vec![2, 2, 4]).unwrap(),
             vec![
@@ -934,41 +864,85 @@ mod tests {
             ],
             1000.0,
         );
-        let cross = Message::new(0, 8, 100);
-        let round = Round::with(vec![Message::new(0, 1, 0), cross]);
-        let mut jobs = vec![Schedule::with(vec![Round::with(vec![cross]); 2]); 4];
-        jobs[0] = Schedule::with(vec![round.clone(), round]);
-        let copied: Vec<Message> = jobs
-            .iter()
-            .flat_map(|s| &s.rounds)
-            .flat_map(|r| r.messages.iter().copied())
-            .collect();
-        assert_eq!(net.round_lower_bound(&copied), 800.5);
-        assert_eq!(fluid_lower_bound(&net, &jobs), 800.5);
-        assert_eq!(fluid_lower_bound_aggregate(&net, &jobs), 800.5);
+        let (zero, cross) = (Message::new(0, 1, 0), Message::new(0, 8, 100));
+        for listed in [[zero, cross], [cross, zero]] {
+            assert_eq!(net.round_lower_bound(&listed), 102.0, "{listed:?}");
+            assert_eq!(net.round_lower_bound_aggregate(&listed), 102.0);
+            let round = Round::with(listed.to_vec());
+            let mut jobs = vec![Schedule::with(vec![Round::with(vec![cross]); 2]); 4];
+            jobs[0] = Schedule::with(vec![round.clone(), round]);
+            let copied: Vec<Message> = jobs
+                .iter()
+                .flat_map(|s| &s.rounds)
+                .flat_map(|r| r.messages.iter().copied())
+                .collect();
+            assert_eq!(net.round_lower_bound(&copied), 802.0);
+            assert_eq!(fluid_lower_bound(&net, &jobs), 802.0);
+            assert_eq!(fluid_lower_bound_aggregate(&net, &jobs), 802.0);
+            // The bound stays below the quantity it bounds.
+            let makespan = crate::fluid::fluid_time(&net, &jobs);
+            assert!(makespan >= 802.0, "{makespan}");
+        }
     }
 
     #[test]
     fn crossing_tallies_equal_the_per_hop_walk() {
+        // The walk adds each message's bytes once, at its crossing level,
+        // and `sum_crossings` spreads them inwards; adding them hop by hop
+        // over the same link paths must give every field bit for bit, in
+        // the per-rail and the cheap walk alike.
         use crate::presets::{hydra_network_rails, lumi_network};
         use crate::rail::RailPolicy;
-        use crate::workspace::LinkSlots;
+        use std::collections::HashSet;
         let mut fabrics = vec![lumi_network(2)];
         for nics in [1, 2, 4] {
             for policy in RailPolicy::ALL {
                 fabrics.push(hydra_network_rails(4, nics, policy));
             }
         }
-        let (mut links, mut tallied, mut walked) = (
-            LinkSlots::default(),
-            RoundLoad::default(),
-            RoundLoad::default(),
-        );
+        let per_hop = |net: &NetworkModel, messages: &[Message]| -> RoundLoad {
+            let mut load = RoundLoad::default();
+            load.reset::<true>(net.rail_counts());
+            let mut seen: HashSet<(bool, u32)> = HashSet::new();
+            for m in messages {
+                let Some(path) = net.link_table().path(m.src, m.dst) else {
+                    load.max_local_bytes = load.max_local_bytes.max(m.bytes);
+                    continue;
+                };
+                let latency = net.links()[path.crossing()].crossing_latency;
+                load.max_latency = load.max_latency.max(latency);
+                for hop in path {
+                    let l = hop.level;
+                    if m.bytes > 0 {
+                        let min = &mut load.min_latency_through[l];
+                        *min = if load.bytes_through[l] == 0 {
+                            latency
+                        } else {
+                            min.min(latency)
+                        };
+                    }
+                    load.bytes_through[l] += m.bytes;
+                    load.rail_bytes_up[l][hop.up_rail] += m.bytes;
+                    load.rail_bytes_down[l][hop.down_rail] += m.bytes;
+                    if seen.insert((true, hop.up)) {
+                        load.active_up[l] += 1;
+                        load.rail_active_up[l][hop.up_rail] += 1;
+                    }
+                    if seen.insert((false, hop.down)) {
+                        load.active_down[l] += 1;
+                        load.rail_active_down[l][hop.down_rail] += 1;
+                    }
+                }
+            }
+            load
+        };
+        let bits = |load: &RoundLoad| -> Vec<u64> {
+            let mins = load.min_latency_through.iter().map(|l| l.to_bits());
+            mins.chain([load.max_latency.to_bits()]).collect()
+        };
         mre_rng::propcheck(64, 0x07a1_11e5, |rng| {
             for net in &fabrics {
                 let cores = net.hierarchy().size();
-                // Half the rounds hold no zero-byte message, so the tallies
-                // answer; the rest hold some, and the walk is redone.
                 let zero_share = if rng.gen_bool(0.5) { 0.0 } else { 0.2 };
                 let self_share = rng.unit_f64() * 0.3;
                 let messages: Vec<Message> = (0..rng.gen_range(0..64usize))
@@ -987,20 +961,17 @@ mod tests {
                         Message::new(src, dst, bytes)
                     })
                     .collect();
-                net.round_load_into::<false>(&mut links, &mut tallied, &messages);
-                net.walk_round::<false>(&mut links, &mut walked, &messages, |_, _, _| {});
-                assert_eq!(tallied.bytes_through, walked.bytes_through);
-                assert_eq!(tallied.active_up, walked.active_up);
-                assert_eq!(tallied.active_down, walked.active_down);
-                assert_eq!(tallied.max_local_bytes, walked.max_local_bytes);
-                assert_eq!(tallied.max_latency.to_bits(), walked.max_latency.to_bits());
-                let bits = |load: &RoundLoad| -> Vec<u64> {
-                    load.min_latency_through
-                        .iter()
-                        .map(|l| l.to_bits())
-                        .collect()
-                };
+                let walked = per_hop(net, &messages);
+                let tallied = net.round_load(&messages);
+                assert_eq!(tallied, walked, "{messages:?}");
                 assert_eq!(bits(&tallied), bits(&walked), "{messages:?}");
+                net.with_round_load(&messages, false, |cheap| {
+                    assert_eq!(cheap.bytes_through, walked.bytes_through);
+                    assert_eq!(cheap.active_up, walked.active_up);
+                    assert_eq!(cheap.active_down, walked.active_down);
+                    assert_eq!(cheap.max_local_bytes, walked.max_local_bytes);
+                    assert_eq!(bits(cheap), bits(&walked), "{messages:?}");
+                });
             }
         });
     }

@@ -39,7 +39,6 @@
 //! Exports (CSV and Perfetto counter tracks) live in `mre_trace`; the
 //! `congestion_report` binary in `mre-bench` drives the whole pipeline.
 
-use crate::bound::RoundLoad;
 use crate::network::{NetworkModel, RoundProfile};
 use crate::rail::RailLinkTable;
 use crate::schedule::{Message, Schedule};
@@ -491,19 +490,6 @@ impl NetworkModel {
     }
 }
 
-/// The level's contribution to the admissible capacity bound of one pooled
-/// message load: `min_latency + bytes / (active · bandwidth)` (0 when the
-/// level carries nothing) — the same term
-/// [`NetworkModel::round_lower_bound_from`] maxes over.
-fn level_bound_term(net: &NetworkModel, load: &RoundLoad, level: usize) -> f64 {
-    if load.bytes_through[level] == 0 {
-        return 0.0;
-    }
-    let active = load.active_up[level].min(load.active_down[level]).max(1) as f64;
-    load.min_latency_through[level]
-        + load.bytes_through[level] as f64 / (active * net.links()[level].uplink_bandwidth)
-}
-
 /// Per-level bound-gap report of a lockstep run recorded by
 /// [`NetworkModel::schedule_time_probed`]: per level, the sum over rounds
 /// of the level's capacity-bound term (its contribution to
@@ -534,14 +520,15 @@ pub fn bound_gap_lockstep(
         })
         .collect();
     for (round, mark) in schedule.rounds.iter().zip(probe.rounds()) {
-        let load = net.round_load(&round.messages);
-        for (level, gap) in gaps.iter_mut().enumerate() {
-            if load.bytes_through[level] == 0 {
-                continue;
+        // The aggregate term reads no per-rail row: the cheap walk's load.
+        net.with_round_load(&round.messages, false, |load| {
+            for (level, gap) in gaps.iter_mut().enumerate() {
+                if load.bytes_through[level] > 0 {
+                    gap.bound += net.aggregate_level_term(load, level);
+                    gap.actual += mark.level_span[level];
+                }
             }
-            gap.bound += level_bound_term(net, &load, level);
-            gap.actual += mark.level_span[level];
-        }
+        });
     }
     gaps
 }
@@ -569,7 +556,7 @@ pub fn bound_gap_fluid(
             (0..k)
                 .map(|level| BoundGap {
                     level,
-                    bound: level_bound_term(net, load, level),
+                    bound: net.aggregate_level_term(load, level),
                     actual: 0.0,
                 })
                 .collect()

@@ -325,7 +325,10 @@ pub struct SharedCostCache {
     round_profiles: Vec<ProfileShard>,
     pattern_hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
-    round_hits: std::sync::atomic::AtomicU64,
+    /// Round lookups of committed costings: every round of an inserted
+    /// pattern cost, plus every direct profile-tier lookup.
+    round_lookups: std::sync::atomic::AtomicU64,
+    /// Profile inserts, one per solved profile key.
     round_misses: std::sync::atomic::AtomicU64,
 }
 
@@ -344,6 +347,15 @@ type ProfileShard = std::sync::Mutex<std::collections::HashMap<(u64, u64), Arc<R
 /// Snapshot of the round-granular counters of a [`SharedCostCache`],
 /// returned by [`SharedCostCache::cache_stats`]. This is the only channel
 /// for these counts: the cache emits nothing into `mre_core::telemetry`.
+///
+/// The counts are those of a serial run of the same calls, whatever the
+/// worker count or interleaving (read them once the calls have
+/// returned). Workers cost outside the locks, so two may compute one key
+/// at once; the call that inserts the key counts the miss, and a call
+/// that finds its key already present after computing counts a hit. A
+/// pattern costing that loses such a race counts none of the round
+/// lookups it made, so `round_hits` is the round lookups of committed
+/// costings minus the profile inserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Whole-schedule costs served from the pattern memo.
@@ -375,7 +387,7 @@ impl SharedCostCache {
                 .collect(),
             pattern_hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
-            round_hits: std::sync::atomic::AtomicU64::new(0),
+            round_lookups: std::sync::atomic::AtomicU64::new(0),
             round_misses: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -409,10 +421,14 @@ impl SharedCostCache {
     /// the same `pattern_hits`, its misses the pattern costings).
     pub fn cache_stats(&self) -> CacheStats {
         use std::sync::atomic::Ordering::Relaxed;
+        let misses = self.round_misses.load(Relaxed);
         CacheStats {
             pattern_hits: self.pattern_hits.load(Relaxed),
-            round_hits: self.round_hits.load(Relaxed),
-            misses: self.round_misses.load(Relaxed),
+            // A costing in flight may have inserted profiles before its
+            // lookups commit; once every call has returned, each insert
+            // is covered by a committed lookup.
+            round_hits: self.round_lookups.load(Relaxed).saturating_sub(misses),
+            misses,
         }
     }
 
@@ -430,19 +446,35 @@ impl SharedCostCache {
         cost: impl FnOnce() -> f64,
     ) -> f64 {
         let key = (net.fingerprint(), pattern_key, payload);
+        self.memo_cost(key, || (cost(), 0))
+    }
+
+    /// The pattern tier: the cost under `key`, or `cost()` inserted.
+    /// `cost` returns the cost and the round lookups it made, which count
+    /// only if this call inserts the key. Counted at insert time, so the
+    /// counts are those of a serial run (type docs).
+    fn memo_cost(&self, key: (u64, u64, u64), cost: impl FnOnce() -> (f64, u64)) -> f64 {
+        use std::sync::atomic::Ordering::Relaxed;
+        const POISONED: &str = "no worker panics while holding a cache shard";
         let shard = &self.shards[Self::shard_index(&key)];
-        if let Some(&t) = shard.lock().unwrap().get(&key) {
-            self.pattern_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if let Some(&t) = shard.lock().expect(POISONED).get(&key) {
+            self.pattern_hits.fetch_add(1, Relaxed);
             return t;
         }
         // Cost outside the lock: a duplicate solve on a race is cheaper
         // than serializing all workers behind one costing.
-        let t = cost();
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        shard.lock().unwrap().insert(key, t);
-        t
+        let (t, lookups) = cost();
+        match shard.lock().expect(POISONED).entry(key) {
+            std::collections::hash_map::Entry::Occupied(entry) => {
+                self.pattern_hits.fetch_add(1, Relaxed);
+                *entry.get()
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Relaxed);
+                self.round_lookups.fetch_add(lookups, Relaxed);
+                *slot.insert(t)
+            }
+        }
     }
 
     fn shard_index<K: std::hash::Hash>(key: &K) -> usize {
@@ -467,49 +499,52 @@ impl SharedCostCache {
     }
 
     /// The profile tier under the caller's `model_fp` (`net.fingerprint()`,
-    /// which a schedule costing hashes once for all its rounds): a cached
-    /// profile counts a round hit, a solve counts a miss.
+    /// which a symbolic build hashes once for all its rounds): one round
+    /// lookup, counted as a miss if this call solves and inserts the
+    /// profile and as a hit otherwise.
     pub(crate) fn profile_tier(
         &self,
         net: &NetworkModel,
         model_fp: u64,
         round: &Round,
     ) -> Arc<RoundProfile> {
+        self.count_round_lookups(1);
         self.memo_profile(model_fp, round, || net.round_profile(&round.messages))
     }
 
     /// The profile tier under `(context, round.endpoint_fingerprint())`,
-    /// solving with `solve` on a miss.
+    /// solving with `solve` on a miss and counting the miss only if this
+    /// call inserts the profile.
     fn memo_profile(
         &self,
         context: u64,
         round: &Round,
         solve: impl FnOnce() -> RoundProfile,
     ) -> Arc<RoundProfile> {
+        const POISONED: &str = "no worker panics while holding a profile shard";
         let key = (context, round.endpoint_fingerprint());
         let shard = &self.round_profiles[Self::shard_index(&key)];
-        let cached = shard.lock().unwrap().get(&key).cloned();
+        let cached = shard.lock().expect(POISONED).get(&key).cloned();
         if let Some(p) = cached {
-            self.count_round(false);
             return p;
         }
         // Solve outside the lock; a racing duplicate solve produces the
-        // identical profile.
+        // identical profile, and the one that inserts counts the miss.
         let p = Arc::new(solve());
-        self.count_round(true);
-        shard.lock().unwrap().insert(key, p.clone());
-        p
+        let mut profiles = shard.lock().expect(POISONED);
+        let entry = profiles.entry(key).or_insert_with(|| {
+            self.round_misses
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            p
+        });
+        entry.clone()
     }
 
-    /// Counts one round resolved from a memo tier (`solved == false`) or
-    /// by a contention solve.
-    pub(crate) fn count_round(&self, solved: bool) {
-        let counter = if solved {
-            &self.round_misses
-        } else {
-            &self.round_hits
-        };
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Counts `rounds` round lookups made outside a pattern costing; a
+    /// lookup that inserted no profile is a round hit.
+    pub(crate) fn count_round_lookups(&self, rounds: u64) {
+        self.round_lookups
+            .fetch_add(rounds, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// [`NetworkModel::schedule_time`] memoized at **both** pattern and
@@ -529,7 +564,9 @@ impl SharedCostCache {
     ) -> f64 {
         let model_fp = net.fingerprint();
         let key = (model_fp, schedule.pattern_fingerprint(), payload);
-        self.memo_rounds(key, schedule, |r| self.profile_tier(net, model_fp, r))
+        self.memo_rounds(key, schedule, |r| {
+            self.memo_profile(model_fp, r, || net.round_profile(&r.messages))
+        })
     }
 
     /// The lockstep cost of a job set — every communicator's schedule
@@ -579,35 +616,26 @@ impl SharedCostCache {
         schedule: &Schedule,
         profile: impl Fn(&Round) -> Arc<RoundProfile>,
     ) -> f64 {
-        use std::sync::atomic::Ordering::Relaxed;
-        let shard = &self.shards[Self::shard_index(&key)];
-        if let Some(&t) = shard.lock().unwrap().get(&key) {
-            self.pattern_hits.fetch_add(1, Relaxed);
-            return t;
-        }
-        // A round equal to its predecessor would hit the profile the
-        // predecessor just solved and replay to the same time; reuse that
-        // time without hashing the round again, counting the same round
-        // hit.
-        let mut previous: Option<(&Round, f64)> = None;
-        let t: f64 = schedule
-            .rounds
-            .iter()
-            .map(|r| {
-                let t = match previous {
-                    Some((prev, t)) if prev == r => {
-                        self.count_round(false);
-                        t
-                    }
-                    _ => profile(r).time(&r.messages),
-                };
-                previous = Some((r, t));
-                t
-            })
-            .sum();
-        self.misses.fetch_add(1, Relaxed);
-        shard.lock().unwrap().insert(key, t);
-        t
+        self.memo_cost(key, || {
+            // A round equal to its predecessor would hit the profile the
+            // predecessor just solved and replay to the same time; reuse
+            // that time without hashing the round again. It is still one
+            // lookup, and so a round hit.
+            let mut previous: Option<(&Round, f64)> = None;
+            let t: f64 = schedule
+                .rounds
+                .iter()
+                .map(|r| {
+                    let t = match previous {
+                        Some((prev, t)) if prev == r => t,
+                        _ => profile(r).time(&r.messages),
+                    };
+                    previous = Some((r, t));
+                    t
+                })
+                .sum();
+            (t, schedule.rounds.len() as u64)
+        })
     }
 }
 
@@ -782,12 +810,55 @@ mod tests {
                 });
             }
         });
-        // All threads agreed on 3 distinct entries; at least one lookup
-        // per payload was a miss, the rest hits or racing duplicate solves.
+        // All threads agreed on 3 distinct entries; the call that
+        // inserted each counts its miss, every other call a hit, racing
+        // duplicate solves included.
         assert_eq!(cache.len(), 3);
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, 12);
-        assert!(misses >= 3);
+        assert_eq!(cache.stats(), (9, 3));
+    }
+
+    #[test]
+    fn racing_costings_count_what_a_serial_run_counts() {
+        // Schedules sharing rounds (and repeating them back to back),
+        // costed at repeated payloads, plus fluid-style keyed costs and
+        // direct round lookups: every pattern and profile key is asked for
+        // many times over.
+        let net = toy_network();
+        let r = sweep_rounds();
+        let schedules = [
+            Schedule::with(vec![r[0].clone(), r[1].clone(), r[1].clone()]),
+            Schedule::with(vec![r[1].clone(), r[2].clone(), r[0].clone()]),
+            Schedule::with(vec![r[2].clone(), r[2].clone()]),
+        ];
+        let work = |cache: &SharedCostCache, rotate: usize| {
+            for i in 0..12 {
+                let i = (i + rotate) % 12;
+                let (s, payload) = (&schedules[i % 3], (i % 4) as u64);
+                cache.schedule_time_rounds(&net, s, payload);
+                cache.time_keyed(&net, (i % 3) as u64, payload, || net.schedule_time(s));
+                cache.round_time_memo(&net, &r[i % 3]);
+            }
+        };
+        const THREADS: usize = 4;
+        let serial = SharedCostCache::new();
+        for rotate in 0..THREADS {
+            work(&serial, rotate);
+        }
+        for _ in 0..20 {
+            let cache = SharedCostCache::new();
+            let barrier = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for rotate in 0..THREADS {
+                    let (cache, barrier, work) = (&cache, &barrier, &work);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        work(cache, rotate);
+                    });
+                }
+            });
+            assert_eq!(cache.stats(), serial.stats());
+            assert_eq!(cache.cache_stats(), serial.cache_stats());
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl SymbolicScheduleCost {
             let repeat = previous == Some(round);
             previous = Some(round);
             if repeat {
-                cache.count_round(false);
+                cache.count_round_lookups(1);
                 if !round.messages.is_empty() {
                     hulls.push(hulls.last().expect("the predecessor's hull").clone());
                 }

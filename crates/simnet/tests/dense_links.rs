@@ -4,13 +4,15 @@
 //! `round_load` counts distinct active `(instance, rail)` links and
 //! `round_profile` interns links in first-seen order, both by marking a
 //! link's id in the model's `RailLinkTable` in an epoch-stamped array. The
-//! reference here keeps the previous accumulation verbatim: a `HashSet`
-//! (and `HashMap`) keyed on `(level, instance, up, rail)`. Over random
-//! rounds — self-messages and repeated endpoints included — on 3–4-level
-//! hierarchies × 1/2/4 rails × every `RailPolicy`, the two must agree
-//! field for field and bit for bit. A second test checks that one
-//! thread's workspace, reused across models of different sizes, gives
-//! exactly what a fresh workspace gives.
+//! reference here keeps the previous accumulation: a `HashSet` (and
+//! `HashMap`) keyed on `(level, instance, up, rail)`, walked hop by hop,
+//! with a level's minimum latency taken over its byte-carrying messages.
+//! Over random rounds — self-messages, zero-byte messages and repeated
+//! endpoints included — on 3–4-level hierarchies × 1/2/4 rails × every
+//! `RailPolicy`, and on the Hydra (1/2/4 rails × every policy) and LUMI
+//! presets, the two must agree field for field and bit for bit. A second
+//! test checks that one thread's workspace, reused across models of
+//! different sizes, gives exactly what a fresh workspace gives.
 //!
 //! The kernels now read a message's crossing level and link ids from the
 //! table's per-core rows (`RailLinkTable::path`). A property test checks
@@ -28,6 +30,7 @@ use std::collections::{HashMap, HashSet};
 
 use mre_core::Hierarchy;
 use mre_rng::{propcheck, SmallRng};
+use mre_simnet::presets::{hydra_network_rails, lumi_network};
 use mre_simnet::{
     assign_rail, bound_gap_fluid, fluid_lower_bound, fluid_lower_bound_aggregate, max_min_rates,
     schedule_lower_bound, schedule_lower_bound_aggregate, CongestionProbe, FluidSim, LinkParams,
@@ -53,8 +56,24 @@ fn arb_model(rng: &mut SmallRng, nics: usize, policy: RailPolicy) -> NetworkMode
 }
 
 /// A random round: fresh endpoints, self-messages, and repeats of earlier
-/// endpoints (so links are revisited within the round).
+/// endpoints (so links are revisited within the round). Half the rounds
+/// hold zero-byte messages, a quarter of their messages.
 fn arb_round(rng: &mut SmallRng, size: usize) -> Vec<Message> {
+    let mut msgs = arb_messages(rng, size);
+    if rng.gen_bool(0.5) {
+        for m in &mut msgs {
+            if rng.gen_bool(0.25) {
+                m.bytes = 0;
+            }
+        }
+    }
+    msgs
+}
+
+/// [`arb_round`]'s endpoints with payloads drawn from `0..2^20` (so almost
+/// never zero) — the rounds `multi_rail_fluid_and_probe_bits_are_pinned`
+/// was recorded with.
+fn arb_messages(rng: &mut SmallRng, size: usize) -> Vec<Message> {
     let n = rng.gen_range(1usize..24);
     let mut msgs: Vec<Message> = Vec::with_capacity(n);
     for _ in 0..n {
@@ -127,11 +146,15 @@ fn reference_load<'m>(
                 load.active_down[level] += 1;
                 load.rail_active_down[level][down_rail] += 1;
             }
-            let entry = &mut load.min_latency_through[level];
-            if load.bytes_through[level] == m.bytes {
-                *entry = latency;
-            } else {
-                *entry = entry.min(latency);
+            // The minimum ranges over byte-carrying messages: the first
+            // one through the level sets it.
+            if m.bytes > 0 {
+                let entry = &mut load.min_latency_through[level];
+                *entry = if load.bytes_through[level] == m.bytes {
+                    latency
+                } else {
+                    entry.min(latency)
+                };
             }
         }
     }
@@ -170,37 +193,52 @@ fn reference_rates(net: &NetworkModel, messages: &[Message]) -> Vec<f64> {
     max_min_rates(&flows, &capacities)
 }
 
+/// One random round on `net`, against the references.
+fn check_round(rng: &mut SmallRng, net: &NetworkModel) {
+    let msgs = arb_round(rng, net.hierarchy().size());
+    let label = format!("{} x{:?}: {msgs:?}", net.rail_policy(), net.rail_counts());
+    let reference = reference_load(net, &msgs);
+    assert_eq!(net.round_load(&msgs), reference, "{label}");
+    // The thread-local rungs read the same load.
+    assert_eq!(
+        net.round_lower_bound(&msgs).to_bits(),
+        net.round_lower_bound_from(&reference).to_bits()
+    );
+    assert_eq!(
+        net.round_lower_bound_aggregate(&msgs).to_bits(),
+        net.round_lower_bound_aggregate_from(&reference).to_bits()
+    );
+    // First-seen interning: every rate bit is unchanged.
+    let profile = net.round_profile(&msgs);
+    let expected = reference_rates(net, &msgs);
+    for ((m, &(_, rate)), &want) in msgs.iter().zip(&profile.entries).zip(&expected) {
+        if m.src != m.dst {
+            assert_eq!(rate.to_bits(), want.to_bits(), "{label}");
+        }
+    }
+}
+
+/// Random machines, and the preset fabrics the search runs on: Hydra at
+/// 1, 2 and 4 node rails under every policy, and LUMI.
 #[test]
 fn round_load_matches_the_tuple_set_reference() {
+    let mut presets = vec![lumi_network(2)];
+    for nics in [1, 2, 4] {
+        for policy in RailPolicy::ALL {
+            presets.push(hydra_network_rails(4, nics, policy));
+        }
+    }
     propcheck(48, 0xD15E_0001, |rng| {
         for nics in [1usize, 2, 4] {
             for policy in RailPolicy::ALL {
                 let net = arb_model(rng, nics, policy);
-                let size = net.hierarchy().size();
                 for _ in 0..4 {
-                    let msgs = arb_round(rng, size);
-                    let reference = reference_load(&net, &msgs);
-                    assert_eq!(net.round_load(&msgs), reference, "{policy} x{nics}");
-                    // The thread-local rungs read the same load.
-                    assert_eq!(
-                        net.round_lower_bound(&msgs).to_bits(),
-                        net.round_lower_bound_from(&reference).to_bits()
-                    );
-                    assert_eq!(
-                        net.round_lower_bound_aggregate(&msgs).to_bits(),
-                        net.round_lower_bound_aggregate_from(&reference).to_bits()
-                    );
-                    // First-seen interning: every rate bit is unchanged.
-                    let profile = net.round_profile(&msgs);
-                    let expected = reference_rates(&net, &msgs);
-                    for ((m, &(_, rate)), &want) in msgs.iter().zip(&profile.entries).zip(&expected)
-                    {
-                        if m.src != m.dst {
-                            assert_eq!(rate.to_bits(), want.to_bits(), "{policy} x{nics}");
-                        }
-                    }
+                    check_round(rng, &net);
                 }
             }
+        }
+        for net in &presets {
+            check_round(rng, net);
         }
     });
 }
@@ -228,9 +266,9 @@ fn crossing_message(rng: &mut SmallRng, net: &NetworkModel, bytes: u64) -> Optio
 /// crossing messages planted at the front and anywhere, short rounds of
 /// a zero-byte crossing message followed by 0–2 positive-byte ones,
 /// empty rounds, and adjacent repeats of the round before. Every crossing
-/// message traverses the innermost level, so a zero-byte message at the
-/// front of a round precedes each positive-byte one at a level they
-/// share; in short rounds its latency is often the level's lowest.
+/// message traverses the innermost level, so a zero-byte message shares a
+/// level with each positive-byte one; in short rounds its latency is
+/// often the level's lowest, which the minimum must leave out.
 fn arb_job(rng: &mut SmallRng, net: &NetworkModel) -> Schedule {
     let mut rounds: Vec<Round> = Vec::new();
     for _ in 0..rng.gen_range(0usize..6) {
@@ -279,9 +317,8 @@ fn level_term(net: &NetworkModel, load: &RoundLoad, level: usize) -> f64 {
 /// `bound_gap_fluid`'s per-level terms must still equal, bit for bit, the
 /// bounds of every message copied into one virtual round. The jobs are
 /// ragged (0–5 rounds) and hold empty rounds, adjacent repeats and
-/// zero-byte messages — a zero-byte message inside a repeated round can
-/// lower a level's minimum latency on the repeat, which is why such a
-/// round is walked again.
+/// zero-byte messages, whose latencies the pooled minimum leaves out on
+/// every copy of a round.
 #[test]
 fn pooled_fluid_bounds_match_the_copied_message_reference() {
     propcheck(32, 0xD15E_0002, |rng| {
@@ -497,7 +534,7 @@ fn multi_rail_fluid_and_probe_bits_are_pinned() {
             .map(|_| {
                 Schedule::with(
                     (0..3)
-                        .map(|_| Round::with(arb_round(&mut rng, size)))
+                        .map(|_| Round::with(arb_messages(&mut rng, size)))
                         .collect(),
                 )
             })

@@ -24,13 +24,21 @@
 //! what communicator 0 costs alone — under both engines, on one rail and
 //! under round-robin or affinity railing. Source-hash railing breaks it
 //! too (EXPERIMENTS.md, "Packed invariance under source-hash railing").
+//!
+//! Message order: a round is a set of concurrent messages, so the order
+//! in which it lists them must not matter to its bounds. Shuffling every
+//! round's messages leaves each `round_load` field unchanged, and the
+//! bits of both schedule bounds, both fluid bounds and the fluid bound
+//! gaps — with zero-byte, self and repeated messages, at any rail count
+//! and under every rail policy.
 
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
 use mre_rng::{propcheck, SmallRng};
 use mre_simnet::{
-    fluid_time, fluid_timeline, max_min_rates, LinkParams, Message, NetworkModel, RailPolicy,
-    Round, Schedule,
+    bound_gap_fluid, fluid_lower_bound, fluid_lower_bound_aggregate, fluid_time, fluid_timeline,
+    max_min_rates, schedule_lower_bound, schedule_lower_bound_aggregate, CongestionProbe,
+    LinkParams, Message, NetworkModel, RailPolicy, Round, Schedule,
 };
 
 const EXPONENTS: [i32; 4] = [-7, -1, 3, 20];
@@ -341,5 +349,124 @@ fn packed_orders_cost_the_same_at_any_number_of_communicators() {
                 );
             }
         });
+    }
+}
+
+/// A random round for the shuffle check: random pairs, self-messages and
+/// repeats of earlier endpoints; in half the rounds a third of the
+/// messages carry zero bytes.
+fn mixed_round(rng: &mut SmallRng, size: usize) -> Vec<Message> {
+    let zero_share = if rng.gen_bool(0.5) { 1.0 / 3.0 } else { 0.0 };
+    let mut msgs: Vec<Message> = Vec::new();
+    for _ in 0..rng.gen_range(1usize..24) {
+        let bytes = if rng.gen_bool(zero_share) {
+            0
+        } else {
+            rng.gen_range(1u64..1 << 20)
+        };
+        let (src, dst) = match rng.gen_range(0usize..4) {
+            0 => {
+                let core = rng.gen_range(0..size);
+                (core, core)
+            }
+            1 if !msgs.is_empty() => {
+                let prev = *rng.choose(&msgs).expect("non-empty");
+                (prev.src, prev.dst)
+            }
+            _ => (rng.gen_range(0..size), rng.gen_range(0..size)),
+        };
+        msgs.push(Message::new(src, dst, bytes));
+    }
+    msgs
+}
+
+/// A ragged job of 0–5 rounds: mixed rounds, empty rounds and adjacent
+/// repeats of the round before.
+fn ragged_job(rng: &mut SmallRng, size: usize) -> Schedule {
+    let mut rounds: Vec<Round> = Vec::new();
+    for _ in 0..rng.gen_range(0usize..6) {
+        let round = match (rng.gen_range(0usize..5), rounds.last()) {
+            (0 | 1, Some(previous)) => previous.clone(),
+            (2, _) => Round::new(),
+            _ => Round::with(mixed_round(rng, size)),
+        };
+        rounds.push(round);
+    }
+    Schedule::with(rounds)
+}
+
+/// Every bound bit of `jobs`: each job's two schedule bounds, the two
+/// fluid bounds of the set, and the fluid bound gaps' per-level bounds.
+fn bound_bits(net: &NetworkModel, jobs: &[Schedule]) -> Vec<u64> {
+    let mut bits: Vec<u64> = jobs
+        .iter()
+        .flat_map(|s| {
+            [
+                schedule_lower_bound(net, s),
+                schedule_lower_bound_aggregate(net, s),
+            ]
+        })
+        .chain([
+            fluid_lower_bound(net, jobs),
+            fluid_lower_bound_aggregate(net, jobs),
+        ])
+        .map(f64::to_bits)
+        .collect();
+    let probe = CongestionProbe::new(net);
+    bits.extend(
+        bound_gap_fluid(net, jobs, &probe)
+            .iter()
+            .map(|g| g.bound.to_bits()),
+    );
+    bits
+}
+
+#[test]
+fn shuffling_each_rounds_messages_changes_no_load_and_no_bound() {
+    for nics in [1, 2, 4] {
+        for policy in RailPolicy::ALL {
+            propcheck(40, 0xD0C0_0031 + nics as u64, |rng| {
+                let depth = rng.gen_range(2usize..5);
+                let levels: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..6)).collect();
+                let links = (0..depth)
+                    .map(|_| LinkParams {
+                        uplink_bandwidth: rng.gen_range(1e8f64..1e11),
+                        crossing_latency: rng.gen_range(0.0f64..1e-5),
+                    })
+                    .collect();
+                let h = Hierarchy::new(levels).expect("non-zero levels");
+                let net = NetworkModel::new(h, links, 1e11).with_node_rails(nics, policy);
+                let size = net.hierarchy().size();
+                let jobs: Vec<Schedule> = (0..rng.gen_range(1usize..5))
+                    .map(|_| ragged_job(rng, size))
+                    .collect();
+                let shuffled: Vec<Schedule> = jobs
+                    .iter()
+                    .map(|s| {
+                        let mut s = s.clone();
+                        for round in &mut s.rounds {
+                            rng.shuffle(&mut round.messages);
+                        }
+                        s
+                    })
+                    .collect();
+                for (s, t) in jobs.iter().zip(&shuffled) {
+                    for (a, b) in s.rounds.iter().zip(&t.rounds) {
+                        assert_eq!(
+                            net.round_load(&a.messages),
+                            net.round_load(&b.messages),
+                            "{nics} rails ({policy:?}): {:?} vs {:?}",
+                            a.messages,
+                            b.messages
+                        );
+                    }
+                }
+                assert_eq!(
+                    bound_bits(&net, &jobs),
+                    bound_bits(&net, &shuffled),
+                    "{nics} rails ({policy:?})"
+                );
+            });
+        }
     }
 }

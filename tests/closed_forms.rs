@@ -6,26 +6,37 @@
 //!   way;
 //! * a ring Allgather puts `(s − 1) · block` bytes on the crossing level
 //!   of every ring hop, the wrap hop `s−1 → 0` included (which
-//!   `ring_cost` leaves out).
+//!   `ring_cost` leaves out);
+//! * a ring Allreduce of `n` bytes puts on each ring hop's level the
+//!   blocks that hop carries: every block but one in the reduce-scatter
+//!   and every block but one in the allgather, block `b` being
+//!   `base + (b < extra)` bytes long (`n = base · s + extra`) — so
+//!   `2 · (s − 1) · n / s` when `s` divides `n`;
+//! * recursive doubling at power-of-two `s` puts, in round `k`, `n` bytes
+//!   (Allreduce) or `2^k` blocks (Allgather) per rank `i` on the crossing
+//!   level of `members[i]` and `members[i XOR 2^k]`.
 //!
 //! The bytes on crossing level `j` are read off the simulator as the
 //! successive difference `bytes_through[j] − bytes_through[j − 1]` of
-//! [`NetworkModel::round_load`], summed over the schedule's rounds.
+//! [`NetworkModel::round_load`], per round or summed over the rounds.
 
 use mixed_radix_enum::core::metrics::{first_diff_level, pair_counts_per_level};
 use mixed_radix_enum::core::subcomm::{subcommunicators, ColorScheme};
 use mixed_radix_enum::core::{Hierarchy, Permutation};
 use mixed_radix_enum::mpi::schedules;
-use mixed_radix_enum::simnet::{LinkParams, NetworkModel, Schedule};
+use mixed_radix_enum::simnet::{LinkParams, Message, NetworkModel, Schedule};
 use mre_rng::{propcheck, SmallRng};
 
 /// Largest communicator drawn: pairwise Alltoall has `s(s−1)` messages.
 const MAX_SUBCOMM: usize = 128;
 
 /// A random hierarchy (2–5 levels of radix 1–5), a random order of its
-/// levels and a random divisor `2 ≤ s ≤ MAX_SUBCOMM` of its size; returns the
-/// model and communicator 0's members.
-fn arb_communicator(rng: &mut SmallRng) -> (NetworkModel, Vec<usize>) {
+/// levels and a random divisor `2 ≤ s ≤ MAX_SUBCOMM` of its size that
+/// `admit`s; returns the model and communicator 0's members.
+fn arb_communicator(
+    rng: &mut SmallRng,
+    admit: impl Fn(usize) -> bool,
+) -> (NetworkModel, Vec<usize>) {
     let depth = rng.gen_range(2usize..6);
     let levels: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..6)).collect();
     let h = Hierarchy::new(levels).expect("non-zero levels");
@@ -34,7 +45,7 @@ fn arb_communicator(rng: &mut SmallRng) -> (NetworkModel, Vec<usize>) {
     // Communicators of one rank carry no traffic: draw them only on a
     // one-core machine.
     let divisors: Vec<usize> = (2..=h.size().min(MAX_SUBCOMM))
-        .filter(|s| h.size().is_multiple_of(*s))
+        .filter(|&s| h.size().is_multiple_of(s) && admit(s))
         .collect();
     let s = rng.choose(&divisors).copied().unwrap_or(1);
     let layout = subcommunicators(&h, &sigma, s, ColorScheme::Quotient).expect("s divides");
@@ -48,16 +59,28 @@ fn arb_communicator(rng: &mut SmallRng) -> (NetworkModel, Vec<usize>) {
     (NetworkModel::new(h, links, 1e10), members)
 }
 
-/// Bytes per crossing level, summed over the schedule's rounds: the
-/// successive differences of each round load's `bytes_through`.
+/// Bytes per crossing level of one round: the successive differences of
+/// its load's `bytes_through`.
+fn round_crossing_bytes(net: &NetworkModel, messages: &[Message]) -> Vec<u64> {
+    let mut outer = 0;
+    net.round_load(messages)
+        .bytes_through
+        .iter()
+        .map(|&total| {
+            let crossing = total - outer;
+            outer = total;
+            crossing
+        })
+        .collect()
+}
+
+/// Bytes per crossing level, summed over the schedule's rounds.
 fn crossing_bytes(net: &NetworkModel, schedule: &Schedule) -> Vec<u64> {
     let mut bytes = vec![0u64; net.hierarchy().depth()];
     for round in &schedule.rounds {
-        let through = net.round_load(&round.messages).bytes_through;
-        let mut outer = 0;
-        for (level, &total) in bytes.iter_mut().zip(&through) {
-            *level += total - outer;
-            outer = total;
+        let crossing = round_crossing_bytes(net, &round.messages);
+        for (level, more) in bytes.iter_mut().zip(crossing) {
+            *level += more;
         }
     }
     bytes
@@ -66,7 +89,7 @@ fn crossing_bytes(net: &NetworkModel, schedule: &Schedule) -> Vec<u64> {
 #[test]
 fn pairwise_alltoall_puts_two_blocks_per_pair_on_each_crossing_level() {
     propcheck(128, 0xC105_ED01, |rng| {
-        let (net, members) = arb_communicator(rng);
+        let (net, members) = arb_communicator(rng, |_| true);
         let block = rng.gen_range(1u64..1 << 20);
         let got = crossing_bytes(&net, &schedules::alltoall_pairwise(&members, block));
         // `pair_counts_per_level[d]` counts pairs at distance `d + 1`, which
@@ -81,7 +104,7 @@ fn pairwise_alltoall_puts_two_blocks_per_pair_on_each_crossing_level() {
 #[test]
 fn ring_allgather_puts_s_minus_one_blocks_on_each_ring_hop() {
     propcheck(128, 0xC105_ED02, |rng| {
-        let (net, members) = arb_communicator(rng);
+        let (net, members) = arb_communicator(rng, |_| true);
         let block = rng.gen_range(1u64..1 << 20);
         let got = crossing_bytes(&net, &schedules::allgather_ring(&members, block));
         let s = members.len();
@@ -95,5 +118,66 @@ fn ring_allgather_puts_s_minus_one_blocks_on_each_ring_hop() {
             }
         }
         assert_eq!(got, want, "members {members:?}");
+    });
+}
+
+#[test]
+fn ring_allreduce_puts_the_blocks_each_hop_carries_on_its_level() {
+    propcheck(128, 0xC105_ED03, |rng| {
+        let (net, members) = arb_communicator(rng, |_| true);
+        let s = members.len();
+        // Payloads `s` divides, and ragged ones down to fewer bytes than
+        // ranks (zero-byte blocks).
+        let n = if rng.gen_bool(0.5) {
+            s as u64 * rng.gen_range(0u64..1 << 14)
+        } else {
+            rng.gen_range(0u64..1 << 20)
+        };
+        let got = crossing_bytes(&net, &schedules::allreduce_ring(&members, n));
+        let (base, extra) = (n / s as u64, n % s as u64);
+        let len = |b: usize| base + u64::from((b as u64) < extra);
+        let mut want = vec![0u64; net.hierarchy().depth()];
+        if s > 1 {
+            for (i, &src) in members.iter().enumerate() {
+                // Hop `i → i + 1` carries every block but `i + 1` in the
+                // reduce-scatter and every block but `i + 2` in the
+                // allgather (mod `s`).
+                let carried = 2 * n - len((i + 1) % s) - len((i + 2) % s);
+                if extra == 0 {
+                    assert_eq!(carried, 2 * (s as u64 - 1) * n / s as u64);
+                }
+                let dst = members[(i + 1) % s];
+                let level = first_diff_level(net.hierarchy(), src, dst).expect("distinct");
+                want[level] += carried;
+            }
+        }
+        assert_eq!(got, want, "n {n}, members {members:?}");
+    });
+}
+
+#[test]
+fn recursive_doubling_puts_each_ranks_bytes_on_its_partners_level() {
+    propcheck(128, 0xC105_ED04, |rng| {
+        let (net, members) = arb_communicator(rng, usize::is_power_of_two);
+        let s = members.len();
+        let n = rng.gen_range(1u64..1 << 20);
+        let reduce = schedules::allreduce_recursive_doubling(&members, n);
+        let gather = schedules::allgather_recursive_doubling(&members, n);
+        let rounds = s.trailing_zeros() as usize;
+        assert_eq!((reduce.num_rounds(), gather.num_rounds()), (rounds, rounds));
+        for k in 0..rounds {
+            // Allreduce sends the whole vector, Allgather the `2^k` blocks
+            // gathered so far.
+            for (schedule, bytes) in [(&reduce, n), (&gather, n << k)] {
+                let mut want = vec![0u64; net.hierarchy().depth()];
+                for (i, &src) in members.iter().enumerate() {
+                    let dst = members[i ^ (1 << k)];
+                    let level = first_diff_level(net.hierarchy(), src, dst).expect("distinct");
+                    want[level] += bytes;
+                }
+                let got = round_crossing_bytes(&net, &schedule.rounds[k].messages);
+                assert_eq!(got, want, "round {k}, members {members:?}");
+            }
+        }
     });
 }
