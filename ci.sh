@@ -174,10 +174,16 @@ for mode in "" --fluid; do
   cmp target/threads_best_1 target/threads_best_4
 done
 
-echo "== rail sweep golden and smoke (--nics 2 fluid ranking pinned; pruned best == exhaustive best)"
+echo "== rail sweep goldens and smoke (--nics 2 and --nics 4 fluid rankings pinned; pruned best == exhaustive best)"
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --nics 2 --fluid > target/rail_sweep_exhaustive.out
 cmp target/rail_sweep_exhaustive.out results/order_sweep_fluid_nics2.txt
+# The exhaustive 4-rail round-robin ranking: half of its 8 candidates are
+# job sets that only a certificate counting the links communicator 0
+# uses reduces, so this pins that the quotient moves no bit.
+cargo run -q --release -p mre-bench --bin order_sweep -- \
+  16,2,2,8 16 alltoall 1048576 --nics 4 --fluid > target/rail_sweep_nics4.out
+cmp target/rail_sweep_nics4.out results/order_sweep_fluid_nics4.txt
 cargo run -q --release -p mre-bench --bin order_sweep -- \
   16,2,2,8 16 alltoall 1048576 --nics 2 --fluid --pruned > target/rail_sweep_pruned.out
 grep "recommended order:" target/rail_sweep_exhaustive.out > target/rail_best_a

@@ -59,40 +59,37 @@
 //! at once, and on digit-box layouts those communicators are translates of
 //! each other. [`FluidSim`] then simulates one flight per *class* — the
 //! messages with the same `(round, seq)` in every job — instead of one per
-//! message. At the start of a run, the engine accepts that grouping only
-//! when it is an *equitable partition*: every job has job 0's round
-//! shapes, payloads and crossing levels, and for every job `c`, message
-//! `i` and path slot `k` the link under slot `k` of `c`'s message `i`
-//! carries the same multiset of `(message, slot)` flows as job 0's link
-//! under that slot. One pass over every job's paths certifies it exactly:
-//! each job's map from job 0's links to its own must be well defined and
-//! injective, every link must have a single job-0 preimage, and each link
-//! must be hit by as many jobs as its preimage.
+//! message. At the start of a run it builds the job set's
+//! [`TranslationCertificate`] ([`of_jobs`](TranslationCertificate::of_jobs)
+//! reads each job's core map off its messages), the one symmetry rule
+//! the lockstep engine uses too: the grouping is an equitable partition
+//! exactly when the certificate is issued, and then every link job 0 uses
+//! carries `n(l)` copies of its flows (DESIGN.md §7j).
 //!
 //! *Soundness.* Give every member of a class the class's rate. A link's
 //! load is then a function of its flow multiset, so links with equal
 //! multisets carry equal loads, and each member of a class is bottlenecked
 //! exactly where job 0's member is: a max-min fair allocation of job 0's
-//! flights on job 0's links, with each slot counted `m(i, k)` times (the
-//! occurrences of `(i, k)` on job 0's link under that slot), is max-min
-//! fair for the whole set, and max-min allocations are unique. So the
-//! water-fill runs over job 0's flights only: `nflows` and `wcount` move
-//! by `m`, and a freeze replays `remaining -= share` `m` times — never
-//! `m · share` — so each link sees the full solve's subtractions, value
-//! for value. That the floating-point bits match as well is tested rather
-//! than proven: every rate, prediction, event time and counter equals the
-//! full solve's on random box layouts (a unit test against the trivial
-//! partition) and on a corpus digest recorded before the reduction
-//! (`tests/fluid_classes.rs`).
+//! flights on job 0's links, with each link counted `n(l)` times, is
+//! max-min fair for the whole set, and max-min allocations are unique. So
+//! the water-fill runs over job 0's flights only: `nflows` and `wcount`
+//! move by `n(l)`, and a freeze replays `remaining -= share` `n(l)` times
+//! — never `n(l) · share` — so each link sees the full solve's
+//! subtractions, value for value. That the floating-point bits match as
+//! well is tested rather than proven: every rate, prediction, event time
+//! and counter equals the full solve's on random box layouts (a unit test
+//! against the trivial partition) and on a corpus digest recorded before
+//! the reduction (`tests/fluid_classes.rs`, which also checks the
+//! certificate against a direct link-map oracle).
 //! [`FluidStats`] scales events, flights and repredictions by the class
 //! size, and [`run_timeline`](FluidSim::run_timeline) expands each class
 //! back into its member messages' spans.
 //!
-//! A set that fails the check — source-hash railing, ragged Alltoallv
-//! volumes, non-box layouts — runs on the trivial partition (every
-//! `m = 1`), which is the same engine, one flight per message.
-//! [`run_probed`](FluidSim::run_probed) always does: the probe sums rates
-//! per link in the full engine's flow order.
+//! A set the certificate refuses — source-hash railing whose owners hash
+//! apart, ragged Alltoallv volumes, non-box layouts — runs on the trivial
+//! partition (every `m = 1`), which is the same engine, one flight per
+//! message. [`run_probed`](FluidSim::run_probed) always does: the probe
+//! sums rates per link in the full engine's flow order.
 //!
 //! Tolerances are **relative**: a flight's residual byte count is snapped
 //! to zero only below `payload × 1e-12`, and latency is tracked as an
@@ -113,6 +110,7 @@
 //! * a class-quotient run equals the trivial-partition run bit for bit:
 //!   makespan, counters and every span.
 
+use crate::certificate::TranslationCertificate;
 use crate::congestion::CongestionProbe;
 use crate::network::NetworkModel;
 use crate::rail::RailLinkTable;
@@ -363,8 +361,7 @@ struct FlightHot {
     snap: f64,
     /// Range into the per-run path arena (dense directed-link ids) and,
     /// at the same offsets, into the `link_pos` back-pointer arena (the
-    /// flight's position in `link_flows[path[k]]` for each path slot `k`)
-    /// and the `path_mult` multiplicity arena.
+    /// flight's position in `link_flows[path[k]]` for each path slot `k`).
     path_start: u32,
     path_len: u32,
     /// Solve epoch that froze this flight last (the visited-mark of the
@@ -372,30 +369,6 @@ struct FlightHot {
     /// cache line per flight. `u32` with a clear-on-wrap guard in
     /// [`FluidSim::fill`].
     epoch: u32,
-}
-
-/// Scratch of the class check ([`FluidSim::check_classes`]), kept across
-/// runs. The per-link arrays are sized on first use; `pre` and `jobs` are
-/// left reset between checks, `image` and `hit` hold stamps.
-#[derive(Default)]
-struct ClassCheck {
-    /// Job 0's path slots in `(round, seq, hop)` order.
-    paths: Vec<u32>,
-    /// Job 0's path end offset per flight, in `(round, seq)` order.
-    ends: Vec<u32>,
-    /// Per job-0 link: `(stamp, image)` under the current job's link map.
-    image: Vec<(u32, u32)>,
-    /// Per link: the stamp of the last job whose map hit it.
-    hit: Vec<u32>,
-    /// Per link: the job-0 link that every job's map sends onto it
-    /// ([`NO_POS`] while no map has hit it).
-    pre: Vec<u32>,
-    /// Per link: how many jobs' maps hit it.
-    jobs: Vec<u32>,
-    /// Links whose `pre` is set.
-    touched: Vec<u32>,
-    /// The current job's stamp, unique across checks.
-    stamp: u32,
 }
 
 /// The persistent incremental fluid engine. Construct once per network
@@ -421,15 +394,13 @@ pub struct FluidSim<'a> {
     lstate: Vec<LinkState>,
     /// Per-run arena of flight paths (see [`FlightHot::path_start`]).
     path_arena: Vec<u32>,
-    /// Multiplicity of every path slot, parallel to `path_arena`: how
-    /// many member flows of the flight's class cross that link at that
-    /// slot. All ones under the trivial partition.
-    path_mult: Vec<u32>,
+    /// The current run's link multiplicities, per model link id: how
+    /// many member flows of a class cross each link job 0 uses. Empty on
+    /// the trivial partition, where every multiplicity is 1.
+    link_mult: Vec<u32>,
     /// Messages per flight class in the current run: the job count when
     /// the run is solved on the class quotient, 1 otherwise.
     class_size: usize,
-    /// Scratch of the class check, kept across runs.
-    check: ClassCheck,
     // Per-run simulation state.
     flights: Vec<Flight>,
     /// Hot freeze-pass fields, parallel to `flights`.
@@ -502,9 +473,8 @@ impl<'a> FluidSim<'a> {
             table,
             lstate,
             path_arena: Vec::new(),
-            path_mult: Vec::new(),
+            link_mult: Vec::new(),
             class_size: 1,
-            check: ClassCheck::default(),
             flights: Vec::new(),
             flights_hot: Vec::new(),
             events: BinaryHeap::new(),
@@ -582,10 +552,10 @@ impl<'a> FluidSim<'a> {
         }
     }
 
-    /// One run. With `reduce`, a job set that passes the class check
-    /// ([`check_classes`](Self::check_classes)) is solved on job 0's flights
-    /// with per-slot multiplicities; any other set runs on the trivial
-    /// partition, one flight per message.
+    /// One run. With `reduce`, a job set that earns a
+    /// [`TranslationCertificate`] is solved on job 0's flights with the
+    /// certificate's link multiplicities; any other set runs on the
+    /// trivial partition, one flight per message.
     fn execute(
         &mut self,
         schedules: &[Schedule],
@@ -610,11 +580,15 @@ impl<'a> FluidSim<'a> {
         self.transferring.clear();
         self.path_arena.clear();
         self.link_pos.clear();
-        self.path_mult.clear();
-        self.class_size = if reduce {
-            self.check_classes(schedules)
+        self.link_mult = if reduce {
+            TranslationCertificate::of_jobs(self.table, schedules).into_mults()
         } else {
+            Vec::new()
+        };
+        self.class_size = if self.link_mult.is_empty() {
             1
+        } else {
+            schedules.len()
         };
         let jobs = if self.class_size > 1 {
             1
@@ -705,60 +679,6 @@ impl<'a> FluidSim<'a> {
             s.reduced_runs += 1;
         }
         now
-    }
-
-    /// Messages per flight class of `schedules`: the job count when
-    /// grouping the jobs' messages by `(round, seq)` is an equitable
-    /// partition, else 1 (the trivial partition). On success the
-    /// multiplicity of each of job 0's path slots is appended to the
-    /// (emptied) `path_mult`.
-    ///
-    /// Slot `q` of job `c` is hop link `k` of `c`'s message `i`, numbered
-    /// in job 0's `(round, seq, hop)` order. The grouping is accepted when,
-    /// checked exactly:
-    /// 1. every job has job 0's round shapes, payloads and crossing levels;
-    /// 2. each job `c` induces a link map `φ_c` (job 0's link at slot `q`
-    ///    ↦ `c`'s link at `q`) that is well defined and injective;
-    /// 3. every link hit by any map is hit only as the image of one job-0
-    ///    link `pre(l)` — job 0's own links are their own preimages — and
-    ///    by as many maps as `pre(l)` is.
-    ///
-    /// Then the flows on any link `l` are `n(l)` copies of job 0's slots on
-    /// `pre(l)` (`n` counting the maps that hit `l`), so link `c`'s slot
-    /// `q` carries the same multiset of slots as job 0's, and the
-    /// multiplicity of slot `q` is `n` of job 0's link at `q`. One pass
-    /// over every job's paths decides it, and the first mismatch — a
-    /// payload, a shape, a link that two maps disagree on — rejects.
-    fn check_classes(&mut self, schedules: &[Schedule]) -> usize {
-        let jobs = schedules.len();
-        if jobs < 2 {
-            return 1;
-        }
-        let links = self.table.num_links();
-        let x = &mut self.check;
-        if x.pre.len() != links {
-            x.image = vec![(0, 0); links];
-            x.hit = vec![0; links];
-            x.pre = vec![NO_POS; links];
-            x.jobs = vec![0; links];
-        }
-        let equitable = map_jobs(x, self.table, schedules)
-            && x.touched
-                .iter()
-                .all(|&l| x.jobs[l as usize] == x.jobs[x.pre[l as usize] as usize]);
-        if equitable {
-            self.path_mult
-                .extend(x.paths.iter().map(|&l| x.jobs[l as usize]));
-        }
-        for &l in &x.touched {
-            x.pre[l as usize] = NO_POS;
-            x.jobs[l as usize] = 0;
-        }
-        if equitable {
-            jobs
-        } else {
-            1
-        }
     }
 
     /// Snapshots the current per-link allocation into `probe` at `now`:
@@ -885,11 +805,6 @@ impl<'a> FluidSim<'a> {
                 };
                 let id = self.flights.len() as u32;
                 self.link_pos.resize(self.path_arena.len(), NO_POS);
-                // A quotient run's multiplicities were laid out for all of
-                // job 0's slots by the class check; trivial runs grow ones.
-                if self.path_mult.len() < self.path_arena.len() {
-                    self.path_mult.resize(self.path_arena.len(), 1);
-                }
                 let mut flight = Flight {
                     job: job as u32,
                     round: round_idx as u32,
@@ -956,9 +871,10 @@ impl<'a> FluidSim<'a> {
             let pos = self.link_flows[l].len() as u32;
             self.link_flows[l].push((flight, slot as u32));
             self.link_pos[start + slot] = pos;
+            let m = self.mult(l);
             let ls = &mut self.lstate[l];
             let was = ls.nflows;
-            ls.nflows += self.path_mult[start + slot];
+            ls.nflows += m;
             match (was, ls.nflows) {
                 // Idle → solo: tracked outside the seed.
                 (_, 1) => self.push_solo(l),
@@ -991,9 +907,10 @@ impl<'a> FluidSim<'a> {
                 let moved_start = self.flights_hot[moved as usize].path_start as usize;
                 self.link_pos[moved_start + moved_slot as usize] = pos as u32;
             }
+            let m = self.mult(l);
             let ls = &mut self.lstate[l];
             let was = ls.nflows;
-            ls.nflows -= self.path_mult[start + slot];
+            ls.nflows -= m;
             match (was, ls.nflows) {
                 // Solo → idle.
                 (1, _) => {
@@ -1023,6 +940,15 @@ impl<'a> FluidSim<'a> {
             self.flights[moved as usize].tpos = tp as u32;
         }
         self.flights[fi].tpos = NO_POS;
+    }
+
+    /// How many member flows one flight of this run puts on link `l`.
+    fn mult(&self, l: usize) -> u32 {
+        if self.class_size > 1 {
+            self.link_mult[l]
+        } else {
+            1
+        }
     }
 
     /// The up-to-date seed candidate of shared link `l` carrying `nflows`.
@@ -1089,7 +1015,7 @@ impl<'a> FluidSim<'a> {
     /// would freeze — the caller then re-runs with the full seed, which
     /// is idempotent: the aborted attempt only folded byte counts at
     /// their genuine old rates and re-folding over a zero interval is a
-    /// no-op. `QUOTIENT` runs replay each subtraction per the path slot's
+    /// no-op. `QUOTIENT` runs replay each subtraction per the link's
     /// multiplicity; trivial-partition runs skip reading it.
     fn fill<const QUOTIENT: bool>(&mut self, now: f64, fast: bool) -> bool {
         self.epoch += 1;
@@ -1139,7 +1065,7 @@ impl<'a> FluidSim<'a> {
             ref link_flows,
             ref mut flights_hot,
             ref path_arena,
-            ref path_mult,
+            ref link_mult,
             ref mut cheap,
             ref mut stats,
             ..
@@ -1203,7 +1129,7 @@ impl<'a> FluidSim<'a> {
                     batch_min = f.predicted;
                 }
                 let (ps, pl) = (f.path_start as usize, f.path_len as usize);
-                for (slot, &link) in path_arena[ps..ps + pl].iter().enumerate() {
+                for &link in &path_arena[ps..ps + pl] {
                     let ls = &mut lstate[link as usize];
                     if fast && ls.nflows == 1 {
                         // Solo links are unseeded in the fast fill, so
@@ -1215,7 +1141,7 @@ impl<'a> FluidSim<'a> {
                         // One subtraction per member flow, never
                         // `m · share`: the link sees the full solve's
                         // subtraction sequence.
-                        let m = path_mult[ps + slot];
+                        let m = link_mult[link as usize];
                         for _ in 0..m {
                             ls.remaining -= share;
                         }
@@ -1242,82 +1168,6 @@ impl<'a> FluidSim<'a> {
         }
         complete
     }
-}
-
-/// One pass of the class check ([`FluidSim::check_classes`]) over every job's
-/// messages: conditions 1 and 2, and condition 3 up to the map counts.
-/// Fills `x.paths` with job 0's slots and `x.pre`/`x.jobs` for every link
-/// hit (listed in `x.touched`); returns `false` at the first violation.
-fn map_jobs(x: &mut ClassCheck, table: &RailLinkTable, schedules: &[Schedule]) -> bool {
-    x.paths.clear();
-    x.ends.clear();
-    x.touched.clear();
-    let base = &schedules[0];
-    for (c, schedule) in schedules.iter().enumerate() {
-        if x.stamp == u32::MAX {
-            x.image.fill((0, 0));
-            x.hit.fill(0);
-            x.stamp = 0;
-        }
-        x.stamp += 1;
-        let stamp = x.stamp;
-        if schedule.rounds.len() != base.rounds.len() {
-            return false;
-        }
-        let (mut slot, mut flight) = (0, 0);
-        for (round, round0) in schedule.rounds.iter().zip(&base.rounds) {
-            if round.messages.len() != round0.messages.len() {
-                return false;
-            }
-            for (m, m0) in round.messages.iter().zip(&round0.messages) {
-                if m.bytes != m0.bytes {
-                    return false;
-                }
-                let hops = table.path(m.src, m.dst).into_iter().flatten();
-                for l in hops.flat_map(|hop| [hop.up, hop.down]) {
-                    let l0 = if c == 0 {
-                        x.paths.push(l);
-                        l
-                    } else {
-                        match x.paths.get(slot) {
-                            Some(&l0) => l0,
-                            None => return false,
-                        }
-                    };
-                    slot += 1;
-                    let (seen, image) = x.image[l0 as usize];
-                    if seen == stamp {
-                        if image != l {
-                            return false;
-                        }
-                        continue;
-                    }
-                    // First slot of this job on `l0`: `φ_c(l0) = l`.
-                    x.image[l0 as usize] = (stamp, l);
-                    let l = l as usize;
-                    if x.hit[l] == stamp {
-                        return false;
-                    }
-                    x.hit[l] = stamp;
-                    if x.pre[l] == NO_POS {
-                        x.pre[l] = l0;
-                        x.touched.push(l as u32);
-                    } else if x.pre[l] != l0 {
-                        return false;
-                    }
-                    x.jobs[l] += 1;
-                }
-                // Equal path lengths: equal crossing levels.
-                if c == 0 {
-                    x.ends.push(slot as u32);
-                } else if x.ends[flight] != slot as u32 {
-                    return false;
-                }
-                flight += 1;
-            }
-        }
-    }
-    true
 }
 
 /// Simulates `schedules` concurrently without cross-schedule barriers and

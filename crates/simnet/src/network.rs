@@ -348,7 +348,7 @@ impl NetworkModel {
                     if idx == next {
                         ws.capacities.push(self.links[hop.level].uplink_bandwidth);
                         if QUOTIENT {
-                            debug_assert!(mults[id as usize] > 0, "a link communicator 0 owns");
+                            debug_assert!(mults[id as usize] > 0, "a link communicator 0 uses");
                             ws.mults.push(mults[id as usize]);
                         }
                     }

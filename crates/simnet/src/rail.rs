@@ -297,6 +297,11 @@ impl RailLinkTable {
         &self.rails
     }
 
+    /// Number of cores (one row each).
+    pub(crate) fn cores(&self) -> usize {
+        self.rows.len().checked_div(self.strides.len()).unwrap_or(0)
+    }
+
     /// The assignment policy.
     pub fn policy(&self) -> RailPolicy {
         self.policy

@@ -571,14 +571,15 @@ impl SharedCostCache {
 
     /// The lockstep cost of a job set — every communicator's schedule
     /// merged round by round, as [`NetworkModel::concurrent_time`] costs
-    /// it — from `cert` and the schedule
-    /// [`cert.job_schedule`](TranslationCertificate::job_schedule) returns.
+    /// it — from `cert` and `schedule`: communicator 0's schedule, the one
+    /// `cert` was built from, when certified, and the merged schedule of
+    /// every communicator otherwise.
     ///
-    /// Under the trivial certificate `schedule` is the merged schedule and
-    /// this is [`schedule_time_rounds`](Self::schedule_time_rounds). Under
-    /// a certified one it is communicator 0's: only its links are
-    /// interned, each round is solved on its flows with the certificate's
-    /// multiplicities, and the round's time is replayed over its messages,
+    /// Under the trivial certificate this is
+    /// [`schedule_time_rounds`](Self::schedule_time_rounds). Under a
+    /// certified one only communicator 0's links are interned, each round
+    /// is solved on its flows with the certificate's multiplicities, and
+    /// the round's time is replayed over its messages,
     /// since every other communicator's message `i` has communicator 0's
     /// bytes, latency and rate (DESIGN.md §7j). Both memo tiers key on
     /// the model and the certificate's fingerprints, so a quotient profile

@@ -7,7 +7,11 @@
 //! every comparison between shares comes out the same. So scaling every
 //! capacity by `2^k` must scale every max-min rate by exactly `2^k`, and
 //! scaling every bandwidth of a model with zero latencies must scale every
-//! round time by exactly `2^-k` — bit for bit, at any rail count.
+//! round time by exactly `2^-k` — bit for bit, at any rail count. The
+//! fluid engine is one more input: scaling every bandwidth by `2^k` and
+//! every latency by `2^-k` scales its makespan and every span by exactly
+//! `2^-k` and moves none of its counts, on the class quotient of
+//! translated jobs as on the trivial partition of random ones.
 //!
 //! Translation symmetry: on a digit-box layout every communicator is a
 //! translate of communicator 0, so when all of them run the same
@@ -123,6 +127,76 @@ fn scaling_bandwidths_by_a_power_of_two_scales_round_time_exactly() {
                         (t * 2f64.powi(-k)).to_bits(),
                         "{nics} rails ({policy:?}), k = {k}, levels {levels:?}"
                     );
+                }
+            }
+        });
+    }
+}
+
+/// `net` (built as [`box_layout`] builds it) with every bandwidth scaled
+/// by `2^k` and every latency by `2^-k`.
+fn rescaled(net: &NetworkModel, k: i32, nics: usize, policy: RailPolicy) -> NetworkModel {
+    let links = net
+        .links()
+        .iter()
+        .map(|l| LinkParams {
+            uplink_bandwidth: l.uplink_bandwidth * 2f64.powi(k),
+            crossing_latency: l.crossing_latency * 2f64.powi(-k),
+        })
+        .collect();
+    NetworkModel::new(net.hierarchy().clone(), links, 1e11 * 2f64.powi(k))
+        .with_node_rails(nics, policy)
+}
+
+#[test]
+fn scaling_bandwidths_and_latencies_by_a_power_of_two_scales_fluid_times_exactly() {
+    for (nics, policy) in [
+        (1, RailPolicy::RoundRobin),
+        (2, RailPolicy::SrcHash),
+        (4, RailPolicy::RoundRobin),
+        (4, RailPolicy::Affinity),
+    ] {
+        propcheck(30, 0xD0C0_0219 + nics as u64, |rng| {
+            let (net, comms) = box_layout(rng, nics, policy);
+            let s = comms[0].len();
+            let rounds: Vec<_> = (0..rng.gen_range(1usize..4))
+                .map(|_| rank_round(rng, s))
+                .collect();
+            let translated: Vec<Schedule> = comms
+                .iter()
+                .map(|comm| {
+                    Schedule::with(
+                        rounds
+                            .iter()
+                            .map(|r| Round::with(translate(r, comm)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let size = net.hierarchy().size();
+            let random: Vec<Schedule> = (0..3)
+                .map(|_| {
+                    Schedule::with((0..3).map(|_| Round::with(arb_round(rng, size))).collect())
+                })
+                .collect();
+            for jobs in [&translated, &random] {
+                let base = fluid_timeline(&net, jobs);
+                for k in EXPONENTS {
+                    let scaled = fluid_timeline(&rescaled(&net, k, nics, policy), jobs);
+                    let down = |t: f64| (t * 2f64.powi(-k)).to_bits();
+                    let what = format!("{nics} rails ({policy:?}), k = {k}");
+                    assert_eq!(scaled.makespan.to_bits(), down(base.makespan), "{what}");
+                    assert_eq!(scaled.stats, base.stats, "{what}");
+                    for (a, b) in scaled.spans.iter().zip(&base.spans) {
+                        assert_eq!(
+                            (a.start.to_bits(), a.finish.to_bits()),
+                            (down(b.start), down(b.finish)),
+                            "{what}: job {} message {}/{}",
+                            b.job,
+                            b.round,
+                            b.seq
+                        );
+                    }
                 }
             }
         });

@@ -139,11 +139,15 @@ impl Microbench {
         let nics = net.node_rails();
         // The simultaneous run is one lockstep job set: on a certified
         // layout only communicator 0's schedule is generated and solved.
-        let cert = TranslationCertificate::new(net.link_table(), comms);
         let own = self.schedule_for_rails(&comms[0], nics);
-        let merged = cert
-            .is_trivial()
-            .then(|| cert.job_schedule(comms, |members| self.schedule_for_rails(members, nics)));
+        let cert = TranslationCertificate::new(net.link_table(), comms, &own);
+        let merged = cert.is_trivial().then(|| {
+            let all: Vec<Schedule> = comms
+                .iter()
+                .map(|members| self.schedule_for_rails(members, nics))
+                .collect();
+            Schedule::lockstep(&all)
+        });
         let job = merged.as_ref().unwrap_or(&own);
         // The single run uses the round tier only: a figure sweep never
         // repeats a whole schedule, so the pattern tier would only add a

@@ -561,10 +561,17 @@ pub fn estimate_cpd_time_cached(
         let per_pair = (per_member_bytes / comm_size as u64).max(1);
         // The layers run concurrently in lockstep: on a certified layout
         // only layer 0's schedule is generated and solved.
-        let cert = TranslationCertificate::new(net.link_table(), &members);
-        let schedule =
-            cert.job_schedule(&members, |mem| schedules::alltoall_pairwise(mem, per_pair));
-        let t = cache.job_set_time(net, &cert, &schedule, per_pair);
+        let own = schedules::alltoall_pairwise(&members[0], per_pair);
+        let cert = TranslationCertificate::new(net.link_table(), &members, &own);
+        let t = if cert.is_trivial() {
+            let layers: Vec<Schedule> = members
+                .iter()
+                .map(|mem| schedules::alltoall_pairwise(mem, per_pair))
+                .collect();
+            cache.job_set_time(net, &cert, &Schedule::lockstep(&layers), per_pair)
+        } else {
+            cache.job_set_time(net, &cert, &own, per_pair)
+        };
         if m == smallest_mode {
             cost.small_comm_alltoallv += t * cfg.iterations as f64;
         } else {

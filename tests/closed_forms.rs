@@ -19,12 +19,20 @@
 //! The bytes on crossing level `j` are read off the simulator as the
 //! successive difference `bytes_through[j] − bytes_through[j − 1]` of
 //! [`NetworkModel::round_load`], per round or summed over the rounds.
+//!
+//! The first two identities also hold for the level bytes of a probed
+//! run, under both engines and on 1, 2 or 4 node rails: level `L` of
+//! `CongestionProbe::occupancy()` carries both directions of every message
+//! crossing at `L` or outside it. A probe integrates rate × time, so those
+//! checks use a relative tolerance.
 
 use mixed_radix_enum::core::metrics::{first_diff_level, pair_counts_per_level};
 use mixed_radix_enum::core::subcomm::{subcommunicators, ColorScheme};
 use mixed_radix_enum::core::{Hierarchy, Permutation};
 use mixed_radix_enum::mpi::schedules;
-use mixed_radix_enum::simnet::{LinkParams, Message, NetworkModel, Schedule};
+use mixed_radix_enum::simnet::{
+    CongestionProbe, FluidSim, LinkParams, Message, NetworkModel, RailPolicy, Schedule,
+};
 use mre_rng::{propcheck, SmallRng};
 
 /// Largest communicator drawn: pairwise Alltoall has `s(s−1)` messages.
@@ -57,6 +65,38 @@ fn arb_communicator(
         })
         .collect();
     (NetworkModel::new(h, links, 1e10), members)
+}
+
+/// Checks a probed run's level bytes against `want`, the closed-form bytes
+/// per crossing level: under both engines, `occupancy()` summed over the
+/// rails of level `L` is twice the bytes crossing at `L` or outside it.
+fn assert_probed_level_bytes(net: &NetworkModel, schedule: &Schedule, want: &[u64]) {
+    let mut lockstep = CongestionProbe::new(net);
+    net.schedule_time_probed(schedule, &mut lockstep);
+    let mut fluid = CongestionProbe::new(net);
+    FluidSim::new(net).run_probed(std::slice::from_ref(schedule), &mut fluid);
+    for (engine, probe) in [("lockstep", &lockstep), ("fluid", &fluid)] {
+        let mut got = vec![0.0f64; want.len()];
+        for row in probe.occupancy() {
+            got[row.level] += row.bytes;
+        }
+        let mut outer = 0u64;
+        for (level, (&got, &crossing)) in got.iter().zip(want).enumerate() {
+            outer += crossing;
+            let expect = 2.0 * outer as f64;
+            assert!(
+                (got - expect).abs() <= 1e-9 * expect,
+                "{engine} level {level}: {got} vs {expect}"
+            );
+        }
+    }
+}
+
+/// A copy of `net` with 1, 2 or 4 node rails under a random policy.
+fn arb_rails(rng: &mut SmallRng, net: NetworkModel) -> NetworkModel {
+    let nics = *rng.choose(&[1usize, 2, 4]).expect("non-empty");
+    let policy = *rng.choose(&RailPolicy::ALL).expect("three policies");
+    net.with_node_rails(nics, policy)
 }
 
 /// Bytes per crossing level of one round: the successive differences of
@@ -98,6 +138,30 @@ fn pairwise_alltoall_puts_two_blocks_per_pair_on_each_crossing_level() {
         want.reverse();
         let want: Vec<u64> = want.iter().map(|&n| 2 * block * n as u64).collect();
         assert_eq!(got, want, "members {members:?}");
+    });
+}
+
+#[test]
+fn probed_level_bytes_of_pairwise_alltoall_and_ring_allgather_match_the_closed_forms() {
+    propcheck(48, 0xC105_ED05, |rng| {
+        let (net, members) = arb_communicator(rng, |s| s <= 32);
+        let net = arb_rails(rng, net);
+        let h = net.hierarchy();
+        let block = rng.gen_range(1u64..1 << 20);
+        let mut pairs = pair_counts_per_level(h, &members);
+        pairs.reverse();
+        let want: Vec<u64> = pairs.iter().map(|&n| 2 * block * n as u64).collect();
+        let alltoall = schedules::alltoall_pairwise(&members, block);
+        assert_probed_level_bytes(&net, &alltoall, &want);
+        let s = members.len();
+        let mut want = vec![0u64; h.depth()];
+        for (i, &src) in members.iter().enumerate().filter(|_| s > 1) {
+            let dst = members[(i + 1) % s];
+            let level = first_diff_level(h, src, dst).expect("distinct");
+            want[level] += (s as u64 - 1) * block;
+        }
+        let allgather = schedules::allgather_ring(&members, block);
+        assert_probed_level_bytes(&net, &allgather, &want);
     });
 }
 
